@@ -8,9 +8,6 @@ from .coxeter import (
     GroupDescriptor,
     ResourceLimitError,
     SignedRoot,
-    build_root_system,
-    build_system,
-    commutation_class,
     demazure_product,
     element_from_word,
     enumerate_coxeter_words,

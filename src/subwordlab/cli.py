@@ -20,7 +20,6 @@ from .coxeter import (
     enumerate_coxeter_words,
     format_word,
     longest_element,
-    parse_descriptor,
     parse_word,
 )
 from .experiments import (
@@ -62,7 +61,7 @@ def _emit_json(command: str, params: dict, results, started: float) -> None:
 def _system_from(args) -> CoxeterSystem:
     if not args.type:
         raise CoxeterError("--type is required")
-    return CoxeterSystem(parse_descriptor(args.type))
+    return CoxeterSystem(args.type)
 
 
 def _coxeter_word_from(args, system: CoxeterSystem) -> Word:
@@ -285,6 +284,10 @@ def _cmd_verify(args) -> int:
                 and (args.k is None or row.get("k") == args.k)
             ]
         reports.append(report)
+    if (args.type or args.k is not None) and not any(r.rows for r in reports):
+        flags = [f"--type {args.type}"] if args.type else []
+        flags += [] if args.k is None else [f"-k {args.k}"]
+        raise CoxeterError(f"no verify {args.what} rows match {' '.join(flags)}")
     failed = [r.name for r in reports if r.verdict == "fail"]
     if args.json:
         _emit_json(

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -321,9 +320,6 @@ class Element:
         """True iff multiplying by s on the right shortens the element."""
         return self.image[s - 1] < 0
 
-    def times_generator(self, s: int) -> "Element":
-        return self * self.system.generators[s - 1]
-
 
 # ---------------------------------------------------------------------------
 # The system
@@ -387,17 +383,8 @@ class CoxeterSystem:
 
     # -- basic queries ------------------------------------------------------
 
-    def generator(self, s: int) -> Element:
-        return self.generators[s - 1]
-
-    def root_vector(self, root: int):
-        return self.positive_roots[root]
-
     def commute(self, s: int, t: int) -> bool:
         return self.coxeter_matrix[s - 1][t - 1] == 2
-
-    def simple_root(self, s: int) -> SignedRoot:
-        return SignedRoot(s - 1, 1)
 
     def __repr__(self) -> str:
         return f"CoxeterSystem({self.descriptor.name()!r})"
@@ -406,27 +393,11 @@ class CoxeterSystem:
         w0 = longest_element(self)
         w0_inv = w0.inverse()
         for s in range(1, self.rank + 1):
-            conjugate = w0_inv * self.generator(s) * w0
-            if conjugate != self.generator(self.psi_table[s - 1]):
+            conjugate = w0_inv * self.generators[s - 1] * w0
+            if conjugate != self.generators[self.psi_table[s - 1] - 1]:
                 raise CoxeterError(
                     f"psi table disagrees with conjugation by the longest element at s{s}"
                 )
-
-
-def build_system(descriptor: GroupDescriptor | str) -> CoxeterSystem:
-    """Build the full system for a descriptor (string or GroupDescriptor)."""
-    return CoxeterSystem(descriptor)
-
-
-class RootSystem(NamedTuple):
-    """Positive roots (coefficient vectors) and per-generator reflection tables."""
-
-    positive_roots: tuple
-    reflection_tables: tuple
-
-
-def build_root_system(system: CoxeterSystem) -> RootSystem:
-    return RootSystem(system.positive_roots, system.reflection_tables)
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +436,6 @@ def element_from_word(system: CoxeterSystem, word: Word) -> Element:
     for s in word:
         out = out * system.generators[s - 1]
     return out
-
-
-def length(w: Element) -> int:
-    return w.length()
 
 
 def is_reduced(system: CoxeterSystem, word: Word) -> bool:
@@ -587,19 +554,16 @@ def check_coxeter_word(system: CoxeterSystem, word: Word) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Commutation classes
+# Commutation canonical forms
 
-def commutation_layers(system: CoxeterSystem, word: Word) -> tuple[tuple[int, ...], ...]:
-    """Canonical form of the commutation class of ``word``.
+def _layer_keys(system: CoxeterSystem, word: Word) -> list[tuple[int, int]]:
+    """The (layer, generator) pair of each letter under greedy layering.
 
-    Greedy layering: each letter lands one past the deepest earlier letter it
-    fails to commute with (same letters never commute).  Words are equal up
-    to commutations iff their layer sequences are equal, so this is a total,
-    cap-free decision procedure.
+    Each letter lands one past the deepest earlier letter it fails to commute
+    with (same letters never commute).
     """
-    check_word(system, word)
     level = [0] * (system.rank + 1)
-    layers: list[list[int]] = []
+    out = []
     for s in word:
         depth = level[s]
         for t in system.neighbors[s - 1]:
@@ -607,10 +571,22 @@ def commutation_layers(system: CoxeterSystem, word: Word) -> tuple[tuple[int, ..
                 depth = level[t]
         depth += 1
         level[s] = depth
-        while len(layers) < depth:
+        out.append((depth, s))
+    return out
+
+
+def commutation_layers(system: CoxeterSystem, word: Word) -> tuple[tuple[int, ...], ...]:
+    """Canonical form of the commutation class of ``word``: its letters
+    grouped by layer.  Words are equal up to commutations iff their layer
+    sequences are equal, so this is a total, cap-free decision procedure.
+    """
+    check_word(system, word)
+    layers: list[list[int]] = []
+    for depth, s in sorted(_layer_keys(system, word)):
+        if depth > len(layers):
             layers.append([])
-        layers[depth - 1].append(s)
-    return tuple(tuple(sorted(layer)) for layer in layers)
+        layers[-1].append(s)
+    return tuple(tuple(layer) for layer in layers)
 
 
 def equal_up_to_commutations(system: CoxeterSystem, word: Word, other: Word) -> bool:
@@ -618,33 +594,6 @@ def equal_up_to_commutations(system: CoxeterSystem, word: Word, other: Word) -> 
     if len(word) != len(other):
         return False
     return commutation_layers(system, word) == commutation_layers(system, other)
-
-
-def commutation_class(
-    system: CoxeterSystem, word: Word, max_size: int = 1_000_000
-) -> frozenset[Word]:
-    """Every word reachable by swaps of adjacent commuting letters (BFS).
-
-    Kept as the brute-force counterpart of ``commutation_layers``; raises
-    ResourceLimitError rather than ever returning a truncated answer.
-    """
-    check_word(system, word)
-    seen = {tuple(word)}
-    queue = deque(seen)
-    while queue:
-        current = queue.popleft()
-        for i in range(len(current) - 1):
-            s, t = current[i], current[i + 1]
-            if s != t and system.commute(s, t):
-                swapped = current[:i] + (t, s) + current[i + 2:]
-                if swapped not in seen:
-                    if len(seen) >= max_size:
-                        raise ResourceLimitError(
-                            f"commutation class exceeds {max_size} words"
-                        )
-                    seen.add(swapped)
-                    queue.append(swapped)
-    return frozenset(seen)
 
 
 def commutation_position_map(
@@ -658,22 +607,8 @@ def commutation_position_map(
     """
     if not equal_up_to_commutations(system, word, other):
         raise CoxeterError("words are not equal up to commutations")
-
-    def keys(w: Word) -> list[tuple[int, int]]:
-        level = [0] * (system.rank + 1)
-        out = []
-        for s in w:
-            depth = level[s]
-            for t in system.neighbors[s - 1]:
-                if level[t] > depth:
-                    depth = level[t]
-            depth += 1
-            level[s] = depth
-            out.append((depth, s))
-        return out
-
-    target = {key: p + 1 for p, key in enumerate(keys(other))}
-    return tuple(target[key] for key in keys(word))
+    target = {key: p + 1 for p, key in enumerate(_layer_keys(system, other))}
+    return tuple(target[key] for key in _layer_keys(system, word))
 
 
 def format_root(system: CoxeterSystem, signed: SignedRoot) -> str:

@@ -22,7 +22,6 @@ from .coxeter import (
     equal_up_to_commutations,
     iter_all_words,
     longest_element,
-    parse_descriptor,
 )
 from .multicluster import (
     almost_positive_roots,
@@ -69,10 +68,6 @@ class ExperimentReport:
 def _timed(report: ExperimentReport, start: float) -> ExperimentReport:
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return report
-
-
-def _system(name: str) -> CoxeterSystem:
-    return CoxeterSystem(parse_descriptor(name))
 
 
 def _lex_coxeter_word(system: CoxeterSystem) -> Word:
@@ -160,7 +155,7 @@ def run_count_experiment(instances=COUNT_INSTANCES) -> ExperimentReport:
     rows = []
     verdict = PASS
     for name, k in instances:
-        system = _system(name)
+        system = CoxeterSystem(name)
         cox = _lex_coxeter_word(system)
         complex_ = _multi_cluster_complex(system, cox, k)
         enumerated = len(complex_.facets)
@@ -191,7 +186,7 @@ def run_nonface_experiment(instances=NONFACE_INSTANCES) -> ExperimentReport:
     start = time.perf_counter()
     rows = []
     for name, k in instances:
-        system = _system(name)
+        system = CoxeterSystem(name)
         cox = _lex_coxeter_word(system)
         complex_ = _multi_cluster_complex(system, cox, k)
         found = minimal_nonfaces(complex_, complex_.facet_size() + 1)
@@ -216,7 +211,7 @@ def run_csp_experiment(instances=CSP_INSTANCES) -> ExperimentReport:
     start = time.perf_counter()
     rows = []
     for name, k in instances:
-        system = _system(name)
+        system = CoxeterSystem(name)
         cox = _lex_coxeter_word(system)
         table = csp_fixed_point_table(system, cox, k)
         rows.append(
@@ -249,7 +244,7 @@ def run_maximality_experiment(
     rng = random.Random(seed)
     rows = []
     for name, k in exhaustive:
-        system = _system(name)
+        system = CoxeterSystem(name)
         cox = _lex_coxeter_word(system)
         target = longest_element(system)
         reference = len(_multi_cluster_complex(system, cox, k).facets)
@@ -279,7 +274,7 @@ def run_maximality_experiment(
             }
         )
     for name, k in sampled:
-        system = _system(name)
+        system = CoxeterSystem(name)
         cox = _lex_coxeter_word(system)
         target = longest_element(system)
         reference = len(_multi_cluster_complex(system, cox, k).facets)
@@ -317,7 +312,7 @@ def run_sin_experiment(instances=SIN_INSTANCES) -> ExperimentReport:
     rows = []
     verdict = PASS
     for name, size in instances:
-        system = _system(name)
+        system = CoxeterSystem(name)
         n = system.rank
         big_n = system.number_of_positive_roots
         references = []
@@ -358,7 +353,7 @@ def run_mesh_experiment(instances=MESH_INSTANCES) -> ExperimentReport:
     rows = []
     verdict = PASS
     for name, k in instances:
-        system = _system(name)
+        system = CoxeterSystem(name)
         for cox in enumerate_coxeter_words(system):
             ok = check_mesh_relation(system, multi_cluster_word(system, cox, k))
             if not ok:
@@ -382,7 +377,7 @@ def run_independence_experiment(instances=INDEPENDENCE_INSTANCES) -> ExperimentR
     rows = []
     verdict = PASS
     for name, k in instances:
-        system = _system(name)
+        system = CoxeterSystem(name)
         words = enumerate_coxeter_words(system)
         data = []
         for cox in words:

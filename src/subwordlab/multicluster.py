@@ -23,11 +23,10 @@ from .coxeter import (
     Word,
     check_coxeter_word,
     element_from_word,
-    format_root,
     longest_element,
 )
 from .sorting import sorting_word_w0
-from .subword import Facet, is_face, subword_complex
+from .subword import Facet, subword_complex
 
 Diagonal = tuple  # (a, b) vertex labels, a < b
 
@@ -115,10 +114,6 @@ def sigma_involution(
         # Only alpha_s is sent negative, landing on -alpha_s.
         return SignedRoot(image.root, -1)
     return image
-
-
-def format_almost_positive(system: CoxeterSystem, root: SignedRoot) -> str:
-    return format_root(system, root)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +258,7 @@ def type_a_bijection(m: int, k: int, cox: Word) -> tuple[Diagonal, ...]:
     n = m - 2 * k - 1
     if n < 1:
         raise CoxeterError("need m >= 2k + 2")
-    system = _system_cached(f"A{n}")
+    system = CoxeterSystem(f"A{n}")
     check_coxeter_word(system, cox)
     word = multi_cluster_word(system, cox, k)
     ascents, descents = _ascent_descent_counts(cox, n)
@@ -330,7 +325,7 @@ def type_b_bijection(m: int, k: int, cox: Word) -> tuple[frozenset, ...]:
     n = m - k
     if n < 2:
         raise CoxeterError("need m >= k + 2")
-    system = _system_cached(f"B{n}")
+    system = CoxeterSystem(f"B{n}")
     check_coxeter_word(system, cox)
     word = multi_cluster_word(system, cox, k)
     ascents, descents = _ascent_descent_counts(cox, n)
@@ -348,11 +343,6 @@ def type_b_bijection(m: int, k: int, cox: Word) -> tuple[frozenset, ...]:
         )
         out.append(pair)
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _system_cached(name: str) -> CoxeterSystem:
-    return CoxeterSystem(name)
 
 
 # ---------------------------------------------------------------------------

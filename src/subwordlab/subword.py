@@ -45,39 +45,16 @@ def _complement(word: Word, positions) -> Word:
 
 
 def is_face(system: CoxeterSystem, word: Word, target: Element, positions) -> bool:
-    """Does the complement of ``positions`` still contain a reduced word for target?"""
-    positions = _check_positions(word, positions)
-    rest = _complement(word, positions)
-    if target == longest_element(system):
-        # The longest element is Bruhat-maximal, so containment is equivalent
-        # to the Demazure product already reaching it.
-        return demazure_product(system, rest) == target
-    return _contains_reduced_word(system, rest, target)
+    """Does the complement of ``positions`` still contain a reduced word for target?
 
-
-def _contains_reduced_word(system: CoxeterSystem, word: Word, target: Element) -> bool:
-    memo: dict[tuple[int, tuple[int, ...]], bool] = {}
-
-    def search(pos: int, rest: Element, rest_length: int) -> bool:
-        if rest_length == 0:
-            return True
-        if len(word) - pos < rest_length:
-            return False
-        key = (pos, rest.image)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        s = word[pos]
-        found = False
-        inv = rest.inverse()
-        if inv.image[s - 1] < 0:  # s starts a reduced word of rest
-            found = search(pos + 1, system.generators[s - 1] * rest, rest_length - 1)
-        if not found:
-            found = search(pos + 1, rest, rest_length)
-        memo[key] = found
-        return found
-
-    return search(0, target, target.length())
+    With R a reduced word for target^{-1} w0 (see ``reduce_to_w0``), the
+    complement contains one exactly when its Demazure product is above target
+    in Bruhat order, that is, when the complement followed by R has Demazure
+    product w0.  This one check covers every target.
+    """
+    rest = _complement(word, _check_positions(word, positions))
+    completed = reduce_to_w0(system, rest, target)
+    return demazure_product(system, completed) == longest_element(system)
 
 
 def is_sphere(system: CoxeterSystem, word: Word, target: Element) -> bool:

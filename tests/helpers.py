@@ -2,7 +2,8 @@
 
 The oracles deliberately avoid the code paths they check: word-length by
 breadth-first search over the group, face tests by brute-force subword
-search, counts by closed formulas from outside the package.
+search, commutation classes by breadth-first search over adjacent swaps,
+counts by closed formulas from outside the package.
 """
 
 from __future__ import annotations
@@ -63,6 +64,22 @@ def brute_contains_reduced_word(sys: CoxeterSystem, word, target: Element) -> bo
 
     rec(0, sys.identity, 0)
     return found[0]
+
+
+def commutation_class(sys: CoxeterSystem, word) -> frozenset:
+    """Every word reachable by swaps of adjacent commuting letters (BFS)."""
+    seen = {tuple(word)}
+    queue = deque(seen)
+    while queue:
+        current = queue.popleft()
+        for i in range(len(current) - 1):
+            s, t = current[i], current[i + 1]
+            if s != t and sys.commute(s, t):
+                swapped = current[:i] + (t, s) + current[i + 2:]
+                if swapped not in seen:
+                    seen.add(swapped)
+                    queue.append(swapped)
+    return frozenset(seen)
 
 
 def catalan(n: int) -> int:

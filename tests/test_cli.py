@@ -252,6 +252,17 @@ def test_cli_verify_filters(capsys):
     assert len(rows) == 1 and rows[0]["type"] == "A3"
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [(("counts", "--type", "E8"), "--type E8"), (("sin", "-k", "1"), "-k 1")],
+)
+def test_cli_verify_filter_matching_no_rows_is_an_error(capsys, argv, named):
+    assert main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert named in captured.err
+
+
 def test_cli_error_handling(capsys):
     code = main(["sort", "--type", "Q9"])
     assert code == 2

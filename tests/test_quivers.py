@@ -19,7 +19,7 @@ from subwordlab.quivers import (
     repetition_window,
 )
 from subwordlab.sorting import sorting_word_w0
-from helpers import linear_extension_words, system
+from helpers import commutation_class, linear_extension_words, system
 
 A4_COX = (1, 3, 2, 4)
 
@@ -108,8 +108,6 @@ def test_window_first_block_is_the_translation_quiver():
 
 def test_linear_extensions_are_the_commutation_class():
     # the knitted quiver of a multi-cluster word is exactly adapted to it
-    from subwordlab.coxeter import commutation_class
-
     for name, k in [("A2", 1), ("B2", 1), ("A3", 1)]:
         s = system(name)
         cox = enumerate_coxeter_words(s)[0]

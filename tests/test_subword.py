@@ -89,7 +89,7 @@ def test_single_facet_complex():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["A2", "B2", "A3"]), st.data())
+@given(st.sampled_from(["A2", "B2", "A3", "H3", "I2(7)"]), st.data())
 def test_face_test_matches_bruteforce(name, data):
     s = system(name)
     word = tuple(data.draw(st.lists(st.integers(1, s.rank), min_size=1, max_size=7)))
