@@ -5,6 +5,20 @@ every group operation is O(N) in the number N of positive roots even for
 types whose group order is astronomically larger (E8 has 696729600 elements
 but only 120 positive roots).
 
+Multiplying on the right by a simple generator s is the hot operation of
+facet enumeration, root tables and most word loops.  It permutes the
+positive roots by a fixed table and flips the sign of the image of alpha_s,
+so each system builds two tables once:
+
+* for each generator, an ``operator.itemgetter`` gather over the reflection
+  table, so that ``CoxeterSystem.right_multiply`` is one C-level gather plus
+  one sign change on a raw image tuple (no ``Element`` is built);
+* ``signed_roots``, with ``signed_roots[v]`` the ``SignedRoot`` named by an
+  image entry v in +-1..N (negative v index from the end of the table).
+
+``Element.__mul__`` stays the general product, used for conjugations,
+reflections and powers.
+
 Conventions:
 
 * generators are named s1..sn and addressed by 1-based index;
@@ -19,6 +33,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .ring import GoldenInt
@@ -311,7 +326,7 @@ class Element:
 
     def apply(self, root: int, sign: int = 1) -> SignedRoot:
         v = self.image[root]
-        return SignedRoot(abs(v) - 1, sign if v > 0 else -sign)
+        return self.system.signed_roots[v if sign > 0 else -v]
 
     def apply_signed(self, signed: SignedRoot) -> SignedRoot:
         return self.apply(signed.root, signed.sign)
@@ -323,6 +338,14 @@ class Element:
 
 # ---------------------------------------------------------------------------
 # The system
+
+def _gather(indices: list[int]):
+    """``itemgetter(*indices)``, returning a tuple even for a single index."""
+    if len(indices) == 1:
+        (index,) = indices
+        return lambda image: (image[index],)
+    return itemgetter(*indices)
+
 
 class CoxeterSystem:
     """Immutable bundle of Coxeter matrix, Cartan data, roots and reflection tables."""
@@ -374,8 +397,15 @@ class CoxeterSystem:
         self.generators = tuple(
             Element(self, self.reflection_tables[s]) for s in range(n)
         )
-        self.identity = Element(
-            self, tuple(range(1, self.number_of_positive_roots + 1))
+        N = self.number_of_positive_roots
+        self.identity = Element(self, tuple(range(1, N + 1)))
+        self._gathers = tuple(
+            _gather([abs(v) - 1 for v in table]) for table in self.reflection_tables
+        )
+        self.signed_roots = (
+            (None,)
+            + tuple(SignedRoot(i, 1) for i in range(N))
+            + tuple(SignedRoot(i, -1) for i in reversed(range(N)))
         )
         self.psi_table = _psi_table(descriptor)
         self._w0: Element | None = None
@@ -385,6 +415,12 @@ class CoxeterSystem:
 
     def commute(self, s: int, t: int) -> bool:
         return self.coxeter_matrix[s - 1][t - 1] == 2
+
+    def right_multiply(self, image: tuple[int, ...], s: int) -> tuple[int, ...]:
+        """The image of w * s_s, given the image of w."""
+        out = list(self._gathers[s - 1](image))
+        out[s - 1] = -out[s - 1]
+        return tuple(out)
 
     def __repr__(self) -> str:
         return f"CoxeterSystem({self.descriptor.name()!r})"
@@ -432,10 +468,10 @@ def check_word(system: CoxeterSystem, word: Word) -> None:
 def element_from_word(system: CoxeterSystem, word: Word) -> Element:
     """The product of the letters of ``word``, multiplied left to right."""
     check_word(system, word)
-    out = system.identity
+    out = system.identity.image
     for s in word:
-        out = out * system.generators[s - 1]
-    return out
+        out = system.right_multiply(out, s)
+    return Element(system, out)
 
 
 def is_reduced(system: CoxeterSystem, word: Word) -> bool:
@@ -445,13 +481,14 @@ def is_reduced(system: CoxeterSystem, word: Word) -> bool:
 def reduced_word(w: Element) -> Word:
     """The canonical reduced word: repeatedly strip the smallest left descent."""
     system = w.system
+    identity = system.identity.image
     out = []
-    rest = w.inverse()  # rest = v^{-1} for the still-unwritten suffix v
-    while not rest.is_identity():
+    rest = w.inverse().image  # rest = v^{-1} for the still-unwritten suffix v
+    while rest != identity:
         for s in range(1, system.rank + 1):
-            if rest.image[s - 1] < 0:  # s is a left descent of v
+            if rest[s - 1] < 0:  # s is a left descent of v
                 out.append(s)
-                rest = rest * system.generators[s - 1]
+                rest = system.right_multiply(rest, s)
                 break
         else:
             raise CoxeterError("non-identity element without left descent")
@@ -461,24 +498,24 @@ def reduced_word(w: Element) -> Word:
 def demazure_product(system: CoxeterSystem, word: Word) -> Element:
     """Greedy ascent-only product: letters are kept only when they lengthen."""
     check_word(system, word)
-    out = system.identity
+    out = system.identity.image
     for s in word:
-        if out.image[s - 1] > 0:
-            out = out * system.generators[s - 1]
-    return out
+        if out[s - 1] > 0:
+            out = system.right_multiply(out, s)
+    return Element(system, out)
 
 
 def longest_element(system: CoxeterSystem) -> Element:
     if system._w0 is None:
-        w = system.identity
+        w = system.identity.image
         for _ in range(system.number_of_positive_roots):
             for s in range(1, system.rank + 1):
-                if w.image[s - 1] > 0:
-                    w = w * system.generators[s - 1]
+                if w[s - 1] > 0:
+                    w = system.right_multiply(w, s)
                     break
-        if w.length() != system.number_of_positive_roots:
+        if any(v > 0 for v in w):
             raise CoxeterError("failed to reach the longest element")
-        system._w0 = w
+        system._w0 = Element(system, w)
     return system._w0
 
 

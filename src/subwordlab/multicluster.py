@@ -65,10 +65,10 @@ def lr_labels(system: CoxeterSystem, cox: Word) -> tuple[SignedRoot, ...]:
     """
     check_coxeter_word(system, cox)
     labels = [SignedRoot(s - 1, -1) for s in cox]
-    prefix = system.identity
+    prefix = system.identity.image
     for s in sorting_word_w0(system, cox).word:
-        labels.append(prefix.apply(s - 1))
-        prefix = prefix * system.generators[s - 1]
+        labels.append(system.signed_roots[prefix[s - 1]])
+        prefix = system.right_multiply(prefix, s)
     return tuple(labels)
 
 
@@ -286,37 +286,40 @@ def diagonal_is_relevant(m: int, k: int, diagonal: Diagonal) -> bool:
 
 
 def diagonals_cross(m: int, d1: Diagonal, d2: Diagonal) -> bool:
-    """Strict crossing: endpoints interleave cyclically, no shared vertex."""
-    a, b = d1
-    x, y = d2
-    if {a, b} & {x, y}:
-        return False
+    """Strict crossing: endpoints interleave cyclically, no shared vertex.
 
-    def inside(v: int) -> bool:
-        return 0 < (v - a) % m < (b - a) % m
-
-    return inside(x) != inside(y)
+    With the endpoints reduced mod m and sorted, the diagonals cross exactly
+    when one endpoint of the second lies strictly inside the first's interval
+    and the other strictly outside.
+    """
+    a, b = d1[0] % m, d1[1] % m
+    if a > b:
+        a, b = b, a
+    x, y = d2[0] % m, d2[1] % m
+    if x > y:
+        x, y = y, x
+    return a < x < b < y or x < a < y < b
 
 
 def contains_pairwise_crossing(m: int, count: int, diagonals) -> bool:
     """Is there a subset of ``count`` pairwise-crossing diagonals?"""
     items = list(diagonals)
-    adjacency = [
-        {j for j, e in enumerate(items) if j != i and diagonals_cross(m, d, e)}
-        for i, d in enumerate(items)
-    ]
+    later: list[set[int]] = [set() for _ in items]  # crossing partners j > i
+    for (i, d), (j, e) in combinations(enumerate(items), 2):
+        if diagonals_cross(m, d, e):
+            later[i].add(j)
 
-    def extend(clique: list[int], candidates: set[int]) -> bool:
-        if len(clique) == count:
+    def extend(size: int, candidates: set[int]) -> bool:
+        if size == count:
             return True
-        if len(clique) + len(candidates) < count:
+        if size + len(candidates) < count:
             return False
         for j in sorted(candidates):
-            if extend(clique + [j], candidates & adjacency[j] & set(range(j + 1, len(items)))):
+            if extend(size + 1, candidates & later[j]):
                 return True
         return False
 
-    return extend([], set(range(len(items))))
+    return extend(0, set(range(len(items))))
 
 
 def type_b_bijection(m: int, k: int, cox: Word) -> tuple[frozenset, ...]:

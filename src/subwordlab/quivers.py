@@ -162,10 +162,10 @@ def beta_labels(system: CoxeterSystem, word: Word) -> tuple[SignedRoot, ...]:
         raise CoxeterError("root labels need the strong intervening-neighbors property")
     doubled = tuple(word) + psi_word(system, word)
     labels = []
-    prefix = system.identity
+    prefix = system.identity.image
     for s in doubled:
-        labels.append(prefix.apply(s - 1))
-        prefix = prefix * system.generators[s - 1]
+        labels.append(system.signed_roots[prefix[s - 1]])
+        prefix = system.right_multiply(prefix, s)
     return tuple(labels)
 
 
@@ -185,10 +185,10 @@ def check_mesh_relation(system: CoxeterSystem, word: Word) -> bool:
     period = len(doubled)
     extended = doubled + doubled
     vectors = []
-    prefix = system.identity
+    prefix = system.identity.image
     for s in extended:
-        vectors.append(_signed_vector(system, prefix.apply(s - 1)))
-        prefix = prefix * system.generators[s - 1]
+        vectors.append(_signed_vector(system, system.signed_roots[prefix[s - 1]]))
+        prefix = system.right_multiply(prefix, s)
     cartan = system.cartan
     for s in range(1, system.rank + 1):
         occurrences = [p for p, x in enumerate(extended) if x == s]

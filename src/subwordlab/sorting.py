@@ -41,14 +41,15 @@ class SortingWordReport:
 def sorting_word(system: CoxeterSystem, cox: Word, w: Element) -> Word:
     """Greedy scan of c,c,c,...: take a letter whenever it shortens the rest."""
     check_coxeter_word(system, cox)
+    identity = system.identity.image
     out: list[int] = []
-    rest = w.inverse()  # inverse of the still-unwritten right factor
+    rest = w.inverse().image  # inverse of the still-unwritten right factor
     passes = 0
-    while not rest.is_identity():
+    while rest != identity:
         for s in cox:
-            if rest.image[s - 1] < 0:  # s starts a reduced word of the rest
+            if rest[s - 1] < 0:  # s starts a reduced word of the rest
                 out.append(s)
-                rest = rest * system.generators[s - 1]
+                rest = system.right_multiply(rest, s)
         passes += 1
         if passes > system.number_of_positive_roots + 1:
             raise CoxeterError("sorting scan failed to terminate")

@@ -79,14 +79,16 @@ def enumerate_facets_dfs(
     facet_size = r - target_length
     if facet_size < 0:
         return ()
+    target_image = target.image
+    right_multiply = system.right_multiply
     facets: list[Facet] = []
     face: list[int] = []
 
-    def walk(pos: int, product: Element, product_length: int) -> None:
+    def walk(pos: int, product: tuple[int, ...], product_length: int) -> None:
         if r - pos < target_length - product_length:
             return
         if pos == r:
-            if product == target:
+            if product == target_image:
                 facets.append(tuple(face))
             return
         if len(face) < facet_size:
@@ -94,10 +96,10 @@ def enumerate_facets_dfs(
             walk(pos + 1, product, product_length)
             face.pop()
         s = word[pos]
-        if product.image[s - 1] > 0:  # the letter must ascend
-            walk(pos + 1, product * system.generators[s - 1], product_length + 1)
+        if product[s - 1] > 0:  # the letter must ascend
+            walk(pos + 1, right_multiply(product, s), product_length + 1)
 
-    walk(0, system.identity, 0)
+    walk(0, system.identity.image, 0)
     return tuple(sorted(facets))
 
 
@@ -110,12 +112,13 @@ def root_table(
     letters strictly left of q.
     """
     facet = set(_check_positions(word, facet))
+    signed = system.signed_roots
     out = []
-    prefix = system.identity
+    prefix = system.identity.image
     for p, s in enumerate(word, start=1):
-        out.append(prefix.apply(s - 1))
+        out.append(signed[prefix[s - 1]])
         if p not in facet:
-            prefix = prefix * system.generators[s - 1]
+            prefix = system.right_multiply(prefix, s)
     return tuple(out)
 
 
@@ -147,7 +150,14 @@ def flip(
         if p not in inside and table[p - 1].root == wanted
     ]
     if len(matches) != 1:
-        raise CoxeterError("flip is not unique; the complex is not spherical")
+        if matches:
+            where = f"positions {', '.join(map(str, matches))} outside the facet carry"
+        else:
+            where = "no position outside the facet carries"
+        raise CoxeterError(
+            f"cannot flip position {q}: {where} its root"
+            " (flips need a facet of a spherical complex)"
+        )
     q_new = matches[0]
     new_facet = tuple(sorted(inside - {q} | {q_new}))
     return new_facet, q_new

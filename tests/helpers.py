@@ -3,7 +3,9 @@
 The oracles deliberately avoid the code paths they check: word-length by
 breadth-first search over the group, face tests by brute-force subword
 search, commutation classes by breadth-first search over adjacent swaps,
-counts by closed formulas from outside the package.
+facets and root tables by ``Element`` products instead of the raw-image
+gather, diagonal crossings by cyclic interleaving, counts by closed formulas
+from outside the package.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from functools import lru_cache
 from itertools import permutations
 from math import comb
 
-from subwordlab.coxeter import CoxeterSystem, Element, element_from_word
+from subwordlab.coxeter import CoxeterSystem, Element, SignedRoot
 
 
 @lru_cache(maxsize=None)
@@ -64,6 +66,61 @@ def brute_contains_reduced_word(sys: CoxeterSystem, word, target: Element) -> bo
 
     rec(0, sys.identity, 0)
     return found[0]
+
+
+def brute_facets(sys: CoxeterSystem, word, target: Element) -> tuple:
+    """Facets by depth-first search over positions with ``Element`` products."""
+    r = len(word)
+    target_length = target.length()
+    facet_size = r - target_length
+    if facet_size < 0:
+        return ()
+    facets = []
+    face = []
+
+    def walk(pos, product, product_length):
+        if r - pos < target_length - product_length:
+            return
+        if pos == r:
+            if product == target:
+                facets.append(tuple(face))
+            return
+        if len(face) < facet_size:
+            face.append(pos + 1)
+            walk(pos + 1, product, product_length)
+            face.pop()
+        s = word[pos]
+        if product.image[s - 1] > 0:
+            walk(pos + 1, product * sys.generators[s - 1], product_length + 1)
+
+    walk(0, sys.identity, 0)
+    return tuple(sorted(facets))
+
+
+def brute_root_table(sys: CoxeterSystem, word, facet) -> tuple:
+    """Root function values by ``Element`` products, read off image entries."""
+    out = []
+    prefix = sys.identity
+    for p, s in enumerate(word, start=1):
+        v = prefix.image[s - 1]
+        out.append(SignedRoot(abs(v) - 1, 1 if v > 0 else -1))
+        if p not in facet:
+            prefix = prefix * sys.generators[s - 1]
+    return tuple(out)
+
+
+def brute_diagonals_cross(m: int, d1, d2) -> bool:
+    """Strict crossing by cyclic interleaving: exactly one endpoint of d2 lies
+    strictly between the endpoints of d1 going round the m-gon."""
+    a, b = d1
+    x, y = d2
+    if {a, b} & {x, y}:
+        return False
+
+    def inside(v):
+        return 0 < (v - a) % m < (b - a) % m
+
+    return inside(x) != inside(y)
 
 
 def commutation_class(sys: CoxeterSystem, word) -> frozenset:

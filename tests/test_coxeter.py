@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from subwordlab.coxeter import (
     CoxeterError,
+    SignedRoot,
     commutation_position_map,
     demazure_product,
     element_from_word,
@@ -239,6 +240,31 @@ def test_length_changes_by_one(name, data):
     w = element_from_word(s, word)
     for t in range(1, s.rank + 1):
         assert abs((w * s.generators[t - 1]).length() - w.length()) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["A1", "B3", "D4", "E8", "F4", "G2", "H4", "I2(7)"]), st.data())
+def test_right_multiply_is_the_generator_product(name, data):
+    s = system(name)
+    word = data.draw(st.lists(st.integers(1, s.rank), max_size=12))
+    w = s.identity
+    for t in word:
+        w = w * s.generators[t - 1]
+    t = data.draw(st.integers(1, s.rank))
+    assert s.right_multiply(w.image, t) == (w * s.generators[t - 1]).image
+    root = data.draw(st.integers(0, s.number_of_positive_roots - 1))
+    v = w.image[root]
+    for sign in (1, -1):
+        expected = SignedRoot(abs(v) - 1, sign if v > 0 else -sign)
+        assert w.apply(root, sign) == expected
+
+
+def test_right_multiply_in_rank_one():
+    a1 = system("A1")
+    assert a1.right_multiply((1,), 1) == (-1,)
+    assert a1.right_multiply((-1,), 1) == (1,)
+    assert a1.signed_roots[1] == SignedRoot(0, 1)
+    assert a1.signed_roots[-1] == SignedRoot(0, -1)
 
 
 def test_element_order_of_coxeter_elements():

@@ -1,6 +1,8 @@
 import pytest
 from itertools import combinations
 
+from hypothesis import given, settings, strategies as st
+
 from subwordlab.coxeter import (
     CoxeterError,
     SignedRoot,
@@ -34,7 +36,7 @@ from subwordlab.multicluster import (
     type_b_bijection,
 )
 from subwordlab.subword import enumerate_facets_dfs, subword_complex
-from helpers import catalan, system
+from helpers import brute_diagonals_cross, catalan, system
 
 
 def roots_by_vector(s):
@@ -339,6 +341,27 @@ def test_diagonals_cross():
     assert diagonals_cross(5, (0, 2), (1, 3))
     assert not diagonals_cross(5, (0, 2), (0, 3))
     assert not diagonals_cross(6, (0, 2), (3, 5))
+
+
+def test_diagonals_cross_matches_cyclic_interleaving():
+    # every ordered pair of (possibly unsorted or degenerate) vertex pairs
+    for m in range(1, 11):
+        pairs = [(a, b) for a in range(m) for b in range(m)]
+        for d1 in pairs:
+            for d2 in pairs:
+                assert diagonals_cross(m, d1, d2) == brute_diagonals_cross(m, d1, d2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 9), st.integers(2, 4), st.data())
+def test_pairwise_crossing_search_matches_subsets(m, count, data):
+    every = [(a, b) for a in range(m) for b in range(a + 2, m) if (a, b) != (0, m - 1)]
+    diagonals = data.draw(st.lists(st.sampled_from(every), max_size=7, unique=True))
+    expected = any(
+        all(brute_diagonals_cross(m, d, e) for d, e in combinations(subset, 2))
+        for subset in combinations(diagonals, count)
+    )
+    assert contains_pairwise_crossing(m, count, diagonals) == expected
 
 
 def test_faces_are_crossing_free_sets_type_a():

@@ -29,7 +29,13 @@ from subwordlab.subword import (
     root_table,
     subword_complex,
 )
-from helpers import brute_contains_reduced_word, group_by_bfs, system
+from helpers import (
+    brute_contains_reduced_word,
+    brute_facets,
+    brute_root_table,
+    group_by_bfs,
+    system,
+)
 
 PENTAGON = (2, 1, 2, 1, 2)
 HEXAGON = (1, 2, 1, 2, 1, 2)
@@ -120,6 +126,22 @@ def test_enumerators_agree_on_random_spherical_words(name, data):
         assert len(complement) == target.length()
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["A1", "A3", "B3", "D4", "G2", "H3", "I2(7)"]), st.data())
+def test_raw_image_kernels_match_element_oracles(name, data):
+    s = system(name)
+    word = tuple(data.draw(st.lists(st.integers(1, s.rank), min_size=1, max_size=10)))
+    spherical = demazure_product(s, word)
+    facets = enumerate_facets_dfs(s, word, spherical)
+    assert facets == brute_facets(s, word, spherical)
+    for facet in facets:
+        assert root_table(s, word, facet) == brute_root_table(s, word, facet)
+    # any target, including ones with no facets at all
+    letters = data.draw(st.lists(st.integers(1, s.rank), max_size=6))
+    target = element_from_word(s, tuple(letters))
+    assert enumerate_facets_dfs(s, word, target) == brute_facets(s, word, target)
+
+
 def test_word_length_cap():
     a2 = system("A2")
     with pytest.raises(ResourceLimitError):
@@ -188,6 +210,26 @@ def test_flip_is_an_involution():
                 other, landing = flip(s, word, facet, q)
                 back, restored = flip(s, word, other, landing)
                 assert back == facet and restored == q
+
+
+def test_flip_error_names_the_position_and_the_failure():
+    # A2, target s1: {1, 2} is a facet of the non-spherical complex on
+    # s1 s2 s1, but no outside position carries the root alpha_2 of q = 2
+    a2 = system("A2")
+    word = (1, 2, 1)
+    assert (1, 2) in enumerate_facets_dfs(a2, word, element_from_word(a2, (1,)))
+    with pytest.raises(
+        CoxeterError,
+        match=r"^cannot flip position 2: no position outside the facet carries its root",
+    ):
+        flip(a2, word, (1, 2), 2)
+    # a position set whose complement is not reduced: two outside positions match
+    a1 = system("A1")
+    with pytest.raises(
+        CoxeterError,
+        match=r"^cannot flip position 1: positions 2, 3 outside the facet carry its root",
+    ):
+        flip(a1, (1, 1, 1), (1,), 1)
 
 
 def test_flip_sign_orientation():
