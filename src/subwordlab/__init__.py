@@ -65,6 +65,7 @@ from .subword import (
     f_vector,
     flip,
     flip_graph,
+    h_vector,
     is_face,
     is_sphere,
     link,

@@ -109,6 +109,8 @@ def _cmd_sort(args) -> int:
 
 def _cmd_complex(args) -> int:
     started = time.perf_counter()
+    if args.action == "nonfaces" and args.max_size is not None and args.max_size < 1:
+        raise CoxeterError(f"--max-size must be at least 1, got {args.max_size}")
     system = _system_from(args)
     complex_ = _complex_from(args, system)
     if args.action == "facets":
@@ -137,7 +139,9 @@ def _cmd_complex(args) -> int:
             print(f"f-vector: {fv}")
             print(f"reduced Euler characteristic: {results['reduced_euler_characteristic']}")
     else:  # nonfaces
-        cap = args.max_size or complex_.facet_size() + 1
+        cap = args.max_size
+        if cap is None:
+            cap = complex_.facet_size() + 1
         found = minimal_nonfaces(complex_, cap)
         results = {
             "word": format_word(complex_.word),

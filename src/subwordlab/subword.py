@@ -4,13 +4,20 @@ The complex on a word Q with target element pi has as faces the position
 sets whose complement in Q still contains a reduced word for pi.  Positions
 are 1-based throughout, facets are sorted position tuples, and the facet
 list is sorted lexicographically so all outputs are deterministic.
+
+Face counts never materialise the faces: ``f_vector`` comes from
+``h_vector``, which reads the lexicographic shelling off one root-function
+walk per facet.  ``all_faces`` builds the faces up to a size cap from one
+facet bitset per vertex, under the ``MAX_FACES`` budget, and
+``minimal_nonfaces`` extends those faces by one vertex.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from math import comb
 
 from .coxeter import (
     CoxeterError,
@@ -26,6 +33,7 @@ from .coxeter import (
 )
 
 MAX_WORD_LETTERS = 128
+MAX_FACES = 10**6
 
 Facet = tuple  # of 1-based positions, sorted ascending
 
@@ -276,25 +284,90 @@ def reduce_to_w0(system: CoxeterSystem, word: Word, target: Element) -> Word:
     return tuple(word) + completion
 
 
-def f_vector(complex_: SubwordComplex) -> tuple[int, ...]:
-    """Face counts (f_-1, f_0, ..., f_dim)."""
-    faces = all_faces(complex_)
-    if not faces:
-        return (0,)
-    top = max(len(face) for face in faces)
-    counts = [0] * (top + 1)
-    for face in faces:
-        counts[len(face)] += 1
-    return tuple(counts)
+def h_vector(complex_: SubwordComplex) -> tuple[int, ...]:
+    """(h_0, ..., h_d) from the lexicographic shelling of the facets.
 
-
-def all_faces(complex_: SubwordComplex) -> frozenset[frozenset[int]]:
-    faces: set[frozenset[int]] = set()
+    Facets in lexicographic order form a shelling (Knutson-Miller).  Over
+    ``reduce_to_w0`` every position q of a facet I has a flip partner, and
+    that partner lies left of q exactly when the root r(I, q) is negative;
+    partners in the appended completion lie right of every position and
+    belong to the boundary of a ball.  So h_i counts the facets with i
+    negative roots at their own positions.  The completion never precedes a
+    facet position, so the walk stops at the end of the word.  An empty
+    complex gives ().
+    """
+    if not complex_.facets:
+        return ()
+    system, word = complex_.system, complex_.word
+    right_multiply = system.right_multiply
+    h = [0] * (complex_.facet_size() + 1)
     for facet in complex_.facets:
-        for size in range(len(facet) + 1):
-            for sub in combinations(facet, size):
-                faces.add(frozenset(sub))
-    return frozenset(faces)
+        inside = set(facet)
+        prefix = system.identity.image
+        descents = 0
+        for p, s in enumerate(word, start=1):
+            if p in inside:
+                descents += prefix[s - 1] < 0
+            else:
+                prefix = right_multiply(prefix, s)
+        h[descents] += 1
+    return tuple(h)
+
+
+def f_vector(complex_: SubwordComplex) -> tuple[int, ...]:
+    """Face counts (f_-1, f_0, ..., f_dim) from the h-vector.
+
+    f_{j-1} = sum over i <= j of C(d - i, j - i) h_i, with d the facet size.
+    """
+    h = h_vector(complex_)
+    if not h:
+        return (0,)
+    d = len(h) - 1
+    return tuple(
+        sum(comb(d - i, j - i) * h[i] for i in range(j + 1)) for j in range(d + 1)
+    )
+
+
+def all_faces(
+    complex_: SubwordComplex, max_size: int | None = None
+) -> frozenset[frozenset[int]]:
+    """Every face with at most ``max_size`` positions (default: all faces).
+
+    Each vertex gets a bitset of the facets that contain it, and faces grow
+    level by level: a face extended by a larger vertex v is still a face
+    exactly when some facet contains both, that is, when the face's facet
+    bitset meets that of v.  Each face is built once.  Raises
+    ``ResourceLimitError`` once more than ``MAX_FACES`` faces are built.
+    """
+    facets, vertices = complex_.facets, complex_.vertices
+    if max_size is None:
+        max_size = complex_.facet_size()
+    if not facets or max_size < 0:
+        return frozenset()
+    index = {v: i for i, v in enumerate(vertices)}
+    containing = [0] * len(vertices)
+    for bit, facet in enumerate(facets):
+        for v in facet:
+            containing[index[v]] |= 1 << bit
+    # a face is (positions, index of the next vertex it may take, facet bitset)
+    level = [((), 0, (1 << len(facets)) - 1)]
+    faces = [()]
+    for size in range(1, max_size + 1):
+        room = MAX_FACES - len(faces)
+        grown = []
+        for face, start, mask in level:
+            for i in range(start, len(vertices)):
+                both = mask & containing[i]
+                if both:
+                    grown.append((face + (vertices[i],), i + 1, both))
+            if len(grown) > room:
+                raise ResourceLimitError(
+                    f"more than {MAX_FACES} faces: the limit was passed"
+                    f" while building faces of size {size}"
+                )
+        faces.extend(face for face, _, _ in grown)
+        level = grown
+    return frozenset(map(frozenset, faces))
 
 
 def reduced_euler_characteristic(complex_: SubwordComplex) -> int:
@@ -303,15 +376,20 @@ def reduced_euler_characteristic(complex_: SubwordComplex) -> int:
 
 
 def minimal_nonfaces(complex_: SubwordComplex, max_size: int) -> tuple[Facet, ...]:
-    """Inclusion-minimal non-faces of size <= max_size over the vertex set."""
-    faces = all_faces(complex_)
+    """Inclusion-minimal non-faces of size <= max_size over the vertex set.
+
+    Candidates are faces of size < max_size extended by one larger vertex; a
+    candidate is a minimal non-face when it is not a face but dropping any
+    one of its positions leaves a face.
+    """
+    faces = all_faces(complex_, max_size)
     vertices = complex_.vertices
     out: list[Facet] = []
-    for size in range(1, max_size + 1):
-        for candidate in combinations(vertices, size):
-            group = frozenset(candidate)
-            if group in faces:
-                continue
-            if all(group - {v} in faces for v in candidate):
-                out.append(candidate)
+    for face in faces:
+        if len(face) >= max_size:
+            continue
+        for v in vertices[bisect_right(vertices, max(face, default=0)):]:
+            candidate = face | {v}
+            if candidate not in faces and all(candidate - {u} in faces for u in face):
+                out.append(tuple(sorted(candidate)))
     return tuple(sorted(out))

@@ -4,15 +4,17 @@ The oracles deliberately avoid the code paths they check: word-length by
 breadth-first search over the group, face tests by brute-force subword
 search, commutation classes by breadth-first search over adjacent swaps,
 facets and root tables by ``Element`` products instead of the raw-image
-gather, diagonal crossings by cyclic interleaving, counts by closed formulas
-from outside the package.
+gather, f-vectors and minimal non-faces by materialising every subset of
+every facet instead of the h-vector and the facet-bitset growth, diagonal
+crossings by cyclic interleaving, counts by closed formulas from outside
+the package.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb
 
 from subwordlab.coxeter import CoxeterSystem, Element, SignedRoot
@@ -107,6 +109,39 @@ def brute_root_table(sys: CoxeterSystem, word, facet) -> tuple:
         if p not in facet:
             prefix = prefix * sys.generators[s - 1]
     return tuple(out)
+
+
+def brute_all_faces(complex_) -> frozenset:
+    """Every subset of every facet, as frozensets."""
+    return frozenset(
+        frozenset(sub)
+        for facet in complex_.facets
+        for size in range(len(facet) + 1)
+        for sub in combinations(facet, size)
+    )
+
+
+def brute_f_vector(complex_) -> tuple:
+    """Face counts (f_-1, ..., f_dim) by materialising every face."""
+    faces = brute_all_faces(complex_)
+    if not faces:
+        return (0,)
+    counts = [0] * (max(len(face) for face in faces) + 1)
+    for face in faces:
+        counts[len(face)] += 1
+    return tuple(counts)
+
+
+def brute_minimal_nonfaces(complex_, max_size: int) -> tuple:
+    """Minimal non-faces of size <= max_size by scanning every vertex subset."""
+    faces = brute_all_faces(complex_)
+    out = []
+    for size in range(1, max_size + 1):
+        for candidate in combinations(complex_.vertices, size):
+            group = frozenset(candidate)
+            if group not in faces and all(group - {v} in faces for v in candidate):
+                out.append(candidate)
+    return tuple(sorted(out))
 
 
 def brute_diagonals_cross(m: int, d1, d2) -> bool:

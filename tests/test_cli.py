@@ -152,6 +152,18 @@ def test_cli_complex_nonfaces(capsys):
     assert payload["results"]["sizes"] == [2]
 
 
+@pytest.mark.parametrize("cap", ["0", "-2"])
+def test_cli_nonfaces_rejects_max_size_below_one(capsys, cap):
+    code = main([
+        "complex", "nonfaces", "--type", "A2", "--word", "s2,s1,s2,s1,s2",
+        "--max-size", cap, "--json",
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--max-size must be at least 1, got {cap}" in captured.err
+
+
 def test_cli_flipgraph_dot_and_diameter(tmp_path, capsys):
     target = tmp_path / "flips.dot"
     code, out = run_cli(

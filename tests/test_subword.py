@@ -7,10 +7,14 @@ from subwordlab.coxeter import (
     SignedRoot,
     demazure_product,
     element_from_word,
+    enumerate_coxeter_words,
     inversion_set,
     longest_element,
     psi,
+    reduced_word,
 )
+from subwordlab import subword
+from subwordlab.multicluster import multi_cluster_word
 from subwordlab.subword import (
     all_faces,
     enumerate_facets_bfs,
@@ -19,6 +23,7 @@ from subwordlab.subword import (
     flip,
     flip_graph,
     flip_graph_dot,
+    h_vector,
     is_face,
     is_sphere,
     link,
@@ -30,9 +35,13 @@ from subwordlab.subword import (
     subword_complex,
 )
 from helpers import (
+    brute_all_faces,
     brute_contains_reduced_word,
+    brute_f_vector,
     brute_facets,
+    brute_minimal_nonfaces,
     brute_root_table,
+    catalan,
     group_by_bfs,
     system,
 )
@@ -449,3 +458,91 @@ def test_all_faces_counts_match_f_vector():
     _, complex_ = hexagon()
     faces = all_faces(complex_)
     assert len(faces) == sum(f_vector(complex_))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(
+        ["A1", "A2", "A3", "B2", "B3", "G2", "H3", "D4", "I2(5)", "I2(7)"]
+    ),
+    st.sampled_from(["sphere", "ball", "empty"]),
+    st.data(),
+)
+def test_face_counts_match_subset_oracles(name, kind, data):
+    s = system(name)
+    w0 = longest_element(s)
+    # words shorter than w0 have a Demazure product below it, so a target
+    # one ascent above that product leaves the complex empty
+    if kind == "empty":
+        sizes = {"min_size": 0, "max_size": min(9, w0.length() - 1)}
+    else:
+        sizes = {"min_size": 1, "max_size": 9}
+    word = tuple(data.draw(st.lists(st.integers(1, s.rank), **sizes)))
+    top = demazure_product(s, word)
+    if kind == "sphere":
+        target = top
+    elif kind == "ball":
+        # dropping a letter of a reduced word goes strictly down in Bruhat order
+        letters = reduced_word(top)
+        drop = data.draw(st.integers(0, len(letters) - 1))
+        target = element_from_word(s, letters[:drop] + letters[drop + 1:])
+    else:
+        ascent = next(t for t in range(1, s.rank + 1) if top.image[t - 1] > 0)
+        target = element_from_word(s, reduced_word(top) + (ascent,))
+    complex_ = subword_complex(s, word, target)
+    assert bool(complex_.facets) == (kind != "empty")
+    assert (target == top) == (kind == "sphere")
+
+    assert f_vector(complex_) == brute_f_vector(complex_)
+    assert sum(h_vector(complex_)) == len(complex_.facets)
+    faces = brute_all_faces(complex_)
+    assert all_faces(complex_) == faces
+    for cap in range(0, max(complex_.facet_size(), 0) + 3):
+        assert all_faces(complex_, cap) == {f for f in faces if len(f) <= cap}
+        assert minimal_nonfaces(complex_, cap) == brute_minimal_nonfaces(complex_, cap)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["A2", "A3", "B2", "B3", "G2", "H3", "I2(5)"]), st.data())
+def test_h_vector_of_a_sphere_is_palindromic(name, data):
+    s = system(name)
+    word = tuple(data.draw(st.lists(st.integers(1, s.rank), min_size=1, max_size=10)))
+    h = h_vector(subword_complex(s, word))
+    assert h == h[::-1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_h_vector_of_type_a_cluster_complex_is_narayana(n):
+    # N(n+1, i+1) = C(n+1, i+1) C(n+1, i) / (n+1)
+    from math import comb
+
+    s = system(f"A{n}")
+    cox = enumerate_coxeter_words(s)[0]
+    complex_ = subword_complex(s, multi_cluster_word(s, cox, 1), longest_element(s))
+    h = h_vector(complex_)
+    assert h == tuple(comb(n + 1, i + 1) * comb(n + 1, i) // (n + 1) for i in range(n + 1))
+    assert sum(h) == len(complex_.facets) == catalan(n + 1)
+
+
+def test_h_vector_of_an_empty_complex():
+    b2 = system("B2")
+    complex_ = subword_complex(b2, (1, 2), longest_element(b2))
+    assert complex_.facets == ()
+    assert h_vector(complex_) == ()
+    assert f_vector(complex_) == (0,)
+
+
+def test_all_faces_budget(monkeypatch):
+    _, complex_ = hexagon()
+    assert len(all_faces(complex_)) == 13
+    monkeypatch.setattr(subword, "MAX_FACES", 13)
+    assert len(all_faces(complex_)) == 13
+    monkeypatch.setattr(subword, "MAX_FACES", 12)
+    with pytest.raises(
+        ResourceLimitError,
+        match=r"more than 12 faces: the limit was passed while building faces of size 2",
+    ):
+        all_faces(complex_)
+    with pytest.raises(ResourceLimitError, match="more than 12 faces"):
+        minimal_nonfaces(complex_, 3)
+    assert len(all_faces(complex_, 1)) == 7
