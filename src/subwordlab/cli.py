@@ -28,6 +28,7 @@ from .experiments import (
     run_maximality_experiment,
 )
 from .multicluster import (
+    multi_cluster_complex,
     multi_cluster_word,
     permutation_order,
     theta_orbits_on_facets,
@@ -77,10 +78,8 @@ def _complex_from(args, system: CoxeterSystem):
             target = longest_element(system)
         else:
             target = demazure_product(system, word)
-    else:
-        word = multi_cluster_word(system, _coxeter_word_from(args, system), args.k)
-        target = longest_element(system)
-    return subword_complex(system, word, target)
+        return subword_complex(system, word, target)
+    return multi_cluster_complex(system, _coxeter_word_from(args, system), args.k)
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +108,11 @@ def _cmd_sort(args) -> int:
 
 def _cmd_complex(args) -> int:
     started = time.perf_counter()
-    if args.action == "nonfaces" and args.max_size is not None and args.max_size < 1:
-        raise CoxeterError(f"--max-size must be at least 1, got {args.max_size}")
+    if args.max_size is not None:
+        if args.action != "nonfaces":
+            raise CoxeterError("--max-size only applies to complex nonfaces")
+        if args.max_size < 1:
+            raise CoxeterError(f"--max-size must be at least 1, got {args.max_size}")
     system = _system_from(args)
     complex_ = _complex_from(args, system)
     if args.action == "facets":

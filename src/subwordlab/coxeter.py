@@ -33,12 +33,15 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import product
 from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .ring import GoldenInt
 
 Word = tuple  # of 1-based generator indices
+
+MAX_WORDS = 10**6
 
 
 class CoxeterError(ValueError):
@@ -665,18 +668,12 @@ def format_root(system: CoxeterSystem, signed: SignedRoot) -> str:
 
 
 def iter_all_words(system: CoxeterSystem, length_: int) -> Iterator[Word]:
-    """All n^length words of a fixed length, lexicographic order."""
-    n = system.rank
-    word = [1] * length_
-    if length_ == 0:
-        yield ()
-        return
-    while True:
-        yield tuple(word)
-        i = length_ - 1
-        while i >= 0 and word[i] == n:
-            word[i] = 1
-            i -= 1
-        if i < 0:
-            return
-        word[i] += 1
+    """All n^length words of a fixed length, lexicographic order; raises
+    ``ResourceLimitError`` up front when there are more than ``MAX_WORDS``."""
+    count = system.rank**length_
+    if count > MAX_WORDS:
+        raise ResourceLimitError(
+            f"{system.descriptor.name()} has {count} words of length {length_},"
+            f" more than the limit of {MAX_WORDS}"
+        )
+    return product(range(1, system.rank + 1), repeat=length_)

@@ -13,33 +13,35 @@ import random
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .coxeter import (
     CoxeterSystem,
+    ResourceLimitError,
     Word,
     commutation_position_map,
     enumerate_coxeter_words,
     equal_up_to_commutations,
     iter_all_words,
-    longest_element,
 )
 from .multicluster import (
     almost_positive_roots,
     c_compatible,
     csp_fixed_point_table,
     facet_count_formula,
+    multi_cluster_complex,
     multi_cluster_word,
 )
 from .quivers import check_mesh_relation
 from .sorting import has_sin_property, rotate_word, sorting_word_w0
 from .subword import (
+    MAX_FACES,
     SubwordComplex,
     enumerate_facets_bfs,
     enumerate_facets_dfs,
     f_vector,
     flip_graph,
     minimal_nonfaces,
-    subword_complex,
 )
 
 PASS = "pass"
@@ -72,12 +74,6 @@ def _timed(report: ExperimentReport, start: float) -> ExperimentReport:
 
 def _lex_coxeter_word(system: CoxeterSystem) -> Word:
     return enumerate_coxeter_words(system)[0]
-
-
-def _multi_cluster_complex(system: CoxeterSystem, cox: Word, k: int) -> SubwordComplex:
-    return subword_complex(
-        system, multi_cluster_word(system, cox, k), longest_element(system)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +153,7 @@ def run_count_experiment(instances=COUNT_INSTANCES) -> ExperimentReport:
     for name, k in instances:
         system = CoxeterSystem(name)
         cox = _lex_coxeter_word(system)
-        complex_ = _multi_cluster_complex(system, cox, k)
+        complex_ = multi_cluster_complex(system, cox, k)
         enumerated = len(complex_.facets)
         bfs = enumerate_facets_bfs(
             system, complex_.word, complex_.target, complex_.facets[0]
@@ -188,7 +184,7 @@ def run_nonface_experiment(instances=NONFACE_INSTANCES) -> ExperimentReport:
     for name, k in instances:
         system = CoxeterSystem(name)
         cox = _lex_coxeter_word(system)
-        complex_ = _multi_cluster_complex(system, cox, k)
+        complex_ = multi_cluster_complex(system, cox, k)
         found = minimal_nonfaces(complex_, complex_.facet_size() + 1)
         sizes = sorted({len(x) for x in found})
         rows.append(
@@ -245,10 +241,8 @@ def run_maximality_experiment(
     rows = []
     for name, k in exhaustive:
         system = CoxeterSystem(name)
-        cox = _lex_coxeter_word(system)
-        target = longest_element(system)
-        reference = len(_multi_cluster_complex(system, cox, k).facets)
-        size = k * system.rank + system.number_of_positive_roots
+        complex_ = multi_cluster_complex(system, _lex_coxeter_word(system), k)
+        reference, size, target = len(complex_.facets), len(complex_.word), complex_.target
         best = 0
         winners_all_sin = True
         counterexample = None
@@ -275,10 +269,8 @@ def run_maximality_experiment(
         )
     for name, k in sampled:
         system = CoxeterSystem(name)
-        cox = _lex_coxeter_word(system)
-        target = longest_element(system)
-        reference = len(_multi_cluster_complex(system, cox, k).facets)
-        size = k * system.rank + system.number_of_positive_roots
+        complex_ = multi_cluster_complex(system, _lex_coxeter_word(system), k)
+        reference, size, target = len(complex_.facets), len(complex_.word), complex_.target
         best = 0
         counterexample = None
         for _ in range(samples):
@@ -379,14 +371,11 @@ def run_independence_experiment(instances=INDEPENDENCE_INSTANCES) -> ExperimentR
     for name, k in instances:
         system = CoxeterSystem(name)
         words = enumerate_coxeter_words(system)
-        data = []
-        for cox in words:
-            complex_ = _multi_cluster_complex(system, cox, k)
-            data.append((cox, complex_))
+        data = [(cox, multi_cluster_complex(system, cox, k)) for cox in words]
         counts = {len(c.facets) for _, c in data}
         fvecs = {f_vector(c) for _, c in data}
         rotation_ok = all(
-            _rotation_step_bijection(system, cox, k) for cox, _ in data
+            _rotation_step_bijection(system, cox, k, complex_) for cox, complex_ in data
         )
         ok = len(counts) == 1 and len(fvecs) == 1 and rotation_ok
         if not ok:
@@ -406,26 +395,25 @@ def run_independence_experiment(instances=INDEPENDENCE_INSTANCES) -> ExperimentR
     )
 
 
-def _rotation_step_bijection(system: CoxeterSystem, cox: Word, k: int) -> bool:
-    """Rotating along the initial letter maps facets onto the facets of the
-    conjugated multi-cluster word, under the position shift."""
-    word = multi_cluster_word(system, cox, k)
-    facets = set(enumerate_facets_dfs(system, word, longest_element(system)))
+def _rotation_step_bijection(
+    system: CoxeterSystem, cox: Word, k: int, complex_: SubwordComplex
+) -> bool:
+    """Rotating along the initial letter maps the facets of the multi-cluster
+    complex of ``cox`` onto those of the conjugated Coxeter word, under the
+    position shift."""
+    word = complex_.word
     rotated = rotate_word(system, word)
-    conjugate = cox[1:] + (cox[0],)
-    target_word = multi_cluster_word(system, conjugate, k)
-    if not equal_up_to_commutations(system, rotated, target_word):
+    conjugate = multi_cluster_complex(system, cox[1:] + (cox[0],), k)
+    if not equal_up_to_commutations(system, rotated, conjugate.word):
         return False
-    relabel = commutation_position_map(system, rotated, target_word)
+    relabel = commutation_position_map(system, rotated, conjugate.word)
     r = len(word)
 
     def shift(p: int) -> int:
         return r if p == 1 else p - 1
 
-    target_facets = set(
-        enumerate_facets_dfs(system, target_word, longest_element(system))
-    )
-    for facet in facets:
+    target_facets = set(conjugate.facets)
+    for facet in complex_.facets:
         image = tuple(sorted(relabel[shift(p) - 1] for p in facet))
         if image not in target_facets:
             return False
@@ -460,6 +448,11 @@ def naive_complex_max_face_sizes(system: CoxeterSystem, cox: Word, k: int) -> tu
     """
     roots = almost_positive_roots(system)
     total = len(roots)
+    if 1 << total > MAX_FACES:
+        raise ResourceLimitError(
+            f"the compatibility complex of {system.descriptor.name()} with k={k} has"
+            f" 2^{total} = {1 << total} root sets, more than the limit of {MAX_FACES}"
+        )
     incompatible = [[False] * total for _ in range(total)]
     for i in range(total):
         for j in range(i + 1, total):
@@ -468,8 +461,6 @@ def naive_complex_max_face_sizes(system: CoxeterSystem, cox: Word, k: int) -> tu
 
     def admissible(members: tuple[int, ...]) -> bool:
         # no k+1 pairwise-incompatible subset
-        from itertools import combinations
-
         for group in combinations(members, k + 1):
             if all(incompatible[a][b] for a in group for b in group if a < b):
                 return False

@@ -1,19 +1,19 @@
 """Multi-cluster complexes and their combinatorial models.
 
-Covers the almost-positive-root labeling of the letters of c * w0(c), the
-induced compatibility relation, the reflection-product facet criterion, the
+Every multi-cluster complex is built by ``multi_cluster_complex``.  Covers
+the almost-positive-root labeling of the letters of c * w0(c), the induced
+compatibility relation, the reflection-product facet criterion, the
 next-occurrence cyclic action, the polygon bijections in types A and B,
 Gale-evenness facets in rank two, and the q-analogue of the facet-count
-product formula.
+product formula with its exact values at roots of unity.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
+from math import gcd
 
 from .coxeter import (
     CoxeterError,
@@ -26,7 +26,7 @@ from .coxeter import (
     longest_element,
 )
 from .sorting import sorting_word_w0
-from .subword import Facet, subword_complex
+from .subword import Facet, SubwordComplex, is_face, subword_complex
 
 Diagonal = tuple  # (a, b) vertex labels, a < b
 
@@ -40,6 +40,13 @@ def multi_cluster_word(system: CoxeterSystem, cox: Word, k: int) -> Word:
     if k < 0:
         raise CoxeterError("the number of copies must be nonnegative")
     return tuple(cox) * k + sorting_word_w0(system, cox).word
+
+
+def multi_cluster_complex(system: CoxeterSystem, cox: Word, k: int) -> SubwordComplex:
+    """The multi-cluster complex: the subword complex of c^k w0(c) with target w0."""
+    return subword_complex(
+        system, multi_cluster_word(system, cox, k), longest_element(system)
+    )
 
 
 def negative_simple(system: CoxeterSystem, s: int) -> SignedRoot:
@@ -56,7 +63,6 @@ def almost_positive_roots(system: CoxeterSystem) -> tuple[SignedRoot, ...]:
     return tuple(negatives + positives)
 
 
-@lru_cache(maxsize=None)
 def lr_labels(system: CoxeterSystem, cox: Word) -> tuple[SignedRoot, ...]:
     """Almost positive roots labeling the letters of c * w0(c), in word order.
 
@@ -81,22 +87,16 @@ def lr_position(system: CoxeterSystem, cox: Word, root: SignedRoot) -> int:
         raise CoxeterError(f"{root} is not an almost positive root label") from None
 
 
-@lru_cache(maxsize=None)
-def _cluster_complex(system: CoxeterSystem, cox: Word):
-    return subword_complex(
-        system, multi_cluster_word(system, cox, 1), longest_element(system)
-    )
-
-
 def c_compatible(
     system: CoxeterSystem, cox: Word, root1: SignedRoot, root2: SignedRoot
 ) -> bool:
-    """Compatibility of two almost positive roots relative to a Coxeter word."""
+    """Compatibility of two almost positive roots relative to a Coxeter word:
+    their letters of c * w0(c) form a face of the cluster complex."""
     if root1 == root2:
         raise CoxeterError("compatibility is a relation on distinct roots")
     positions = (lr_position(system, cox, root1), lr_position(system, cox, root2))
-    complex_ = _cluster_complex(system, cox)
-    return complex_.is_face(positions)
+    word = multi_cluster_word(system, cox, 1)
+    return is_face(system, word, longest_element(system), positions)
 
 
 def sigma_involution(
@@ -203,9 +203,7 @@ def theta_orbits_on_facets(
     system: CoxeterSystem, cox: Word, k: int
 ) -> tuple[tuple[Facet, ...], ...]:
     """Partition of the facets into orbits of the next-occurrence action."""
-    complex_ = subword_complex(
-        system, multi_cluster_word(system, cox, k), longest_element(system)
-    )
+    complex_ = multi_cluster_complex(system, cox, k)
     perm = theta_permutation(system, cox, k)
     facet_set = set(complex_.facets)
     seen: set[Facet] = set()
@@ -399,14 +397,6 @@ class CspPolynomial:
     def defined(self) -> bool:
         return self.coefficients is not None
 
-    def evaluate(self, q: complex) -> complex:
-        if self.coefficients is None:
-            raise CoxeterError("the q-analogue is not a polynomial")
-        value: complex = 0
-        for c in reversed(self.coefficients):
-            value = value * q + c
-        return value
-
     def value_at_one(self) -> int:
         if self.coefficients is None:
             raise CoxeterError("the q-analogue is not a polynomial")
@@ -457,21 +447,34 @@ def csp_polynomial(system: CoxeterSystem, k: int) -> CspPolynomial:
     return CspPolynomial(tuple(quotient))
 
 
+def _cyclotomic(e: int) -> list[int]:
+    """Coefficients of the cyclotomic polynomial Phi_e, constant term first:
+    q^e - 1 divided by Phi_d for every proper divisor d of e."""
+    poly = [-1] + [0] * (e - 1) + [1]
+    for d in range(1, e):
+        if e % d == 0:
+            poly, _ = _poly_divmod(poly, _cyclotomic(d))
+    return poly
+
+
 def csp_fixed_point_table(
     system: CoxeterSystem, cox: Word, k: int
 ) -> tuple[tuple[int, int], ...]:
-    """Rows (fixed facet count of the d-th power, rounded polynomial value).
+    """Rows (fixed facet count of the d-th power, polynomial value).
 
     The cyclic group has order 2k + h; its d-th element acts as the d-th
     power of the next-occurrence action, and the polynomial is evaluated at
-    exp(2 pi i d / (2k + h)) with tolerance 1e-9.
+    exp(2 pi i d / (2k + h)), a primitive e-th root of unity with
+    e = (2k + h) / gcd(d, 2k + h).  That value is the remainder of the
+    polynomial modulo Phi_e, which must be a constant: the powers of the
+    root below the degree of Phi_e are linearly independent over Q.
     """
     order = 2 * k + system.coxeter_number
-    complex_ = subword_complex(
-        system, multi_cluster_word(system, cox, k), longest_element(system)
-    )
+    complex_ = multi_cluster_complex(system, cox, k)
     perm = theta_permutation(system, cox, k)
     poly = csp_polynomial(system, k)
+    if not poly.defined:
+        raise CoxeterError("the q-analogue is not a polynomial")
     rows = []
     power = tuple(range(1, len(perm) + 1))
     for d in range(order):
@@ -480,10 +483,12 @@ def csp_fixed_point_table(
             for facet in complex_.facets
             if apply_permutation_to_set(power, facet) == facet
         )
-        value = poly.evaluate(cmath.exp(2j * cmath.pi * d / order))
-        rounded = round(value.real)
-        if abs(value - rounded) > 1e-9:
-            raise CoxeterError("root-of-unity evaluation is not close to an integer")
-        rows.append((fixed, rounded))
+        e = order // gcd(d, order)
+        _, remainder = _poly_divmod(poly.coefficients, _cyclotomic(e))
+        if len(remainder) > 1:
+            raise CoxeterError(
+                f"the q-analogue is not an integer at a root of unity of order {e}"
+            )
+        rows.append((fixed, remainder[0] if remainder else 0))
         power = tuple(perm[p - 1] for p in power)
     return tuple(rows)

@@ -6,12 +6,14 @@ search, commutation classes by breadth-first search over adjacent swaps,
 facets and root tables by ``Element`` products instead of the raw-image
 gather, f-vectors and minimal non-faces by materialising every subset of
 every facet instead of the h-vector and the facet-bitset growth, diagonal
-crossings by cyclic interleaving, counts by closed formulas from outside
-the package.
+crossings by cyclic interleaving, cyclic-sieving values by complex
+floating-point evaluation instead of cyclotomic remainders, counts by
+closed formulas from outside the package.
 """
 
 from __future__ import annotations
 
+import cmath
 from collections import deque
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -156,6 +158,21 @@ def brute_diagonals_cross(m: int, d1, d2) -> bool:
         return 0 < (v - a) % m < (b - a) % m
 
     return inside(x) != inside(y)
+
+
+def float_csp_values(poly, order: int) -> list:
+    """The polynomial at exp(2 pi i d / order) for 0 <= d < order, each
+    rounded after checking it lies within 1e-9 of an integer."""
+    values = []
+    for d in range(order):
+        q = cmath.exp(2j * cmath.pi * d / order)
+        value = 0
+        for c in reversed(poly.coefficients):
+            value = value * q + c
+        rounded = round(value.real)
+        assert abs(value - rounded) < 1e-9, (d, value)
+        values.append(rounded)
+    return values
 
 
 def commutation_class(sys: CoxeterSystem, word) -> frozenset:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from subwordlab import coxeter, experiments
 from subwordlab.cli import main
 from subwordlab.experiments import (
     flip_graph_diameter,
@@ -14,7 +15,7 @@ from subwordlab.experiments import (
     run_nonface_experiment,
     run_sin_experiment,
 )
-from subwordlab.coxeter import longest_element
+from subwordlab.coxeter import ResourceLimitError, longest_element
 from subwordlab.subword import subword_complex
 from helpers import system
 
@@ -96,6 +97,30 @@ def test_naive_complex_is_not_pure_in_b3():
     assert sizes == (6, 7)
 
 
+def test_naive_complex_checks_its_budget_up_front(monkeypatch):
+    monkeypatch.setattr(experiments, "MAX_FACES", 2**12 - 1)
+    with pytest.raises(
+        ResourceLimitError,
+        match=r"compatibility complex of B3 with k=2 has 2\^12 = 4096 root sets,"
+        " more than the limit of 4095",
+    ):
+        naive_complex_max_face_sizes(system("B3"), (1, 2, 3), 2)
+
+
+def test_word_searches_check_their_budget_up_front(monkeypatch):
+    # maximality searches the 2^8 words of B2 at k=2, SIN the 2^6 of length 6
+    monkeypatch.setattr(coxeter, "MAX_WORDS", 255)
+    with pytest.raises(
+        ResourceLimitError,
+        match="B2 has 256 words of length 8, more than the limit of 255",
+    ):
+        run_maximality_experiment(exhaustive=(("B2", 2),), sampled=())
+    assert run_sin_experiment((("B2", 6),)).verdict == "pass"
+    monkeypatch.setattr(coxeter, "MAX_WORDS", 63)
+    with pytest.raises(ResourceLimitError, match="B2 has 64 words of length 6"):
+        run_sin_experiment((("B2", 6),))
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -162,6 +187,17 @@ def test_cli_nonfaces_rejects_max_size_below_one(capsys, cap):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"--max-size must be at least 1, got {cap}" in captured.err
+
+
+@pytest.mark.parametrize("action", ["facets", "fvector"])
+def test_cli_max_size_only_applies_to_nonfaces(capsys, action):
+    code = main([
+        "complex", action, "--type", "A2", "--cox", "s1,s2", "--max-size", "3", "--json",
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --max-size only applies to complex nonfaces" in captured.err
 
 
 def test_cli_flipgraph_dot_and_diameter(tmp_path, capsys):

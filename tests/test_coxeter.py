@@ -3,8 +3,10 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from subwordlab import coxeter
 from subwordlab.coxeter import (
     CoxeterError,
+    ResourceLimitError,
     SignedRoot,
     commutation_position_map,
     demazure_product,
@@ -15,6 +17,7 @@ from subwordlab.coxeter import (
     format_word,
     inversion_set,
     is_reduced,
+    iter_all_words,
     longest_element,
     parse_descriptor,
     parse_word,
@@ -265,6 +268,18 @@ def test_right_multiply_in_rank_one():
     assert a1.right_multiply((-1,), 1) == (1,)
     assert a1.signed_roots[1] == SignedRoot(0, 1)
     assert a1.signed_roots[-1] == SignedRoot(0, -1)
+
+
+def test_iter_all_words_order_and_budget(monkeypatch):
+    a2, b3 = system("A2"), system("B3")
+    assert list(iter_all_words(a2, 0)) == [()]
+    assert list(iter_all_words(a2, 2)) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    assert len(list(iter_all_words(b3, 4))) == 81
+    monkeypatch.setattr(coxeter, "MAX_WORDS", 80)
+    with pytest.raises(
+        ResourceLimitError, match="B3 has 81 words of length 4, more than the limit of 80"
+    ):
+        iter_all_words(b3, 4)  # raises before yielding anything
 
 
 def test_element_order_of_coxeter_elements():

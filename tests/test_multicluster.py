@@ -1,17 +1,24 @@
+import gc
+import weakref
+
 import pytest
 from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
+from subwordlab import multicluster
 from subwordlab.coxeter import (
     CoxeterError,
+    CoxeterSystem,
     SignedRoot,
     element_from_word,
     element_order,
     enumerate_coxeter_words,
     longest_element,
 )
+from subwordlab.experiments import CSP_INSTANCES
 from subwordlab.multicluster import (
+    CspPolynomial,
     almost_positive_roots,
     c_compatible,
     contains_pairwise_crossing,
@@ -24,6 +31,7 @@ from subwordlab.multicluster import (
     is_facet_by_reflections,
     lr_labels,
     lr_position,
+    multi_cluster_complex,
     multi_cluster_word,
     negative_simple,
     permutation_order,
@@ -35,8 +43,9 @@ from subwordlab.multicluster import (
     type_a_bijection,
     type_b_bijection,
 )
+from subwordlab.sorting import sorting_word_w0
 from subwordlab.subword import enumerate_facets_dfs, subword_complex
-from helpers import brute_diagonals_cross, catalan, system
+from helpers import brute_diagonals_cross, catalan, float_csp_values, system
 
 
 def roots_by_vector(s):
@@ -53,6 +62,18 @@ def test_multi_cluster_words():
     a3 = system("A3")
     assert multi_cluster_word(a3, (1, 2, 3), 0) == (1, 2, 3, 1, 2, 1)
     assert len(multi_cluster_word(a3, (1, 2, 3), 3)) == 3 * 3 + 6
+
+
+@pytest.mark.parametrize(
+    "name, cox, k",
+    [("A1", (1,), 0), ("A2", (2, 1), 1), ("B3", (2, 1, 3), 2), ("H3", (1, 2, 3), 1),
+     ("I2(7)", (1, 2), 2)],
+)
+def test_multi_cluster_complex_is_the_subword_complex_of_its_word(name, cox, k):
+    s = system(name)
+    word = cox * k + sorting_word_w0(s, cox).word
+    expected = subword_complex(s, word, longest_element(s))
+    assert multi_cluster_complex(s, cox, k) == expected
 
 
 def test_b2_lr_labels():
@@ -141,6 +162,18 @@ def _parabolic_member(s, dropped_generator, root):
     if root.sign < 0:
         return root.root != dropped_generator - 1
     return s.positive_roots[root.root][dropped_generator - 1] == 0
+
+
+def test_compatibility_keeps_no_reference_to_the_system():
+    s = CoxeterSystem("B3")
+    cox = enumerate_coxeter_words(s)[0]
+    roots = almost_positive_roots(s)
+    assert lr_labels(s, cox)[0] == roots[0]
+    assert c_compatible(s, cox, roots[0], roots[1])
+    ref = weakref.ref(s)
+    del s
+    gc.collect()
+    assert ref() is None
 
 
 def test_negative_simple_compatibility_is_parabolic_membership():
@@ -537,3 +570,31 @@ def test_csp_fixed_point_tables_match():
         assert len(table) == 2 * k + s.coxeter_number
         assert all(fixed == value for fixed, value in table)
         assert table[0][0] == facet_count_formula(s, k)
+
+
+@pytest.mark.parametrize(
+    "name, k",
+    CSP_INSTANCES + (("A4", 1), ("B3", 2), ("H3", 1), ("D4", 1), ("I2(7)", 2)),
+)
+def test_csp_values_match_floating_point_evaluation(name, k):
+    s = system(name)
+    table = csp_fixed_point_table(s, enumerate_coxeter_words(s)[0], k)
+    expected = float_csp_values(csp_polynomial(s, k), 2 * k + s.coxeter_number)
+    assert [value for _, value in table] == expected
+
+
+def test_csp_table_of_an_undefined_polynomial_raises():
+    s = system("D4")
+    assert not csp_polynomial(s, 3).defined
+    with pytest.raises(CoxeterError, match="the q-analogue is not a polynomial"):
+        csp_fixed_point_table(s, enumerate_coxeter_words(s)[0], 3)
+
+
+def test_csp_value_off_the_integers_raises(monkeypatch):
+    # q itself is not an integer at a root of unity of order 4
+    monkeypatch.setattr(multicluster, "csp_polynomial", lambda s, k: CspPolynomial((0, 1)))
+    with pytest.raises(
+        CoxeterError,
+        match="the q-analogue is not an integer at a root of unity of order 4",
+    ):
+        csp_fixed_point_table(system("A1"), (1,), 1)
