@@ -8,13 +8,16 @@ but only 120 positive roots).
 Multiplying on the right by a simple generator s is the hot operation of
 facet enumeration, root tables and most word loops.  It permutes the
 positive roots by a fixed table and flips the sign of the image of alpha_s,
-so each system builds two tables once:
+so each system builds these tables once:
 
 * for each generator, an ``operator.itemgetter`` gather over the reflection
   table, so that ``CoxeterSystem.right_multiply`` is one C-level gather plus
   one sign change on a raw image tuple (no ``Element`` is built);
 * ``signed_roots``, with ``signed_roots[v]`` the ``SignedRoot`` named by an
-  image entry v in +-1..N (negative v index from the end of the table).
+  image entry v in +-1..N (negative v index from the end of the table);
+* ``reflections``, the reflection in each positive root as a
+  ``str.translate`` table over the same indices, for root tables kept as
+  strings (see ``subword.enumerate_facets``).
 
 ``Element.__mul__`` stays the general product, used for conjugations,
 reflections and powers.
@@ -350,6 +353,35 @@ def _gather(indices: list[int]):
     return itemgetter(*indices)
 
 
+def _root_reflections(reflection_tables) -> tuple[str, ...]:
+    """The reflection t_beta in every positive root, as ``str.translate`` tables.
+
+    Table i maps chr(c) to chr(c') when t_{beta_i} sends the signed root of
+    code c to that of code c', codes being ``signed_roots`` indices (+j is
+    j, -j is 2N + 1 - j).  The simple reflections come from the reflection
+    tables; then t_{s(beta)} = s t_beta s for each positive s(beta), which
+    is two translations of the table of s.
+    """
+    N = len(reflection_tables[0])
+    codes = 2 * N + 1
+    simple = []
+    for table in reflection_tables:
+        image = [0] * codes
+        for j, v in enumerate(table, start=1):
+            image[j] = v % codes
+            image[codes - j] = -v % codes
+        simple.append("".join(map(chr, image)))
+    out: list[str | None] = simple + [None] * (N - len(simple))
+    order = list(range(len(simple)))
+    for i in order:  # grows breadth first from the simple roots
+        for s, table in enumerate(reflection_tables):
+            j = table[i] - 1
+            if j >= 0 and out[j] is None:
+                out[j] = simple[s].translate(out[i]).translate(simple[s])
+                order.append(j)
+    return tuple(out)
+
+
 class CoxeterSystem:
     """Immutable bundle of Coxeter matrix, Cartan data, roots and reflection tables."""
 
@@ -410,6 +442,7 @@ class CoxeterSystem:
             + tuple(SignedRoot(i, 1) for i in range(N))
             + tuple(SignedRoot(i, -1) for i in reversed(range(N)))
         )
+        self.reflections = _root_reflections(self.reflection_tables)
         self.psi_table = _psi_table(descriptor)
         self._w0: Element | None = None
         self._check_psi_table()

@@ -37,8 +37,8 @@ from .sorting import has_sin_property, rotate_word, sorting_word_w0
 from .subword import (
     MAX_FACES,
     SubwordComplex,
+    enumerate_facets,
     enumerate_facets_bfs,
-    enumerate_facets_dfs,
     f_vector,
     flip_graph,
     minimal_nonfaces,
@@ -247,7 +247,7 @@ def run_maximality_experiment(
         winners_all_sin = True
         counterexample = None
         for word in iter_all_words(system, size):
-            count = len(enumerate_facets_dfs(system, word, target))
+            count = len(enumerate_facets(system, word, target))
             if count > best:
                 best = count
                 winners_all_sin = True
@@ -275,7 +275,7 @@ def run_maximality_experiment(
         counterexample = None
         for _ in range(samples):
             word = tuple(rng.randint(1, system.rank) for _ in range(size))
-            count = len(enumerate_facets_dfs(system, word, target))
+            count = len(enumerate_facets(system, word, target))
             best = max(best, count)
             if count > reference and counterexample is None:
                 counterexample = list(word)

@@ -5,6 +5,13 @@ sets whose complement in Q still contains a reduced word for pi.  Positions
 are 1-based throughout, facets are sorted position tuples, and the facet
 list is sorted lexicographically so all outputs are deterministic.
 
+Facets come from one kernel, ``enumerate_facets``: a search over increasing
+flips from the greedy facet, carrying each facet's root table as a string
+and updating it by one root reflection per flip, so no facet is found twice
+and no dead end is explored.  ``flip`` and ``root_table`` stay the public
+single-facet calls; ``enumerate_facets_bfs`` closes a seed facet under
+``flip`` and serves as a second, independent enumerator.
+
 Face counts never materialise the faces: ``f_vector`` comes from
 ``h_vector``, which reads the lexicographic shelling off one root-function
 walk per facet.  ``all_faces`` builds the faces up to a size cap from one
@@ -69,46 +76,85 @@ def is_sphere(system: CoxeterSystem, word: Word, target: Element) -> bool:
     return demazure_product(system, word) == target
 
 
-def enumerate_facets_dfs(
+def enumerate_facets(
     system: CoxeterSystem, word: Word, target: Element
 ) -> tuple[Facet, ...]:
-    """All facets by depth-first search over positions.
+    """All facets, sorted, by a search over increasing flips from the greedy facet.
 
-    Walking left to right, each position either joins the candidate facet or
-    joins the complement, in which case its letter must lengthen the running
-    complement product; a leaf is a facet when that product equals target.
+    The greedy facet (Pilaud-Pocchiola) leaves out the rightmost reduced
+    word for target: scanning right to left from u = target, a position
+    joins the complement when its letter is a right descent of u, and then
+    u becomes u*s.  The complex is empty when u does not end at the identity.
+
+    The search runs over ``reduce_to_w0(word, target)``, whose facets that
+    avoid the appended completion are the facets of the complex.  There the
+    complement of a facet carries each positive root once, so the flip
+    partner of q is the one complement position carrying |r(I, q)|: right
+    of q when r(I, q) is positive, left of it when negative.  A partner in
+    the completion is a boundary wall.  Flipping q to q' changes the root
+    table only at the positions min(q, q') < p <= max(q, q'), by the
+    reflection in that root (CLS, Lemma 3.6; Pilaud-Stump).
+
+    The greedy facet is the one facet with no negative root at its own
+    positions.  Every other facet has exactly one parent, the flip at its
+    last position L with a negative root, which is lexicographically
+    smaller; so the children of a facet are its increasing flips q -> q'
+    with q' beyond its own L, and a child's L is q'.  Each facet is thus
+    reached once and no set of seen facets is kept.  Root tables are strings
+    of signed-root codes (see ``CoxeterSystem.reflections``): a partner is
+    one ``str.find`` and a table update one ``str.translate``.
     """
-    if len(word) > MAX_WORD_LETTERS:
-        raise ResourceLimitError(
-            f"words longer than {MAX_WORD_LETTERS} letters are not supported"
-        )
     r = len(word)
-    target_length = target.length()
-    facet_size = r - target_length
-    if facet_size < 0:
-        return ()
-    target_image = target.image
+    if r > MAX_WORD_LETTERS:
+        raise ResourceLimitError(
+            f"a word of {r} letters is longer than the limit of {MAX_WORD_LETTERS}"
+        )
+    check_word(system, word)
     right_multiply = system.right_multiply
-    facets: list[Facet] = []
-    face: list[int] = []
-
-    def walk(pos: int, product: tuple[int, ...], product_length: int) -> None:
-        if r - pos < target_length - product_length:
-            return
-        if pos == r:
-            if product == target_image:
-                facets.append(tuple(face))
-            return
-        if len(face) < facet_size:
-            face.append(pos + 1)
-            walk(pos + 1, product, product_length)
-            face.pop()
-        s = word[pos]
-        if product[s - 1] > 0:  # the letter must ascend
-            walk(pos + 1, right_multiply(product, s), product_length + 1)
-
-    walk(0, system.identity.image, 0)
-    return tuple(sorted(facets))
+    u = target.image
+    outside = 0  # complement positions, as a bitmask
+    for p in range(r, 0, -1):
+        s = word[p - 1]
+        if u[s - 1] < 0:
+            u = right_multiply(u, s)
+            outside |= 1 << p
+    if u != system.identity.image:
+        return ()
+    N = system.number_of_positive_roots
+    codes = 2 * N + 1
+    # table[p] is the code of r(I, p); table[0] is a code no root has
+    table = ["\0"]
+    prefix = system.identity.image
+    for p, s in enumerate(reduce_to_w0(system, word, target), start=1):
+        table.append(chr(prefix[s - 1] % codes))
+        if p > r or outside >> p & 1:
+            prefix = right_multiply(prefix, s)
+    seed = tuple(p for p in range(1, r + 1) if not outside >> p & 1)
+    top = chr(N)  # codes above it are negative roots
+    reflections = system.reflections
+    facets = [seed]
+    # (facet, facet bitmask, root table, last position with a negative root)
+    stack = [(seed, sum(1 << p for p in seed), "".join(table), 0)]
+    while stack:
+        facet, mask, table, last = stack.pop()
+        for i, root in enumerate(map(table.__getitem__, facet)):
+            if root > top:
+                continue  # a decreasing flip: it leads back towards the seed
+            q = facet[i]
+            p = table.find(root, q + 1)
+            while mask >> p & 1:  # skip facet positions carrying the root
+                p = table.find(root, p + 1)
+            if p <= last or p > r:
+                continue
+            rest = facet[:i] + facet[i + 1:]
+            j = bisect_right(rest, p)
+            child = rest[:j] + (p,) + rest[j:]
+            moved = table[q + 1:p + 1].translate(reflections[ord(root) - 1])
+            child_table = table[:q + 1] + moved + table[p + 1:]
+            stack.append((child, mask ^ (1 << q) ^ (1 << p), child_table, p))
+            facets.append(child)
+    facets.sort()
+    return tuple(facets)
 
 
 def root_table(
@@ -174,19 +220,26 @@ def flip(
 def enumerate_facets_bfs(
     system: CoxeterSystem, word: Word, target: Element, seed
 ) -> tuple[Facet, ...]:
-    """Flip closure of a seed facet; agrees with the DFS enumeration."""
+    """Flip closure of a seed facet by the public ``flip``; agrees with
+    ``enumerate_facets``, which it checks through a separate code path.
+
+    The flips run over ``reduce_to_w0(word, target)``, so they exist for
+    balls too; a flip that lands in the appended completion is a boundary
+    wall and is skipped.
+    """
     seed = _check_positions(word, seed)
     if len(seed) != len(word) - target.length() or not is_face(
         system, word, target, seed
     ):
         raise CoxeterError("seed is not a facet")
+    completed = reduce_to_w0(system, word, target)
     seen = {seed}
     queue = deque([seed])
     while queue:
         facet = queue.popleft()
         for q in facet:
-            neighbor, _ = flip(system, word, facet, q)
-            if neighbor not in seen:
+            neighbor, landing = flip(system, completed, facet, q)
+            if landing <= len(word) and neighbor not in seen:
                 seen.add(neighbor)
                 queue.append(neighbor)
     return tuple(sorted(seen))
@@ -216,10 +269,9 @@ def subword_complex(
     system: CoxeterSystem, word: Word, target: Element | None = None
 ) -> SubwordComplex:
     """Build the complex; with no target, the Demazure product is used (sphere)."""
-    check_word(system, word)
     if target is None:
         target = demazure_product(system, word)
-    facets = enumerate_facets_dfs(system, word, target)
+    facets = enumerate_facets(system, word, target)
     vertices = tuple(sorted({p for facet in facets for p in facet}))
     return SubwordComplex(system, word, target, facets, vertices)
 
@@ -275,10 +327,13 @@ def link(system: CoxeterSystem, word: Word, target: Element, face) -> SubwordCom
 
 
 def reduce_to_w0(system: CoxeterSystem, word: Word, target: Element) -> Word:
-    """Append a reduced word for target^{-1} w0, moving the target to w0.
+    """Append a reduced word R for target^{-1} w0, moving the target to w0.
 
-    Facets are unchanged as position sets: the appended letters are forced
-    into every embedded reduced word.
+    The facets of the complex on the word with this target are exactly the
+    facets of the complex on the extended word with target w0 that avoid
+    the positions of R.  The extended complex can have more facets: on A2
+    with word s1 s2 s1 and target s1 there are 2 facets, and 5 after the
+    extension.
     """
     completion = reduced_word(target.inverse() * longest_element(system))
     return tuple(word) + completion

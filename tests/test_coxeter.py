@@ -262,6 +262,48 @@ def test_right_multiply_is_the_generator_product(name, data):
         assert w.apply(root, sign) == expected
 
 
+def _reflection_element(s, root):
+    """The translation table ``s.reflections[root]`` as an ``Element``."""
+    codes = 2 * s.number_of_positive_roots + 1
+    table = s.reflections[root]
+    return coxeter.Element(s, tuple(
+        c if c <= s.number_of_positive_roots else c - codes
+        for c in map(ord, table[1:s.number_of_positive_roots + 1])
+    ))
+
+
+@pytest.mark.parametrize(
+    "name", ["A1", "B3", "D4", "E6", "E7", "E8", "F4", "G2", "H3", "H4", "I2(7)"]
+)
+def test_root_reflections_are_conjugates_of_simple_reflections(name):
+    s = system(name)
+    N = s.number_of_positive_roots
+    codes = 2 * N + 1
+    # for each root beta some w with w(alpha_t) = beta, grown from the simple roots
+    reach = {t: (s.identity, t) for t in range(s.rank)}
+    frontier = list(reach)
+    while frontier:
+        root = frontier.pop()
+        w, t = reach[root]
+        for generator in s.generators:
+            image = generator.apply(root)
+            if image.sign > 0 and image.root not in reach:
+                reach[image.root] = (generator * w, t)
+                frontier.append(image.root)
+    assert len(s.reflections) == len(reach) == N
+    for root, (w, t) in reach.items():
+        assert w.apply(t) == SignedRoot(root, 1)
+        reflection = _reflection_element(s, root)
+        assert reflection == w * s.generators[t] * w.inverse()
+        assert (reflection * reflection).is_identity()
+        assert reflection.apply(root) == SignedRoot(root, -1)
+        # the negative codes map like their positive partners, negated
+        table = s.reflections[root]
+        assert len(table) == codes and table[0] == "\0"
+        for c in range(1, N + 1):
+            assert ord(table[codes - c]) == codes - ord(table[c])
+
+
 def test_right_multiply_in_rank_one():
     a1 = system("A1")
     assert a1.right_multiply((1,), 1) == (-1,)

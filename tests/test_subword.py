@@ -17,8 +17,8 @@ from subwordlab import subword
 from subwordlab.multicluster import multi_cluster_word
 from subwordlab.subword import (
     all_faces,
+    enumerate_facets,
     enumerate_facets_bfs,
-    enumerate_facets_dfs,
     f_vector,
     flip,
     flip_graph,
@@ -126,10 +126,10 @@ def test_enumerators_agree_on_random_spherical_words(name, data):
     s = system(name)
     word = tuple(data.draw(st.lists(st.integers(1, s.rank), min_size=1, max_size=8)))
     target = demazure_product(s, word)
-    dfs = enumerate_facets_dfs(s, word, target)
-    assert dfs, "a spherical complex always has at least one facet"
-    assert enumerate_facets_bfs(s, word, target, dfs[0]) == dfs
-    for facet in dfs:
+    facets = enumerate_facets(s, word, target)
+    assert facets, "a spherical complex always has at least one facet"
+    assert enumerate_facets_bfs(s, word, target, facets[0]) == facets
+    for facet in facets:
         complement = tuple(x for p, x in enumerate(word, 1) if p not in facet)
         assert element_from_word(s, complement) == target
         assert len(complement) == target.length()
@@ -141,20 +141,93 @@ def test_raw_image_kernels_match_element_oracles(name, data):
     s = system(name)
     word = tuple(data.draw(st.lists(st.integers(1, s.rank), min_size=1, max_size=10)))
     spherical = demazure_product(s, word)
-    facets = enumerate_facets_dfs(s, word, spherical)
+    facets = enumerate_facets(s, word, spherical)
     assert facets == brute_facets(s, word, spherical)
     for facet in facets:
         assert root_table(s, word, facet) == brute_root_table(s, word, facet)
     # any target, including ones with no facets at all
     letters = data.draw(st.lists(st.integers(1, s.rank), max_size=6))
     target = element_from_word(s, tuple(letters))
-    assert enumerate_facets_dfs(s, word, target) == brute_facets(s, word, target)
+    assert enumerate_facets(s, word, target) == brute_facets(s, word, target)
+
+
+def draw_complex(data, names, max_letters=8):
+    """A system, a word and a target whose complex has the drawn kind.
+
+    sphere: the target is the Demazure product D of the word.  ball: the
+    target drops one letter from a reduced word for D, so it lies strictly
+    below D and the complex is a ball.  empty: the word loses letters from
+    its end until D is not w0, and the target is D times an ascent of D, so
+    it is not below D.
+    """
+    s = system(data.draw(st.sampled_from(names)))
+    kind = data.draw(st.sampled_from(["sphere", "ball", "empty"]))
+    word = tuple(
+        data.draw(st.lists(st.integers(1, s.rank), min_size=1, max_size=max_letters))
+    )
+    top = demazure_product(s, word)
+    if kind == "sphere":
+        target = top
+    elif kind == "ball":
+        letters = list(reduced_word(top))
+        del letters[data.draw(st.integers(0, len(letters) - 1))]
+        target = element_from_word(s, tuple(letters))
+    else:
+        while top == longest_element(s):
+            word = word[:-1]
+            top = demazure_product(s, word)
+        ascents = [t for t in range(1, s.rank + 1) if not top.has_right_descent(t)]
+        target = top * s.generators[data.draw(st.sampled_from(ascents)) - 1]
+    return s, word, target, kind
+
+
+SMALL_TYPES = ["A1", "A2", "A3", "B2", "B3", "G2", "H3", "D4"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_enumerate_facets_matches_the_oracle(data):
+    # I2(140) and A16 have N = 140 and 136: signed-root codes pass 255
+    names = SMALL_TYPES + ["F4", "I2(5)", "I2(7)", "I2(140)", "A16"]
+    s, word, target, kind = draw_complex(data, names, max_letters=10)
+    facets = enumerate_facets(s, word, target)
+    assert facets == brute_facets(s, word, target)
+    assert bool(facets) == (kind != "empty")
+    assert is_sphere(s, word, target) == (kind == "sphere")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_bfs_matches_the_oracle_on_spheres_and_balls(data):
+    s, word, target, _ = draw_complex(data, SMALL_TYPES, max_letters=8)
+    facets = brute_facets(s, word, target)
+    if facets:
+        seed = facets[data.draw(st.integers(0, len(facets) - 1))]
+        assert enumerate_facets_bfs(s, word, target, seed) == facets
+
+
+def test_bfs_on_a_ball():
+    # A2, target s1: the flip of 2 in {1, 2} lands in the completion
+    a2 = system("A2")
+    target = element_from_word(a2, (1,))
+    assert enumerate_facets_bfs(a2, (1, 2, 1), target, (1, 2)) == ((1, 2), (2, 3))
+
+
+def test_enumerate_facets_rejects_letters_outside_the_system():
+    # s0 and s3 would index the A2 tables from the end or past the generators
+    a2 = system("A2")
+    for word in [(1, 3), (0, 1)]:
+        with pytest.raises(CoxeterError, match=r"out of range for A2"):
+            enumerate_facets(a2, word, longest_element(a2))
 
 
 def test_word_length_cap():
     a2 = system("A2")
-    with pytest.raises(ResourceLimitError):
-        enumerate_facets_dfs(a2, (1, 2) * 70, longest_element(a2))
+    with pytest.raises(
+        ResourceLimitError,
+        match=r"^a word of 140 letters is longer than the limit of 128$",
+    ):
+        enumerate_facets(a2, (1, 2) * 70, longest_element(a2))
 
 
 def test_bfs_on_single_facet_complex():
@@ -187,7 +260,7 @@ def test_leftmost_letter_gets_its_simple_root():
     a3 = system("A3")
     word = (2, 1, 3, 2, 1, 3, 2)
     target = demazure_product(a3, word)
-    for facet in enumerate_facets_dfs(a3, word, target):
+    for facet in enumerate_facets(a3, word, target):
         table = root_table(a3, word, facet)
         assert table[0] == SignedRoot(word[0] - 1, 1)
 
@@ -196,7 +269,7 @@ def test_root_function_recovers_inversion_set():
     for name, word in [("A2", PENTAGON), ("B2", HEXAGON), ("A3", (1, 2, 3, 1, 2, 3, 1, 2, 1))]:
         s = system(name)
         target = longest_element(s)
-        for facet in enumerate_facets_dfs(s, word, target):
+        for facet in enumerate_facets(s, word, target):
             table = root_table(s, word, facet)
             outside = [table[p - 1].root for p in range(1, len(word) + 1) if p not in facet]
             assert frozenset(outside) == inversion_set(target)
@@ -214,7 +287,7 @@ def test_hexagon_flips_from_mixed_facet():
 def test_flip_is_an_involution():
     for name, word in [("A2", PENTAGON), ("B2", HEXAGON)]:
         s = system(name)
-        for facet in enumerate_facets_dfs(s, word, longest_element(s)):
+        for facet in enumerate_facets(s, word, longest_element(s)):
             for q in facet:
                 other, landing = flip(s, word, facet, q)
                 back, restored = flip(s, word, other, landing)
@@ -226,7 +299,7 @@ def test_flip_error_names_the_position_and_the_failure():
     # s1 s2 s1, but no outside position carries the root alpha_2 of q = 2
     a2 = system("A2")
     word = (1, 2, 1)
-    assert (1, 2) in enumerate_facets_dfs(a2, word, element_from_word(a2, (1,)))
+    assert (1, 2) in enumerate_facets(a2, word, element_from_word(a2, (1,)))
     with pytest.raises(
         CoxeterError,
         match=r"^cannot flip position 2: no position outside the facet carries its root",
@@ -245,7 +318,7 @@ def test_flip_sign_orientation():
     # the shared root keeps its sign iff the landing letter is to the right
     for name, word in [("B2", HEXAGON), ("A3", (1, 2, 3, 1, 2, 3, 1, 2, 1))]:
         s = system(name)
-        for facet in enumerate_facets_dfs(s, word, longest_element(s)):
+        for facet in enumerate_facets(s, word, longest_element(s)):
             table = root_table(s, word, facet)
             for q in facet:
                 _, landing = flip(s, word, facet, q)
@@ -259,7 +332,7 @@ def test_flip_root_update_rule():
     word = (1, 2, 3, 1, 2, 3, 1, 2, 1)
     s = system("A3")
     target = longest_element(s)
-    for facet in enumerate_facets_dfs(s, word, target):
+    for facet in enumerate_facets(s, word, target):
         table = root_table(s, word, facet)
         for q in facet:
             other, landing = flip(s, word, facet, q)
@@ -365,9 +438,31 @@ def test_reduce_to_w0():
     target = element_from_word(a2, word)
     extended = reduce_to_w0(a2, word, target)
     assert extended == (1, 2, 1)
-    before = enumerate_facets_dfs(a2, word, target)
-    after = enumerate_facets_dfs(a2, extended, longest_element(a2))
+    before = enumerate_facets(a2, word, target)
+    after = enumerate_facets(a2, extended, longest_element(a2))
     assert before == after == ((),)
+
+
+def test_reduce_to_w0_keeps_the_facets_that_avoid_the_completion():
+    a2 = system("A2")
+    word, target = (1, 2, 1), element_from_word(a2, (1,))
+    extended = reduce_to_w0(a2, word, target)
+    assert extended == (1, 2, 1, 2, 1)
+    assert enumerate_facets(a2, word, target) == ((1, 2), (2, 3))
+    assert len(enumerate_facets(a2, extended, longest_element(a2))) == 5
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_reduce_to_w0_facets_are_the_extended_facets_avoiding_the_completion(data):
+    s, word, target, _ = draw_complex(data, SMALL_TYPES, max_letters=8)
+    extended = reduce_to_w0(s, word, target)
+    avoiding = tuple(
+        facet
+        for facet in brute_facets(s, extended, longest_element(s))
+        if all(p <= len(word) for p in facet)
+    )
+    assert avoiding == brute_facets(s, word, target)
 
 
 def test_reduce_to_w0_preserves_facets():
@@ -375,7 +470,7 @@ def test_reduce_to_w0_preserves_facets():
     word = (1, 2, 3, 2, 1)
     target = demazure_product(a3, word)
     extended = reduce_to_w0(a3, word, target)
-    assert enumerate_facets_dfs(a3, word, target) == enumerate_facets_dfs(
+    assert enumerate_facets(a3, word, target) == enumerate_facets(
         a3, extended, longest_element(a3)
     )
 
@@ -388,12 +483,12 @@ def test_rotation_isomorphism_on_facets():
         s = system(name)
         target = longest_element(s)
         rotated = rotate_word(s, word)
-        facets = enumerate_facets_dfs(s, word, target)
+        facets = enumerate_facets(s, word, target)
         image = sorted(
             tuple(sorted(len(word) if p == 1 else p - 1 for p in facet))
             for facet in facets
         )
-        assert tuple(image) == enumerate_facets_dfs(s, rotated, target)
+        assert tuple(image) == enumerate_facets(s, rotated, target)
 
 
 def test_commutation_isomorphism_on_facets():
@@ -402,11 +497,11 @@ def test_commutation_isomorphism_on_facets():
     swapped = (3, 1, 2, 1, 3, 2, 1, 3, 2)  # swap commuting letters at 1, 2
     target = longest_element(a3)
     swap = {1: 2, 2: 1}
-    facets = enumerate_facets_dfs(a3, word, target)
+    facets = enumerate_facets(a3, word, target)
     image = sorted(
         tuple(sorted(swap.get(p, p) for p in facet)) for facet in facets
     )
-    assert tuple(image) == enumerate_facets_dfs(a3, swapped, target)
+    assert tuple(image) == enumerate_facets(a3, swapped, target)
 
 
 # ---------------------------------------------------------------------------
