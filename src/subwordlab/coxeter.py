@@ -15,9 +15,18 @@ so each system builds these tables once:
   one sign change on a raw image tuple (no ``Element`` is built);
 * ``signed_roots``, with ``signed_roots[v]`` the ``SignedRoot`` named by an
   image entry v in +-1..N (negative v index from the end of the table);
-* ``reflections``, the reflection in each positive root as a
-  ``str.translate`` table over the same indices, for root tables kept as
-  strings (see ``subword.enumerate_facets``).
+* ``reflections``, the reflection in each positive root as a translate
+  table over the same indices, so that applying a reflection to a whole
+  sequence of signed-root codes is one C-level ``translate`` (see
+  ``subword.root_table`` and ``subword.enumerate_facets``).
+
+Code sequences are ``bytes`` when every code fits in a byte (2N + 1 <= 256,
+every type up to E8) and ``str`` otherwise (A16 and up, B12 and D12 and up,
+I2(m) for m >= 128); ``bytes.translate`` is about ten times faster than
+``str.translate``.  The system picks the type once and exposes its encoder
+(``encode_codes``) and the one-code sequences (``codes``).  Code that reads
+the sequences works on both: it takes one-code slices, never single
+items, and uses only ``ord``, ``find``, ``translate`` and comparisons.
 
 ``Element.__mul__`` stays the general product, used for conjugations,
 reflections and powers.
@@ -353,25 +362,31 @@ def _gather(indices: list[int]):
     return itemgetter(*indices)
 
 
-def _root_reflections(reflection_tables) -> tuple[str, ...]:
-    """The reflection t_beta in every positive root, as ``str.translate`` tables.
+def _encode_str(codes) -> str:
+    return "".join(map(chr, codes))
 
-    Table i maps chr(c) to chr(c') when t_{beta_i} sends the signed root of
+
+def _root_reflections(reflection_tables, encode) -> tuple:
+    """The reflection t_beta in every positive root, as translate tables.
+
+    Table i maps code c to code c' when t_{beta_i} sends the signed root of
     code c to that of code c', codes being ``signed_roots`` indices (+j is
-    j, -j is 2N + 1 - j).  The simple reflections come from the reflection
-    tables; then t_{s(beta)} = s t_beta s for each positive s(beta), which
-    is two translations of the table of s.
+    j, -j is 2N + 1 - j).  Tables have max(2N + 1, 256) entries, as
+    ``bytes.translate`` needs 256; codes past 2N map to themselves.  The
+    simple reflections come from the reflection tables; then
+    t_{s(beta)} = s t_beta s for each positive s(beta), which is two
+    translations of the table of s.
     """
     N = len(reflection_tables[0])
     codes = 2 * N + 1
     simple = []
     for table in reflection_tables:
-        image = [0] * codes
+        image = list(range(max(codes, 256)))
         for j, v in enumerate(table, start=1):
             image[j] = v % codes
             image[codes - j] = -v % codes
-        simple.append("".join(map(chr, image)))
-    out: list[str | None] = simple + [None] * (N - len(simple))
+        simple.append(encode(image))
+    out: list = simple + [None] * (N - len(simple))
     order = list(range(len(simple)))
     for i in order:  # grows breadth first from the simple roots
         for s, table in enumerate(reflection_tables):
@@ -442,7 +457,9 @@ class CoxeterSystem:
             + tuple(SignedRoot(i, 1) for i in range(N))
             + tuple(SignedRoot(i, -1) for i in reversed(range(N)))
         )
-        self.reflections = _root_reflections(self.reflection_tables)
+        self.encode_codes = bytes if 2 * N + 1 <= 256 else _encode_str
+        self.codes = tuple(self.encode_codes((c,)) for c in range(2 * N + 1))
+        self.reflections = _root_reflections(self.reflection_tables, self.encode_codes)
         self.psi_table = _psi_table(descriptor)
         self._w0: Element | None = None
         self._check_psi_table()
@@ -496,9 +513,9 @@ def format_word(word: Word) -> str:
 
 
 def check_word(system: CoxeterSystem, word: Word) -> None:
-    for s in word:
-        if not 1 <= s <= system.rank:
-            raise CoxeterError(f"generator s{s} out of range for {system.descriptor.name()}")
+    if word and not (1 <= min(word) and max(word) <= system.rank):  # C-level scans
+        s = next(s for s in word if not 1 <= s <= system.rank)
+        raise CoxeterError(f"generator s{s} out of range for {system.descriptor.name()}")
 
 
 def element_from_word(system: CoxeterSystem, word: Word) -> Element:

@@ -6,11 +6,12 @@ are 1-based throughout, facets are sorted position tuples, and the facet
 list is sorted lexicographically so all outputs are deterministic.
 
 Facets come from one kernel, ``enumerate_facets``: a search over increasing
-flips from the greedy facet, carrying each facet's root table as a string
-and updating it by one root reflection per flip, so no facet is found twice
-and no dead end is explored.  ``flip`` and ``root_table`` stay the public
-single-facet calls; ``enumerate_facets_bfs`` closes a seed facet under
-``flip`` and serves as a second, independent enumerator.
+flips from the greedy facet, carrying each facet's root table as a sequence
+of signed-root codes and updating it by one root reflection per flip, so no
+facet is found twice and no dead end is explored.  ``flip`` and
+``root_table`` stay the public single-facet calls; ``enumerate_facets_bfs``
+closes a seed facet under ``flip`` and serves as a second, independent
+enumerator.
 
 Face counts never materialise the faces: ``f_vector`` comes from
 ``h_vector``, which reads the lexicographic shelling off one root-function
@@ -100,9 +101,10 @@ def enumerate_facets(
     last position L with a negative root, which is lexicographically
     smaller; so the children of a facet are its increasing flips q -> q'
     with q' beyond its own L, and a child's L is q'.  Each facet is thus
-    reached once and no set of seen facets is kept.  Root tables are strings
-    of signed-root codes (see ``CoxeterSystem.reflections``): a partner is
-    one ``str.find`` and a table update one ``str.translate``.
+    reached once and no set of seen facets is kept.  Root tables are
+    sequences of signed-root codes (``bytes`` or ``str``, see
+    ``CoxeterSystem.codes``), read as one-code slices: a partner is one
+    ``find`` and a table update one ``translate``.
     """
     r = len(word)
     if r > MAX_WORD_LETTERS:
@@ -120,27 +122,24 @@ def enumerate_facets(
             outside |= 1 << p
     if u != system.identity.image:
         return ()
-    N = system.number_of_positive_roots
-    codes = 2 * N + 1
-    # table[p] is the code of r(I, p); table[0] is a code no root has
-    table = ["\0"]
-    prefix = system.identity.image
-    for p, s in enumerate(reduce_to_w0(system, word, target), start=1):
-        table.append(chr(prefix[s - 1] % codes))
-        if p > r or outside >> p & 1:
-            prefix = right_multiply(prefix, s)
+    codes = system.codes
     seed = tuple(p for p in range(1, r + 1) if not outside >> p & 1)
-    top = chr(N)  # codes above it are negative roots
+    # table[p] is the code of r(I, p); table[0] is a code no root has
+    completed = reduce_to_w0(system, word, target)
+    table = codes[0] + system.encode_codes(
+        _root_walk(system, completed, seed, range(len(codes)))
+    )
+    top = codes[system.number_of_positive_roots]  # codes above it are negative
     reflections = system.reflections
     facets = [seed]
     # (facet, facet bitmask, root table, last position with a negative root)
-    stack = [(seed, sum(1 << p for p in seed), "".join(table), 0)]
+    stack = [(seed, sum(1 << p for p in seed), table, 0)]
     while stack:
         facet, mask, table, last = stack.pop()
-        for i, root in enumerate(map(table.__getitem__, facet)):
+        for i, q in enumerate(facet):
+            root = table[q:q + 1]
             if root > top:
                 continue  # a decreasing flip: it leads back towards the seed
-            q = facet[i]
             p = table.find(root, q + 1)
             while mask >> p & 1:  # skip facet positions carrying the root
                 p = table.find(root, p + 1)
@@ -157,23 +156,43 @@ def enumerate_facets(
     return tuple(facets)
 
 
+def _root_walk(system: CoxeterSystem, word: Word, facet, names) -> list:
+    """``names[c]`` for the code c of r(I, p) at every position p, in order.
+
+    The walk carries the inverse w^{-1} of the prefix w (the product of the
+    complement letters left of p) as a code sequence: entry j is the code
+    of w^{-1}(beta_j), entry 0 a code no root has.  At a complement letter
+    s the prefix becomes w*s, so the inverse becomes s*w^{-1}, which is one
+    ``translate`` by the table of s.  The root r(I, p) = w(alpha_s) is read
+    with ``find``: if w^{-1} sends beta_j to +alpha_s it is +beta_j, and if
+    it sends beta_j to -alpha_s it is -beta_j.
+    """
+    inside = set(facet)
+    codes, reflections = system.codes, system.reflections
+    top = len(codes)  # codes c and top - c name opposite roots
+    inverse = system.encode_codes(range(system.number_of_positive_roots + 1))
+    out = []
+    for p, s in enumerate(word, start=1):
+        j = inverse.find(codes[s])
+        out.append(names[j if j > 0 else top - inverse.find(codes[top - s])])
+        if p not in inside:
+            inverse = inverse.translate(reflections[s - 1])
+    return out
+
+
 def root_table(
     system: CoxeterSystem, word: Word, facet
 ) -> tuple[SignedRoot, ...]:
     """Root function values at every position, for one facet.
 
     Position q is sent to w(alpha_q) where w multiplies the complement
-    letters strictly left of q.
+    letters strictly left of q.  The walk carries w^{-1} instead of w, as a
+    code sequence that each complement letter updates with one
+    ``translate`` (see ``_root_walk``).
     """
-    facet = set(_check_positions(word, facet))
-    signed = system.signed_roots
-    out = []
-    prefix = system.identity.image
-    for p, s in enumerate(word, start=1):
-        out.append(signed[prefix[s - 1]])
-        if p not in facet:
-            prefix = system.right_multiply(prefix, s)
-    return tuple(out)
+    check_word(system, word)
+    facet = _check_positions(word, facet)
+    return tuple(_root_walk(system, word, facet, system.signed_roots))
 
 
 def root_function(
@@ -293,12 +312,18 @@ class FlipGraph:
 
 
 def flip_graph(complex_: SubwordComplex) -> FlipGraph:
+    """Flip every position of every facet, over ``reduce_to_w0`` as in
+    ``enumerate_facets_bfs``, so balls work too: a flip that lands in the
+    appended completion is a boundary wall and gives no edge."""
+    system, word = complex_.system, complex_.word
+    completed = reduce_to_w0(system, word, complex_.target)
     index = {facet: i for i, facet in enumerate(complex_.facets)}
     neighbors: list[set[int]] = [set() for _ in complex_.facets]
     for facet, i in index.items():
         for q in facet:
-            other, _ = flip(complex_.system, complex_.word, facet, q)
-            neighbors[i].add(index[other])
+            other, landing = flip(system, completed, facet, q)
+            if landing <= len(word):
+                neighbors[i].add(index[other])
     return FlipGraph(complex_.facets, tuple(tuple(sorted(adj)) for adj in neighbors))
 
 

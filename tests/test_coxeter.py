@@ -262,23 +262,36 @@ def test_right_multiply_is_the_generator_product(name, data):
         assert w.apply(root, sign) == expected
 
 
+def _decode(s, sequence):
+    """The integer codes of a code sequence of either type, via one-code slices."""
+    out = [ord(sequence[c:c + 1]) for c in range(len(sequence))]
+    assert s.encode_codes(out) == sequence
+    return out
+
+
 def _reflection_element(s, root):
     """The translation table ``s.reflections[root]`` as an ``Element``."""
-    codes = 2 * s.number_of_positive_roots + 1
-    table = s.reflections[root]
+    N = s.number_of_positive_roots
+    codes = 2 * N + 1
     return coxeter.Element(s, tuple(
-        c if c <= s.number_of_positive_roots else c - codes
-        for c in map(ord, table[1:s.number_of_positive_roots + 1])
+        c if c <= N else c - codes
+        for c in _decode(s, s.reflections[root])[1:N + 1]
     ))
 
 
 @pytest.mark.parametrize(
-    "name", ["A1", "B3", "D4", "E6", "E7", "E8", "F4", "G2", "H3", "H4", "I2(7)"]
+    "name",
+    ["A1", "B3", "D4", "E6", "E7", "E8", "F4", "G2", "H3", "H4", "I2(7)",
+     "I2(127)", "I2(128)", "A16"],
 )
 def test_root_reflections_are_conjugates_of_simple_reflections(name):
+    # I2(127) has codes 0..254, the last type whose codes fit in a byte;
+    # I2(128) and A16 (N = 128 and 136) need str sequences
     s = system(name)
     N = s.number_of_positive_roots
     codes = 2 * N + 1
+    assert isinstance(s.reflections[0], bytes if codes <= 256 else str)
+    assert [ord(code) for code in s.codes] == list(range(codes))
     # for each root beta some w with w(alpha_t) = beta, grown from the simple roots
     reach = {t: (s.identity, t) for t in range(s.rank)}
     frontier = list(reach)
@@ -297,11 +310,13 @@ def test_root_reflections_are_conjugates_of_simple_reflections(name):
         assert reflection == w * s.generators[t] * w.inverse()
         assert (reflection * reflection).is_identity()
         assert reflection.apply(root) == SignedRoot(root, -1)
-        # the negative codes map like their positive partners, negated
-        table = s.reflections[root]
-        assert len(table) == codes and table[0] == "\0"
+        # the negative codes map like their positive partners, negated;
+        # code 0 and the codes past 2N, which no root has, are fixed
+        table = _decode(s, s.reflections[root])
+        assert len(table) == max(codes, 256) and table[0] == 0
         for c in range(1, N + 1):
-            assert ord(table[codes - c]) == codes - ord(table[c])
+            assert table[codes - c] == codes - table[c]
+        assert table[codes:] == list(range(codes, len(table)))
 
 
 def test_right_multiply_in_rank_one():

@@ -198,6 +198,16 @@ def test_enumerate_facets_matches_the_oracle(data):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
+def test_enumerate_facets_at_the_last_byte_code(data):
+    # I2(127) has codes up to 254, in bytes; I2(128) has code 256, in str
+    s, word, target, kind = draw_complex(data, ["I2(127)", "I2(128)"], max_letters=10)
+    facets = enumerate_facets(s, word, target)
+    assert facets == brute_facets(s, word, target)
+    assert bool(facets) == (kind != "empty")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
 def test_bfs_matches_the_oracle_on_spheres_and_balls(data):
     s, word, target, _ = draw_complex(data, SMALL_TYPES, max_letters=8)
     facets = brute_facets(s, word, target)
@@ -273,6 +283,30 @@ def test_root_function_recovers_inversion_set():
             table = root_table(s, word, facet)
             outside = [table[p - 1].root for p in range(1, len(word) + 1) if p not in facet]
             assert frozenset(outside) == inversion_set(target)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(["A1", "B3", "H3", "E8", "I2(127)", "I2(128)", "A16"]),
+    st.data(),
+)
+def test_root_table_matches_the_oracle_on_any_positions(name, data):
+    # E8 and I2(127) keep codes as bytes (2N + 1 <= 255); I2(128) and A16
+    # need str.  Any position set works: the walk never needs a facet.
+    s = system(name)
+    word = tuple(data.draw(st.lists(st.integers(1, s.rank), min_size=1, max_size=12)))
+    positions = tuple(p for p in range(1, len(word) + 1) if data.draw(st.booleans()))
+    assert root_table(s, word, positions) == brute_root_table(s, word, positions)
+
+
+def test_root_table_rejects_letters_outside_the_system():
+    # s3 would read the table of the third positive root of A2
+    a2 = system("A2")
+    for word in [(1, 3, 2), (0, 1)]:
+        with pytest.raises(CoxeterError, match=r"out of range for A2"):
+            root_table(a2, word, ())
+        with pytest.raises(CoxeterError, match=r"out of range for A2"):
+            flip(a2, word, (1,), 1)
 
 
 def test_hexagon_flips_from_mixed_facet():
@@ -378,6 +412,33 @@ def test_two_letter_complex_flip_graph():
     graph = flip_graph(complex_)
     assert complex_.facets == ((1,), (2,))
     assert graph.edges() == ((0, 1),)
+
+
+def test_flip_graph_on_a_ball():
+    # A2, target s1: the flip of 2 in {1, 2} lands in the completion, so
+    # each facet has one neighbour and one boundary wall
+    a2 = system("A2")
+    complex_ = subword_complex(a2, (1, 2, 1), element_from_word(a2, (1,)))
+    graph = flip_graph(complex_)
+    assert graph.nodes == ((1, 2), (2, 3))
+    assert graph.neighbors == ((1,), (0,))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_flip_graph_joins_facets_sharing_a_ridge(data):
+    # spheres and balls are pseudomanifolds: a ridge lies in at most two
+    # facets, and the flip across it joins them
+    s, word, target, _ = draw_complex(data, SMALL_TYPES, max_letters=8)
+    complex_ = subword_complex(s, word, target)
+    graph = flip_graph(complex_)
+    d = complex_.facet_size()
+    for i, facet in enumerate(graph.nodes):
+        expected = tuple(
+            j for j, other in enumerate(graph.nodes)
+            if len(set(facet) & set(other)) == d - 1
+        )
+        assert graph.neighbors[i] == expected
 
 
 def test_flip_graph_regularity():
