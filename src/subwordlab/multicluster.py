@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from .coxeter import (
     CoxeterError,
@@ -26,7 +26,7 @@ from .coxeter import (
     longest_element,
 )
 from .sorting import sorting_word_w0
-from .subword import Facet, SubwordComplex, is_face, subword_complex
+from .subword import Facet, SubwordComplex, is_face, root_table, subword_complex
 
 Diagonal = tuple  # (a, b) vertex labels, a < b
 
@@ -67,15 +67,11 @@ def lr_labels(system: CoxeterSystem, cox: Word) -> tuple[SignedRoot, ...]:
     """Almost positive roots labeling the letters of c * w0(c), in word order.
 
     Prefix letters carry the negated simples; the letter w_i of the sorting
-    word carries w_1...w_{i-1}(alpha_{w_i}).
+    word carries w_1...w_{i-1}(alpha_{w_i}), its root table on no facet.
     """
     check_coxeter_word(system, cox)
-    labels = [SignedRoot(s - 1, -1) for s in cox]
-    prefix = system.identity.image
-    for s in sorting_word_w0(system, cox).word:
-        labels.append(system.signed_roots[prefix[s - 1]])
-        prefix = system.right_multiply(prefix, s)
-    return tuple(labels)
+    negatives = tuple(SignedRoot(s - 1, -1) for s in cox)
+    return negatives + root_table(system, sorting_word_w0(system, cox).word, ())
 
 
 def lr_position(system: CoxeterSystem, cox: Word, root: SignedRoot) -> int:
@@ -176,14 +172,18 @@ def theta_permutation(system: CoxeterSystem, cox: Word, k: int) -> tuple[int, ..
 
 
 def permutation_order(perm: tuple[int, ...]) -> int:
+    """The order of a permutation of 1..n: the lcm of its cycle lengths."""
+    if sorted(perm) != list(range(1, len(perm) + 1)):
+        raise CoxeterError("not a permutation of 1..n")
     order = 1
-    current = perm
-    identity = tuple(range(1, len(perm) + 1))
-    while current != identity:
-        current = tuple(perm[p - 1] for p in current)
-        order += 1
-        if order > len(perm) ** 2 + 1:
-            raise CoxeterError("runaway permutation order")
+    seen: set[int] = set()
+    for p in perm:
+        length = 0
+        while p not in seen:
+            seen.add(p)
+            p = perm[p - 1]
+            length += 1
+        order = lcm(order, length or 1)
     return order
 
 
@@ -467,22 +467,18 @@ def csp_fixed_point_table(
     exp(2 pi i d / (2k + h)), a primitive e-th root of unity with
     e = (2k + h) / gcd(d, 2k + h).  That value is the remainder of the
     polynomial modulo Phi_e, which must be a constant: the powers of the
-    root below the degree of Phi_e are linearly independent over Q.
+    root below the degree of Phi_e are linearly independent over Q.  The
+    d-th power fixes a facet exactly when d is a multiple of the length of
+    its orbit (``theta_orbits_on_facets``).
     """
     order = 2 * k + system.coxeter_number
-    complex_ = multi_cluster_complex(system, cox, k)
-    perm = theta_permutation(system, cox, k)
     poly = csp_polynomial(system, k)
     if not poly.defined:
         raise CoxeterError("the q-analogue is not a polynomial")
+    lengths = [len(orbit) for orbit in theta_orbits_on_facets(system, cox, k)]
     rows = []
-    power = tuple(range(1, len(perm) + 1))
     for d in range(order):
-        fixed = sum(
-            1
-            for facet in complex_.facets
-            if apply_permutation_to_set(power, facet) == facet
-        )
+        fixed = sum(length for length in lengths if d % length == 0)
         e = order // gcd(d, order)
         _, remainder = _poly_divmod(poly.coefficients, _cyclotomic(e))
         if len(remainder) > 1:
@@ -490,5 +486,4 @@ def csp_fixed_point_table(
                 f"the q-analogue is not an integer at a root of unity of order {e}"
             )
         rows.append((fixed, remainder[0] if remainder else 0))
-        power = tuple(perm[p - 1] for p in power)
     return tuple(rows)

@@ -21,6 +21,7 @@ from .coxeter import (
     psi_word,
 )
 from .sorting import has_sin_property, sorting_word_w0
+from .subword import root_table
 
 Vertex = tuple  # (occurrence index, generator)
 
@@ -155,28 +156,22 @@ def beta_labels(system: CoxeterSystem, word: Word) -> tuple[SignedRoot, ...]:
     """Signed roots along the doubled word w + psi(w).
 
     The label at a position applies the product of all earlier letters to the
-    simple root of its own letter; beyond the doubled word the labels repeat
-    periodically.
+    simple root of its own letter, which is the root table on no facet;
+    beyond the doubled word the labels repeat periodically.
     """
     if not has_sin_property(system, word):
         raise CoxeterError("root labels need the strong intervening-neighbors property")
-    doubled = tuple(word) + psi_word(system, word)
-    labels = []
-    prefix = system.identity.image
-    for s in doubled:
-        labels.append(system.signed_roots[prefix[s - 1]])
-        prefix = system.right_multiply(prefix, s)
-    return tuple(labels)
+    return root_table(system, tuple(word) + psi_word(system, word), ())
 
 
 def check_mesh_relation(system: CoxeterSystem, word: Word) -> bool:
     """Between consecutive occurrences of a generator s, the two labels sum
     to the neighbor labels weighted by the negated Cartan entries.
 
-    Sites wrapping past the doubled word are handled by continuing the
-    prefix products through a second period: a literal copy of the labels
-    would twist every label of the next window by the doubled-word product
-    and break the relation at the seam.  Exact over exact systems; general
+    Sites wrapping past the doubled word read the root table over the
+    twice-doubled word, on no facet: a literal copy of the labels would
+    twist every label of the next window by the doubled-word product and
+    break the relation at the seam.  Exact over exact systems; general
     dihedral systems compare within 1e-9.
     """
     if not has_sin_property(system, word):
@@ -184,11 +179,9 @@ def check_mesh_relation(system: CoxeterSystem, word: Word) -> bool:
     doubled = tuple(word) + psi_word(system, word)
     period = len(doubled)
     extended = doubled + doubled
-    vectors = []
-    prefix = system.identity.image
-    for s in extended:
-        vectors.append(_signed_vector(system, system.signed_roots[prefix[s - 1]]))
-        prefix = system.right_multiply(prefix, s)
+    vectors = [
+        _signed_vector(system, label) for label in root_table(system, extended, ())
+    ]
     cartan = system.cartan
     for s in range(1, system.rank + 1):
         occurrences = [p for p, x in enumerate(extended) if x == s]

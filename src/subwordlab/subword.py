@@ -372,24 +372,27 @@ def h_vector(complex_: SubwordComplex) -> tuple[int, ...]:
     that partner lies left of q exactly when the root r(I, q) is negative;
     partners in the appended completion lie right of every position and
     belong to the boundary of a ball.  So h_i counts the facets with i
-    negative roots at their own positions.  The completion never precedes a
-    facet position, so the walk stops at the end of the word.  An empty
-    complex gives ().
+    negative roots at their own positions.  Only their signs are read, on
+    the inverse walk of ``_root_walk``: r(I, q) = w(alpha_s) is negative
+    exactly when +alpha_s is not an image of w^{-1}, so when ``find`` of
+    its code fails.  The completion never precedes a facet position, so the
+    walk stops at the end of the word.  An empty complex gives ().
     """
     if not complex_.facets:
         return ()
     system, word = complex_.system, complex_.word
-    right_multiply = system.right_multiply
+    codes, reflections = system.codes, system.reflections
+    start = system.encode_codes(range(system.number_of_positive_roots + 1))
     h = [0] * (complex_.facet_size() + 1)
     for facet in complex_.facets:
         inside = set(facet)
-        prefix = system.identity.image
+        inverse = start
         descents = 0
         for p, s in enumerate(word, start=1):
             if p in inside:
-                descents += prefix[s - 1] < 0
+                descents += inverse.find(codes[s]) < 0
             else:
-                prefix = right_multiply(prefix, s)
+                inverse = inverse.translate(reflections[s - 1])
         h[descents] += 1
     return tuple(h)
 

@@ -19,7 +19,12 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb
 
-from subwordlab.coxeter import CoxeterSystem, Element, SignedRoot
+from subwordlab.coxeter import (
+    CoxeterSystem,
+    Element,
+    SignedRoot,
+    enumerate_coxeter_words,
+)
 
 
 @lru_cache(maxsize=None)
@@ -111,6 +116,19 @@ def brute_root_table(sys: CoxeterSystem, word, facet) -> tuple:
         if p not in facet:
             prefix = prefix * sys.generators[s - 1]
     return tuple(out)
+
+
+# Types on both sides of the byte/str boundary of code sequences: I2(127) is
+# the last byte-coded type, I2(128) and A16 are str-coded.
+CODE_EDGE_TYPES = ("I2(127)", "I2(128)", "A16")
+
+
+def oracle_coxeter_words(sys: CoxeterSystem) -> tuple:
+    """Every Coxeter word, or only the lex-first one s1 s2 ... sn on the
+    code-edge types, where A16 alone has 2^15 Coxeter words."""
+    if sys.descriptor.name() in CODE_EDGE_TYPES:
+        return (tuple(range(1, sys.rank + 1)),)
+    return enumerate_coxeter_words(sys)
 
 
 def brute_all_faces(complex_) -> frozenset:

@@ -45,7 +45,15 @@ from subwordlab.multicluster import (
 )
 from subwordlab.sorting import sorting_word_w0
 from subwordlab.subword import enumerate_facets, subword_complex
-from helpers import brute_diagonals_cross, catalan, float_csp_values, system
+from helpers import (
+    CODE_EDGE_TYPES,
+    brute_diagonals_cross,
+    brute_root_table,
+    catalan,
+    float_csp_values,
+    oracle_coxeter_words,
+    system,
+)
 
 
 def roots_by_vector(s):
@@ -121,6 +129,14 @@ def test_lr_labels_are_bijective():
             assert set(labels) == set(almost_positive_roots(s))
             for label in labels:
                 assert labels[lr_position(s, cox, label) - 1] == label
+
+
+@pytest.mark.parametrize("name", ("A3", "B3", "H3", "D4", "I2(7)") + CODE_EDGE_TYPES)
+def test_lr_labels_match_the_root_table_oracle(name):
+    s = system(name)
+    for cox in oracle_coxeter_words(s):
+        expected = brute_root_table(s, sorting_word_w0(s, cox).word, ())
+        assert lr_labels(s, cox)[s.rank:] == expected
 
 
 def test_b2_compatibility_examples():
@@ -314,6 +330,18 @@ def test_b2_theta_cycles():
     perm = theta_permutation(b2, (1, 2), 1)
     assert perm == (3, 4, 5, 6, 1, 2)
     assert permutation_order(perm) == 3 == theta_order_formula(b2, 1)
+
+
+def test_permutation_order_is_the_lcm_of_the_cycle_lengths():
+    perm, start = [], 1
+    for length in (2, 3, 5, 7, 11):
+        perm += [start + (i + 1) % length for i in range(length)]
+        start += length
+    assert sorted(perm) == list(range(1, 29))
+    assert permutation_order(tuple(perm)) == 2 * 3 * 5 * 7 * 11
+    assert permutation_order(()) == 1
+    with pytest.raises(CoxeterError, match="not a permutation"):
+        permutation_order((1, 1))
 
 
 THETA_ORDER_TYPES = [
@@ -596,6 +624,33 @@ def test_csp_table_of_an_undefined_polynomial_raises():
     assert not csp_polynomial(s, 3).defined
     with pytest.raises(CoxeterError, match="the q-analogue is not a polynomial"):
         csp_fixed_point_table(s, enumerate_coxeter_words(s)[0], 3)
+
+
+def test_csp_table_checks_the_polynomial_before_enumerating(monkeypatch):
+    def enumerate_nothing(*args):
+        raise AssertionError("facets enumerated for an undefined polynomial")
+
+    monkeypatch.setattr(multicluster, "theta_orbits_on_facets", enumerate_nothing)
+    monkeypatch.setattr(multicluster, "multi_cluster_complex", enumerate_nothing)
+    s = system("D4")
+    with pytest.raises(CoxeterError, match="the q-analogue is not a polynomial"):
+        csp_fixed_point_table(s, enumerate_coxeter_words(s)[0], 3)
+
+
+@pytest.mark.parametrize("name, k", [("A3", 2), ("B3", 2), ("E6", 1)])
+def test_csp_fixed_counts_match_a_direct_count(name, k):
+    s = system(name)
+    cox = enumerate_coxeter_words(s)[0]
+    perm = theta_permutation(s, cox, k)
+    facets = multi_cluster_complex(s, cox, k).facets
+    power = tuple(range(1, len(perm) + 1))
+    expected = []
+    for _ in range(2 * k + s.coxeter_number):
+        expected.append(
+            sum(1 for f in facets if tuple(sorted(power[p - 1] for p in f)) == f)
+        )
+        power = tuple(perm[p - 1] for p in power)
+    assert [fixed for fixed, _ in csp_fixed_point_table(s, cox, k)] == expected
 
 
 def test_csp_value_off_the_integers_raises(monkeypatch):

@@ -19,7 +19,14 @@ from subwordlab.quivers import (
     repetition_window,
 )
 from subwordlab.sorting import sorting_word_w0
-from helpers import commutation_class, linear_extension_words, system
+from helpers import (
+    CODE_EDGE_TYPES,
+    brute_root_table,
+    commutation_class,
+    linear_extension_words,
+    oracle_coxeter_words,
+    system,
+)
 
 A4_COX = (1, 3, 2, 4)
 
@@ -189,6 +196,20 @@ def test_mesh_relation_multi_cluster_words(name, k):
     s = system(name)
     for cox in enumerate_coxeter_words(s):
         assert check_mesh_relation(s, multi_cluster_word(s, cox, k))
+
+
+@pytest.mark.parametrize(
+    "name, k",
+    [(name, k) for name in ("A3", "B3", "H3", "D4", "I2(7)") for k in (1, 2)]
+    + [(name, 1) for name in CODE_EDGE_TYPES],
+)
+def test_beta_labels_match_the_root_table_oracle(name, k):
+    s = system(name)
+    for cox in oracle_coxeter_words(s):
+        word = multi_cluster_word(s, cox, k)
+        assert beta_labels(s, word) == brute_root_table(
+            s, word + psi_word(s, word), ()
+        )
 
 
 def test_beta_labels_stay_in_the_root_system():

@@ -619,7 +619,8 @@ def test_all_faces_counts_match_f_vector():
 @settings(max_examples=150, deadline=None)
 @given(
     st.sampled_from(
-        ["A1", "A2", "A3", "B2", "B3", "G2", "H3", "D4", "I2(5)", "I2(7)"]
+        ["A1", "A2", "A3", "B2", "B3", "G2", "H3", "D4", "I2(5)", "I2(7)",
+         "I2(127)", "I2(128)"]
     ),
     st.sampled_from(["sphere", "ball", "empty"]),
     st.data(),
