@@ -73,7 +73,6 @@ from .subword import (
     minimal_nonfaces,
     reduce_to_w0,
     reduced_euler_characteristic,
-    root_function,
     subword_complex,
 )
 

@@ -1,35 +1,33 @@
 """Finite Coxeter groups with exact root-system arithmetic.
 
-Group elements are stored as signed permutations of the positive roots, so
-every group operation is O(N) in the number N of positive roots even for
-types whose group order is astronomically larger (E8 has 696729600 elements
-but only 120 positive roots).
+Signed roots have integer codes: code 0 names no root, code j (1 <= j <= N)
+names +beta_{j-1} and code 2N + 1 - j names -beta_{j-1}, N being the number
+of positive roots.  ``signed_roots[c]`` is the ``SignedRoot`` of code c and
+``codes[c]`` the one-code sequence of c.
 
-Multiplying on the right by a simple generator s is the hot operation of
-facet enumeration, root tables and most word loops.  It permutes the
-positive roots by a fixed table and flips the sign of the image of alpha_s,
-so each system builds these tables once:
+Group elements are translate tables over these codes: entry c of
+``Element.image`` is the code of w applied to the signed root of code c.
+Every group operation is then O(N) even for types whose group order is
+astronomically larger (E8 has 696729600 elements but only 120 positive
+roots), and one C-level ``translate``: the product v*w is
+``w.image.translate(v.image)``.  The same tables act on whole sequences of
+codes, such as the root tables of ``subword``.  Tables have max(2N + 1, 256)
+entries, as ``bytes.translate`` needs 256; codes past 2N map to themselves.
 
-* for each generator, an ``operator.itemgetter`` gather over the reflection
-  table, so that ``CoxeterSystem.right_multiply`` is one C-level gather plus
-  one sign change on a raw image tuple (no ``Element`` is built);
-* ``signed_roots``, with ``signed_roots[v]`` the ``SignedRoot`` named by an
-  image entry v in +-1..N (negative v index from the end of the table);
-* ``reflections``, the reflection in each positive root as a translate
-  table over the same indices, so that applying a reflection to a whole
-  sequence of signed-root codes is one C-level ``translate`` (see
-  ``subword.root_table`` and ``subword.enumerate_facets``).
+``reflections`` holds the reflection in every positive root, its first
+``rank`` entries being the simple reflections, which are also the images
+of the generators.  Multiplying on the right by a simple generator s, the
+hot operation of word loops, is ``CoxeterSystem.right_multiply``: one
+``translate`` of the table of s by the image of w (no ``Element`` is built).
 
 Code sequences are ``bytes`` when every code fits in a byte (2N + 1 <= 256,
 every type up to E8) and ``str`` otherwise (A16 and up, B12 and D12 and up,
 I2(m) for m >= 128); ``bytes.translate`` is about ten times faster than
 ``str.translate``.  The system picks the type once and exposes its encoder
-(``encode_codes``) and the one-code sequences (``codes``).  Code that reads
-the sequences works on both: it takes one-code slices, never single
-items, and uses only ``ord``, ``find``, ``translate`` and comparisons.
-
-``Element.__mul__`` stays the general product, used for conjugations,
-reflections and powers.
+(``encode_codes``).  Code that reads the sequences works on both: it takes
+one-code slices, never single items, and uses only ``ord``, ``find``,
+``translate``, ``maketrans`` and comparisons.  A one-code slice above
+``codes[N]`` is a negative root.
 
 Conventions:
 
@@ -46,7 +44,6 @@ import math
 import re
 from dataclasses import dataclass
 from itertools import product
-from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .ring import GoldenInt
@@ -114,7 +111,7 @@ def parse_descriptor(text: str) -> GroupDescriptor:
         family = "B"  # identical Coxeter system
     if family == "I":
         if rank != 2 or order is None:
-            raise CoxeterError("dihedral descriptors are written I2(m) with m >= 2")
+            raise CoxeterError("dihedral descriptors are written I2(m) with m >= 3")
         descriptor = GroupDescriptor("I", 2, int(order))
     else:
         if order is not None:
@@ -130,8 +127,8 @@ def validate_descriptor(descriptor: GroupDescriptor) -> None:
     if legal is None or not legal(rank):
         raise CoxeterError(f"no finite irreducible type {family}{rank}")
     if family == "I":
-        if descriptor.dihedral_order is None or descriptor.dihedral_order < 2:
-            raise CoxeterError("I2(m) needs m >= 2")
+        if descriptor.dihedral_order is None or descriptor.dihedral_order < 3:
+            raise CoxeterError("I2(m) needs m >= 3")
     elif descriptor.dihedral_order is not None:
         raise CoxeterError("only I2 carries a dihedral order")
 
@@ -170,8 +167,6 @@ def _graph_edges(d: GroupDescriptor) -> list[tuple[int, int, int]]:
 
 def _cartan_pair(m: int):
     """Off-diagonal Cartan entries (a_st, a_ts) for an edge of order m, s < t."""
-    if m == 2:
-        return 0, 0
     if m == 3:
         return -1, -1
     if m == 4:
@@ -228,8 +223,8 @@ def _psi_table(d: GroupDescriptor) -> tuple[int, ...]:
 def _closure_roots(n: int, cartan, expected: int):
     """BFS closure of the simple roots under simple reflections.
 
-    Returns (roots, tables) where tables[t][i] = +-(j+1) encodes
-    s_{t+1}(beta_i) = +-beta_j.  Raises if the closure does not have exactly
+    Returns (roots, images) where images[t][i] is the code of
+    s_{t+1}(beta_i).  Raises if the closure does not have exactly
     ``expected`` elements, which would mean broken Cartan conventions.
     """
     def reflect(vec, t):
@@ -257,24 +252,25 @@ def _closure_roots(n: int, cartan, expected: int):
     if len(roots) != expected:
         raise CoxeterError(f"root closure produced {len(roots)} roots, expected {expected}")
 
-    tables = []
+    images = []
     for t in range(n):
         col = []
         for i, vec in enumerate(roots):
             if i == t:
-                col.append(-(t + 1))
+                col.append(2 * expected - t)  # -alpha_t
             else:
                 col.append(index[reflect(vec, t)] + 1)
-        tables.append(tuple(col))
-    return tuple(roots), tuple(tables)
+        images.append(col)
+    return tuple(roots), images
 
 
 def _dihedral_root_data(m: int):
-    """Roots and reflection tables of I2(m) from the planar angle model.
+    """Roots and simple-reflection images of I2(m) from the planar angle model.
 
     Positive roots sit at angles j*pi/m, j = 0..m-1, with alpha_1 at angle 0
-    and alpha_2 at angle (m-1)*pi/m.  The reflection tables are exact integer
-    data; only the coordinates (in the simple-root basis) are floats.
+    and alpha_2 at angle (m-1)*pi/m.  The images are codes as in
+    ``_closure_roots``, exact integer data; only the coordinates (in the
+    simple-root basis) are floats.
     """
     theta = math.pi / m
     angles = [0, m - 1] + list(range(1, m - 1))
@@ -289,24 +285,25 @@ def _dihedral_root_data(m: int):
     roots = tuple(coords[j] for j in angles)
     t1, t2 = [], []
     for j in angles:
-        t1.append(-(pos[0] + 1) if j == 0 else pos[m - j] + 1)
-        t2.append(-(pos[m - 1] + 1) if j == m - 1 else pos[m - 2 - j] + 1)
-    return roots, (tuple(t1), tuple(t2))
+        t1.append(2 * m - pos[0] if j == 0 else pos[m - j] + 1)
+        t2.append(2 * m - pos[m - 1] if j == m - 1 else pos[m - 2 - j] + 1)
+    return roots, [t1, t2]
 
 
 # ---------------------------------------------------------------------------
 # Elements
 
 class Element:
-    """A group element as a signed permutation of the positive roots.
+    """A group element as a translate table over the signed-root codes.
 
-    ``image[i] = +-(j+1)`` means the element maps beta_i to +-beta_j.  The
-    length function is the number of negative entries.
+    ``image[c]`` is the code of w applied to the signed root of code c (see
+    the module docstring).  The length function is the number of positive
+    roots sent to negative codes.
     """
 
     __slots__ = ("system", "image")
 
-    def __init__(self, system: "CoxeterSystem", image: tuple[int, ...]):
+    def __init__(self, system: "CoxeterSystem", image: bytes | str):
         self.system = system
         self.image = image
 
@@ -321,77 +318,63 @@ class Element:
         return f"<{self.system.descriptor.name()} element {word}>"
 
     def __mul__(self, other: "Element") -> "Element":
-        a, b = self.image, other.image
-        return Element(self.system, tuple(a[v - 1] if v > 0 else -a[-v - 1] for v in b))
+        return Element(self.system, other.image.translate(self.image))
 
     def inverse(self) -> "Element":
-        out = [0] * len(self.image)
-        for i, v in enumerate(self.image):
-            if v > 0:
-                out[v - 1] = i + 1
-            else:
-                out[-v - 1] = -(i + 1)
-        return Element(self.system, tuple(out))
+        image, identity = self.image, self.system.identity.image
+        return Element(self.system, identity.translate(type(image).maketrans(image, identity)))
 
     def length(self) -> int:
-        return sum(1 for v in self.image if v < 0)
+        N = self.system.number_of_positive_roots
+        top = self.system.codes[N]
+        return sum(self.image[c:c + 1] > top for c in range(1, N + 1))
 
     def is_identity(self) -> bool:
-        return all(v == i + 1 for i, v in enumerate(self.image))
+        return self.image == self.system.identity.image
 
     def apply(self, root: int, sign: int = 1) -> SignedRoot:
-        v = self.image[root]
-        return self.system.signed_roots[v if sign > 0 else -v]
-
-    def apply_signed(self, signed: SignedRoot) -> SignedRoot:
-        return self.apply(signed.root, signed.sign)
+        system = self.system
+        code = root + 1 if sign > 0 else 2 * system.number_of_positive_roots - root
+        return system.signed_roots[ord(self.image[code:code + 1])]
 
     def has_right_descent(self, s: int) -> bool:
         """True iff multiplying by s on the right shortens the element."""
-        return self.image[s - 1] < 0
+        system = self.system
+        return self.image[s:s + 1] > system.codes[system.number_of_positive_roots]
 
 
 # ---------------------------------------------------------------------------
 # The system
 
-def _gather(indices: list[int]):
-    """``itemgetter(*indices)``, returning a tuple even for a single index."""
-    if len(indices) == 1:
-        (index,) = indices
-        return lambda image: (image[index],)
-    return itemgetter(*indices)
-
-
 def _encode_str(codes) -> str:
     return "".join(map(chr, codes))
 
 
-def _root_reflections(reflection_tables, encode) -> tuple:
+def _root_reflections(simple_images, encode) -> tuple:
     """The reflection t_beta in every positive root, as translate tables.
 
     Table i maps code c to code c' when t_{beta_i} sends the signed root of
-    code c to that of code c', codes being ``signed_roots`` indices (+j is
-    j, -j is 2N + 1 - j).  Tables have max(2N + 1, 256) entries, as
-    ``bytes.translate`` needs 256; codes past 2N map to themselves.  The
-    simple reflections come from the reflection tables; then
-    t_{s(beta)} = s t_beta s for each positive s(beta), which is two
-    translations of the table of s.
+    code c to that of code c'.  ``simple_images[t][i]`` is the code of
+    s_{t+1}(beta_i); the tables of the simple reflections complete these
+    with the negated roots (code 2N + 1 - c is the negation of code c) and
+    the fixed codes 0 and past 2N.  Then t_{s(beta)} = s t_beta s for each
+    positive s(beta), which is two translations of the table of s.
     """
-    N = len(reflection_tables[0])
+    N = len(simple_images[0])
     codes = 2 * N + 1
     simple = []
-    for table in reflection_tables:
-        image = list(range(max(codes, 256)))
-        for j, v in enumerate(table, start=1):
-            image[j] = v % codes
-            image[codes - j] = -v % codes
-        simple.append(encode(image))
+    for images in simple_images:
+        table = list(range(max(codes, 256)))
+        for j, c in enumerate(images, start=1):
+            table[j] = c
+            table[codes - j] = codes - c
+        simple.append(encode(table))
     out: list = simple + [None] * (N - len(simple))
     order = list(range(len(simple)))
     for i in order:  # grows breadth first from the simple roots
-        for s, table in enumerate(reflection_tables):
-            j = table[i] - 1
-            if j >= 0 and out[j] is None:
+        for s, images in enumerate(simple_images):
+            j = images[i] - 1
+            if j < N and out[j] is None:
                 out[j] = simple[s].translate(out[i]).translate(simple[s])
                 order.append(j)
     return tuple(out)
@@ -433,25 +416,16 @@ class CoxeterSystem:
             raise CoxeterError("degree table inconsistent with nh/2")
 
         self.exact = not (
-            descriptor.family == "I" and descriptor.dihedral_order not in (2, 3, 4, 5, 6)
+            descriptor.family == "I" and descriptor.dihedral_order not in (3, 4, 5, 6)
         )
+        N = self.number_of_positive_roots
         if self.exact:
-            self.positive_roots, self.reflection_tables = _closure_roots(
-                n, self.cartan, self.number_of_positive_roots
-            )
+            self.positive_roots, simple_images = _closure_roots(n, self.cartan, N)
         else:
-            self.positive_roots, self.reflection_tables = _dihedral_root_data(
+            self.positive_roots, simple_images = _dihedral_root_data(
                 descriptor.dihedral_order
             )
 
-        self.generators = tuple(
-            Element(self, self.reflection_tables[s]) for s in range(n)
-        )
-        N = self.number_of_positive_roots
-        self.identity = Element(self, tuple(range(1, N + 1)))
-        self._gathers = tuple(
-            _gather([abs(v) - 1 for v in table]) for table in self.reflection_tables
-        )
         self.signed_roots = (
             (None,)
             + tuple(SignedRoot(i, 1) for i in range(N))
@@ -459,7 +433,9 @@ class CoxeterSystem:
         )
         self.encode_codes = bytes if 2 * N + 1 <= 256 else _encode_str
         self.codes = tuple(self.encode_codes((c,)) for c in range(2 * N + 1))
-        self.reflections = _root_reflections(self.reflection_tables, self.encode_codes)
+        self.reflections = _root_reflections(simple_images, self.encode_codes)
+        self.generators = tuple(Element(self, table) for table in self.reflections[:n])
+        self.identity = Element(self, self.encode_codes(range(len(self.reflections[0]))))
         self.psi_table = _psi_table(descriptor)
         self._w0: Element | None = None
         self._check_psi_table()
@@ -469,11 +445,9 @@ class CoxeterSystem:
     def commute(self, s: int, t: int) -> bool:
         return self.coxeter_matrix[s - 1][t - 1] == 2
 
-    def right_multiply(self, image: tuple[int, ...], s: int) -> tuple[int, ...]:
+    def right_multiply(self, image: bytes | str, s: int) -> bytes | str:
         """The image of w * s_s, given the image of w."""
-        out = list(self._gathers[s - 1](image))
-        out[s - 1] = -out[s - 1]
-        return tuple(out)
+        return self.reflections[s - 1].translate(image)
 
     def __repr__(self) -> str:
         return f"CoxeterSystem({self.descriptor.name()!r})"
@@ -535,11 +509,12 @@ def reduced_word(w: Element) -> Word:
     """The canonical reduced word: repeatedly strip the smallest left descent."""
     system = w.system
     identity = system.identity.image
+    top = system.codes[system.number_of_positive_roots]
     out = []
     rest = w.inverse().image  # rest = v^{-1} for the still-unwritten suffix v
     while rest != identity:
         for s in range(1, system.rank + 1):
-            if rest[s - 1] < 0:  # s is a left descent of v
+            if rest[s:s + 1] > top:  # s is a left descent of v
                 out.append(s)
                 rest = system.right_multiply(rest, s)
                 break
@@ -551,24 +526,28 @@ def reduced_word(w: Element) -> Word:
 def demazure_product(system: CoxeterSystem, word: Word) -> Element:
     """Greedy ascent-only product: letters are kept only when they lengthen."""
     check_word(system, word)
+    top = system.codes[system.number_of_positive_roots]
     out = system.identity.image
     for s in word:
-        if out[s - 1] > 0:
+        if out[s:s + 1] <= top:
             out = system.right_multiply(out, s)
     return Element(system, out)
 
 
 def longest_element(system: CoxeterSystem) -> Element:
     if system._w0 is None:
+        N = system.number_of_positive_roots
+        top = system.codes[N]
         w = system.identity.image
-        for _ in range(system.number_of_positive_roots):
+        for _ in range(N):
             for s in range(1, system.rank + 1):
-                if w[s - 1] > 0:
+                if w[s:s + 1] <= top:
                     w = system.right_multiply(w, s)
                     break
-        if any(v > 0 for v in w):
+        w0 = Element(system, w)
+        if w0.length() != N:
             raise CoxeterError("failed to reach the longest element")
-        system._w0 = Element(system, w)
+        system._w0 = w0
     return system._w0
 
 
@@ -583,8 +562,10 @@ def psi_word(system: CoxeterSystem, word: Word) -> Word:
 
 def inversion_set(w: Element) -> frozenset[int]:
     """Indices of the positive roots sent negative by w^{-1}."""
-    inv = w.inverse()
-    return frozenset(i for i, v in enumerate(inv.image) if v < 0)
+    N = w.system.number_of_positive_roots
+    top = w.system.codes[N]
+    inverse = w.inverse().image
+    return frozenset(i for i in range(N) if inverse[i + 1:i + 2] > top)
 
 
 def element_order(w: Element) -> int:
@@ -593,7 +574,7 @@ def element_order(w: Element) -> int:
     while not power.is_identity():
         power = power * w
         order += 1
-        if order > 2 * len(w.image) ** 2:
+        if order > 2 * w.system.number_of_positive_roots ** 2:
             raise CoxeterError("runaway order computation")
     return order
 

@@ -42,12 +42,13 @@ def sorting_word(system: CoxeterSystem, cox: Word, w: Element) -> Word:
     """Greedy scan of c,c,c,...: take a letter whenever it shortens the rest."""
     check_coxeter_word(system, cox)
     identity = system.identity.image
+    top = system.codes[system.number_of_positive_roots]
     out: list[int] = []
     rest = w.inverse().image  # inverse of the still-unwritten right factor
     passes = 0
     while rest != identity:
         for s in cox:
-            if rest[s - 1] < 0:  # s starts a reduced word of the rest
+            if rest[s:s + 1] > top:  # s starts a reduced word of the rest
                 out.append(s)
                 rest = system.right_multiply(rest, s)
         passes += 1

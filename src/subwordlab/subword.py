@@ -5,13 +5,13 @@ sets whose complement in Q still contains a reduced word for pi.  Positions
 are 1-based throughout, facets are sorted position tuples, and the facet
 list is sorted lexicographically so all outputs are deterministic.
 
-Facets come from one kernel, ``enumerate_facets``: a search over increasing
-flips from the greedy facet, carrying each facet's root table as a sequence
-of signed-root codes and updating it by one root reflection per flip, so no
-facet is found twice and no dead end is explored.  ``flip`` and
-``root_table`` stay the public single-facet calls; ``enumerate_facets_bfs``
-closes a seed facet under ``flip`` and serves as a second, independent
-enumerator.
+Facets come from one kernel, ``enumerate_facets``, under the ``MAX_FACES``
+budget: a search over increasing flips from the greedy facet, carrying each
+facet's root table as a sequence of signed-root codes and updating it by
+one root reflection per flip, so no facet is found twice and no dead end is
+explored.  ``flip`` and ``root_table`` stay the public single-facet calls;
+``enumerate_facets_bfs`` closes a seed facet under ``flip`` and serves as a
+second, independent enumerator.
 
 Face counts never materialise the faces: ``f_vector`` comes from
 ``h_vector``, which reads the lexicographic shelling off one root-function
@@ -40,7 +40,6 @@ from .coxeter import (
     reduced_word,
 )
 
-MAX_WORD_LETTERS = 128
 MAX_FACES = 10**6
 
 Facet = tuple  # of 1-based positions, sorted ascending
@@ -104,32 +103,29 @@ def enumerate_facets(
     reached once and no set of seen facets is kept.  Root tables are
     sequences of signed-root codes (``bytes`` or ``str``, see
     ``CoxeterSystem.codes``), read as one-code slices: a partner is one
-    ``find`` and a table update one ``translate``.
+    ``find`` and a table update one ``translate``.  Raises
+    ``ResourceLimitError`` once more than ``MAX_FACES`` facets are found.
     """
     r = len(word)
-    if r > MAX_WORD_LETTERS:
-        raise ResourceLimitError(
-            f"a word of {r} letters is longer than the limit of {MAX_WORD_LETTERS}"
-        )
     check_word(system, word)
     right_multiply = system.right_multiply
+    codes = system.codes
+    top = codes[system.number_of_positive_roots]  # codes above it are negative
     u = target.image
     outside = 0  # complement positions, as a bitmask
     for p in range(r, 0, -1):
         s = word[p - 1]
-        if u[s - 1] < 0:
+        if u[s:s + 1] > top:
             u = right_multiply(u, s)
             outside |= 1 << p
     if u != system.identity.image:
         return ()
-    codes = system.codes
     seed = tuple(p for p in range(1, r + 1) if not outside >> p & 1)
     # table[p] is the code of r(I, p); table[0] is a code no root has
     completed = reduce_to_w0(system, word, target)
     table = codes[0] + system.encode_codes(
         _root_walk(system, completed, seed, range(len(codes)))
     )
-    top = codes[system.number_of_positive_roots]  # codes above it are negative
     reflections = system.reflections
     facets = [seed]
     # (facet, facet bitmask, root table, last position with a negative root)
@@ -152,6 +148,11 @@ def enumerate_facets(
             child_table = table[:q + 1] + moved + table[p + 1:]
             stack.append((child, mask ^ (1 << q) ^ (1 << p), child_table, p))
             facets.append(child)
+        if len(facets) > MAX_FACES:
+            raise ResourceLimitError(
+                f"more than {MAX_FACES} facets: the limit was passed"
+                f" on a word of {r} letters"
+            )
     facets.sort()
     return tuple(facets)
 
@@ -193,14 +194,6 @@ def root_table(
     check_word(system, word)
     facet = _check_positions(word, facet)
     return tuple(_root_walk(system, word, facet, system.signed_roots))
-
-
-def root_function(
-    system: CoxeterSystem, word: Word, facet, q: int
-) -> SignedRoot:
-    if not 1 <= q <= len(word):
-        raise CoxeterError(f"position {q} out of range")
-    return root_table(system, word, facet)[q - 1]
 
 
 def flip(

@@ -3,12 +3,12 @@
 The oracles deliberately avoid the code paths they check: word-length by
 breadth-first search over the group, face tests by brute-force subword
 search, commutation classes by breadth-first search over adjacent swaps,
-facets and root tables by ``Element`` products instead of the raw-image
-gather, f-vectors and minimal non-faces by materialising every subset of
-every facet instead of the h-vector and the facet-bitset growth, diagonal
-crossings by cyclic interleaving, cyclic-sieving values by complex
-floating-point evaluation instead of cyclotomic remainders, counts by
-closed formulas from outside the package.
+facets and root tables by ``Element`` products instead of the code
+sequences of the kernel, f-vectors and minimal non-faces by materialising
+every subset of every facet instead of the h-vector and the facet-bitset
+growth, diagonal crossings by cyclic interleaving, cyclic-sieving values by
+complex floating-point evaluation instead of cyclotomic remainders, counts
+by closed formulas from outside the package.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from math import comb
 from subwordlab.coxeter import (
     CoxeterSystem,
     Element,
-    SignedRoot,
     enumerate_coxeter_words,
 )
 
@@ -70,7 +69,7 @@ def brute_contains_reduced_word(sys: CoxeterSystem, word, target: Element) -> bo
             return
         rec(pos + 1, current, used)
         s = word[pos]
-        if current.image[s - 1] > 0:
+        if not current.has_right_descent(s):
             rec(pos + 1, current * sys.generators[s - 1], used + 1)
 
     rec(0, sys.identity, 0)
@@ -99,7 +98,7 @@ def brute_facets(sys: CoxeterSystem, word, target: Element) -> tuple:
             walk(pos + 1, product, product_length)
             face.pop()
         s = word[pos]
-        if product.image[s - 1] > 0:
+        if not product.has_right_descent(s):
             walk(pos + 1, product * sys.generators[s - 1], product_length + 1)
 
     walk(0, sys.identity, 0)
@@ -107,12 +106,11 @@ def brute_facets(sys: CoxeterSystem, word, target: Element) -> tuple:
 
 
 def brute_root_table(sys: CoxeterSystem, word, facet) -> tuple:
-    """Root function values by ``Element`` products, read off image entries."""
+    """Root function values w(alpha_s) by ``Element`` products and ``apply``."""
     out = []
     prefix = sys.identity
     for p, s in enumerate(word, start=1):
-        v = prefix.image[s - 1]
-        out.append(SignedRoot(abs(v) - 1, 1 if v > 0 else -1))
+        out.append(prefix.apply(s - 1))
         if p not in facet:
             prefix = prefix * sys.generators[s - 1]
     return tuple(out)

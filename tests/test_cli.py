@@ -316,6 +316,17 @@ def test_cli_error_handling(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command", [("sort",), ("complex", "facets"), ("theta",), ("flipgraph",)]
+)
+def test_cli_rejects_reducible_dihedral_type(capsys, command):
+    # I2(2) is A1 x A1: its Coxeter graph has no edge
+    assert main([*command, "--type", "I2(2)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_cli_verify_failure_exits_nonzero(monkeypatch, capsys):
     from subwordlab import cli
     from subwordlab.experiments import ExperimentReport

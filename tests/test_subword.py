@@ -30,7 +30,6 @@ from subwordlab.subword import (
     minimal_nonfaces,
     reduce_to_w0,
     reduced_euler_characteristic,
-    root_function,
     root_table,
     subword_complex,
 )
@@ -231,13 +230,20 @@ def test_enumerate_facets_rejects_letters_outside_the_system():
             enumerate_facets(a2, word, longest_element(a2))
 
 
-def test_word_length_cap():
-    a2 = system("A2")
+def test_facet_budget(monkeypatch):
+    # s1^140 has one facet per left-out position; words have no length cap
+    a1 = system("A1")
+    word = (1,) * 140
+    facets = enumerate_facets(a1, word, longest_element(a1))
+    assert facets == tuple(
+        tuple(p for p in range(1, 141) if p != q) for q in range(140, 0, -1)
+    )
+    monkeypatch.setattr(subword, "MAX_FACES", 139)
     with pytest.raises(
         ResourceLimitError,
-        match=r"^a word of 140 letters is longer than the limit of 128$",
+        match=r"^more than 139 facets: the limit was passed on a word of 140 letters$",
     ):
-        enumerate_facets(a2, (1, 2) * 70, longest_element(a2))
+        enumerate_facets(a1, word, longest_element(a1))
 
 
 def test_bfs_on_single_facet_complex():
@@ -262,7 +268,6 @@ def test_root_function_table_for_hexagon_facet():
     assert vecs[3] == (1, 1)
     assert vecs[4] == (1, 2)
     assert vecs[5] == (0, 1)
-    assert root_function(b2, HEXAGON, (2, 3), 5) == table[4]
 
 
 def test_leftmost_letter_gets_its_simple_root():
@@ -382,7 +387,7 @@ def test_flip_root_update_rule():
             new_table = root_table(s, word, other)
             for p in range(1, len(word) + 1):
                 expected = (
-                    reflection.apply_signed(table[p - 1])
+                    reflection.apply(*table[p - 1])
                     if q < p <= landing
                     else table[p - 1]
                 )
@@ -644,7 +649,7 @@ def test_face_counts_match_subset_oracles(name, kind, data):
         drop = data.draw(st.integers(0, len(letters) - 1))
         target = element_from_word(s, letters[:drop] + letters[drop + 1:])
     else:
-        ascent = next(t for t in range(1, s.rank + 1) if top.image[t - 1] > 0)
+        ascent = next(t for t in range(1, s.rank + 1) if not top.has_right_descent(t))
         target = element_from_word(s, reduced_word(top) + (ascent,))
     complex_ = subword_complex(s, word, target)
     assert bool(complex_.facets) == (kind != "empty")
