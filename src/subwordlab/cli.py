@@ -17,7 +17,6 @@ from .coxeter import (
     ResourceLimitError,
     Word,
     demazure_product,
-    enumerate_coxeter_words,
     format_word,
     longest_element,
     parse_word,
@@ -28,6 +27,7 @@ from .experiments import (
     run_maximality_experiment,
 )
 from .multicluster import (
+    _polygon_rank,
     multi_cluster_complex,
     multi_cluster_word,
     permutation_order,
@@ -68,7 +68,7 @@ def _system_from(args) -> CoxeterSystem:
 def _coxeter_word_from(args, system: CoxeterSystem) -> Word:
     if args.cox:
         return parse_word(args.cox)
-    return enumerate_coxeter_words(system)[0]
+    return tuple(range(1, system.rank + 1))  # the first ``enumerate_coxeter_words``
 
 
 def _complex_from(args, system: CoxeterSystem):
@@ -170,16 +170,18 @@ def _complex_params(args) -> dict:
     }
 
 
-def _cmd_flipgraph(args) -> int:
-    system = _system_from(args)
-    complex_ = _complex_from(args, system)
-    graph = flip_graph(complex_)
-    dot = flip_graph_dot(graph)
-    if args.dot and args.dot != "-":
-        with open(args.dot, "w", encoding="utf-8") as handle:
+def _write_dot(dot: str, path) -> None:
+    if path and path != "-":
+        with open(path, "w", encoding="utf-8") as handle:
             handle.write(dot)
     else:
         sys.stdout.write(dot)
+
+
+def _cmd_flipgraph(args) -> int:
+    system = _system_from(args)
+    complex_ = _complex_from(args, system)
+    _write_dot(flip_graph_dot(flip_graph(complex_)), args.dot)
     if args.diameter:
         print(f"diameter: {flip_graph_diameter(complex_)}")
     return 0
@@ -191,62 +193,53 @@ def _cmd_theta(args) -> int:
     cox = _coxeter_word_from(args, system)
     perm = theta_permutation(system, cox, args.k)
     if args.order:
-        order = permutation_order(perm)
-        results = {"order": order, "formula": theta_order_formula(system, args.k)}
-        if args.json:
-            _emit_json("theta", {"type": args.type, "cox": format_word(cox), "k": args.k}, results, started)
-        else:
-            print(f"order: {order} (formula: {results['formula']})")
+        results = {
+            "order": permutation_order(perm),
+            "formula": theta_order_formula(system, args.k),
+        }
+        lines = [f"order: {results['order']} (formula: {results['formula']})"]
     elif args.orbits:
         orbits = theta_orbits_on_facets(system, cox, args.k)
         results = {
             "orbit_sizes": [len(orbit) for orbit in orbits],
             "orbits": [[list(facet) for facet in orbit] for orbit in orbits],
         }
-        if args.json:
-            _emit_json("theta", {"type": args.type, "cox": format_word(cox), "k": args.k}, results, started)
-        else:
-            for orbit in orbits:
-                print(" -> ".join("{" + ",".join(map(str, facet)) + "}" for facet in orbit))
+        lines = [
+            " -> ".join("{" + ",".join(map(str, facet)) + "}" for facet in orbit)
+            for orbit in orbits
+        ]
     else:
         results = {"permutation": list(perm)}
-        if args.json:
-            _emit_json("theta", {"type": args.type, "cox": format_word(cox), "k": args.k}, results, started)
-        else:
-            print("positions:", list(range(1, len(perm) + 1)))
-            print("images:   ", list(perm))
+        lines = [
+            f"positions: {list(range(1, len(perm) + 1))}",
+            f"images:    {list(perm)}",
+        ]
+    if args.json:
+        params = {"type": args.type, "cox": format_word(cox), "k": args.k}
+        _emit_json("theta", params, results, started)
+    else:
+        for line in lines:
+            print(line)
     return 0
 
 
 def _cmd_bijection(args) -> int:
     started = time.perf_counter()
-    cox = parse_word(args.cox) if args.cox else None
-    if args.flavor == "typea":
-        n = args.m - 2 * args.k - 1
-        system = CoxeterSystem(f"A{n}")
-        if cox is None:
-            cox = enumerate_coxeter_words(system)[0]
-        table = type_a_bijection(args.m, args.k, cox)
-        word = multi_cluster_word(system, cox, args.k)
-        results = [
-            {"position": p, "letter": f"s{s}", "diagonal": list(table[p - 1])}
-            for p, s in enumerate(word, start=1)
-        ]
+    family = "A" if args.flavor == "typea" else "B"
+    system = CoxeterSystem(f"{family}{_polygon_rank(family, args.m, args.k)}")
+    cox = _coxeter_word_from(args, system)
+    word = multi_cluster_word(system, cox, args.k)
+    if family == "A":
+        key = "diagonal"
+        images = [list(d) for d in type_a_bijection(args.m, args.k, cox)]
     else:
-        n = args.m - args.k
-        system = CoxeterSystem(f"B{n}")
-        if cox is None:
-            cox = enumerate_coxeter_words(system)[0]
-        table = type_b_bijection(args.m, args.k, cox)
-        word = multi_cluster_word(system, cox, args.k)
-        results = [
-            {
-                "position": p,
-                "letter": f"s{s}",
-                "pair": sorted(list(d) for d in table[p - 1]),
-            }
-            for p, s in enumerate(word, start=1)
-        ]
+        key = "pair"
+        pairs = type_b_bijection(args.m, args.k, cox)
+        images = [sorted(list(d) for d in pair) for pair in pairs]
+    results = [
+        {"position": p, "letter": f"s{s}", key: image}
+        for p, (s, image) in enumerate(zip(word, images), start=1)
+    ]
     _emit_json(
         f"bijection {args.flavor}",
         {"m": args.m, "k": args.k, "cox": format_word(cox)},
@@ -263,12 +256,7 @@ def _cmd_quiver(args) -> int:
         quiver = ar_quiver(system, cox)
     else:
         quiver = repetition_window(system, cox, args.copies).quiver
-    dot = export_dot(quiver, name=args.flavor)
-    if args.dot and args.dot != "-":
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(dot)
-    else:
-        sys.stdout.write(dot)
+    _write_dot(export_dot(quiver, name=args.flavor), args.dot)
     return 0
 
 

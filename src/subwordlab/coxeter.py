@@ -587,7 +587,9 @@ def enumerate_coxeter_words(system: CoxeterSystem) -> tuple[Word, ...]:
 
     The canonical word is the lexicographically least linear extension of the
     orientation.  The Coxeter graphs here are trees, so every orientation of
-    the edges is acyclic and there are 2^(#edges) of them.
+    the edges is acyclic and there are 2^(#edges) of them.  The words come
+    sorted, and the first is always s1 s2 ... sn: every ordering of the
+    generators is the canonical word of the orientation it induces.
     """
     n = system.rank
     edges = [

@@ -73,7 +73,7 @@ def _timed(report: ExperimentReport, start: float) -> ExperimentReport:
 
 
 def _lex_coxeter_word(system: CoxeterSystem) -> Word:
-    return enumerate_coxeter_words(system)[0]
+    return tuple(range(1, system.rank + 1))  # the first ``enumerate_coxeter_words``
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,14 @@ from .coxeter import (
     CoxeterError,
     CoxeterSystem,
     Element,
+    ResourceLimitError,
     SignedRoot,
     Word,
     check_coxeter_word,
     element_from_word,
     longest_element,
 )
+from . import subword
 from .sorting import sorting_word_w0
 from .subword import Facet, SubwordComplex, is_face, root_table, subword_complex
 
@@ -43,10 +45,21 @@ def multi_cluster_word(system: CoxeterSystem, cox: Word, k: int) -> Word:
 
 
 def multi_cluster_complex(system: CoxeterSystem, cox: Word, k: int) -> SubwordComplex:
-    """The multi-cluster complex: the subword complex of c^k w0(c) with target w0."""
-    return subword_complex(
-        system, multi_cluster_word(system, cox, k), longest_element(system)
-    )
+    """The multi-cluster complex: the subword complex of c^k w0(c) with target w0.
+
+    Where ``facet_count_formula`` is a theorem (k = 1, and types A, B and
+    I2 at every k), a count above ``MAX_FACES`` raises ``ResourceLimitError``
+    before any facet is searched for.
+    """
+    word = multi_cluster_word(system, cox, k)
+    if k == 1 or system.descriptor.family in ("A", "B", "I"):
+        count = facet_count_formula(system, k)
+        if count > subword.MAX_FACES:
+            raise ResourceLimitError(
+                f"{system.descriptor.name()} with k={k} has {count} facets,"
+                f" more than the limit of {subword.MAX_FACES}"
+            )
+    return subword_complex(system, word, longest_element(system))
 
 
 def negative_simple(system: CoxeterSystem, s: int) -> SignedRoot:
@@ -247,15 +260,25 @@ def _ascent_descent_counts(cox: Word, n: int) -> tuple[list[int], list[int]]:
     return ascents, descents
 
 
+def _polygon_rank(family: str, m: int, k: int) -> int:
+    """The rank n of the polygon model: m = n + 2k + 1 in type A (n >= 1),
+    m = n + k in type B (n >= 2)."""
+    if family == "A":
+        n, least, bound = m - 2 * k - 1, 1, "2k + 2"
+    else:
+        n, least, bound = m - k, 2, "k + 2"
+    if n < least:
+        raise CoxeterError(f"need m >= {bound}")
+    return n
+
+
 def type_a_bijection(m: int, k: int, cox: Word) -> tuple[Diagonal, ...]:
     """Positions of the type-A multi-cluster word to diagonals of the m-gon.
 
     The letter s_i seeds the diagonal [a_i, b_i]; its l-th copy is that
     diagonal rotated l-1 steps clockwise (vertex labels +1 mod m).
     """
-    n = m - 2 * k - 1
-    if n < 1:
-        raise CoxeterError("need m >= 2k + 2")
+    n = _polygon_rank("A", m, k)
     system = CoxeterSystem(f"A{n}")
     check_coxeter_word(system, cox)
     word = multi_cluster_word(system, cox, k)
@@ -323,9 +346,7 @@ def contains_pairwise_crossing(m: int, count: int, diagonals) -> bool:
 def type_b_bijection(m: int, k: int, cox: Word) -> tuple[frozenset, ...]:
     """Positions of the type-B multi-cluster word to symmetric diagonal pairs
     of the 2m-gon (a singleton frozenset for diameters)."""
-    n = m - k
-    if n < 2:
-        raise CoxeterError("need m >= k + 2")
+    n = _polygon_rank("B", m, k)
     system = CoxeterSystem(f"B{n}")
     check_coxeter_word(system, cox)
     word = multi_cluster_word(system, cox, k)
@@ -351,26 +372,19 @@ def type_b_bijection(m: int, k: int, cox: Word) -> tuple[frozenset, ...]:
 
 def gale_facets_rank2(m: int, k: int) -> tuple[Facet, ...]:
     """2k-subsets of 1..2k+m where any two outside positions are separated by
-    an even count of inside positions; these are the rank-two facets."""
-    total = 2 * k + m
+    an even count of inside positions; these are the rank-two facets.
+
+    Even counts between consecutive outside positions a < b add up to even
+    counts between any two, and only inside positions lie between a and b,
+    so each such gap b - a must be odd.  Subsets come in lexicographic order.
+    """
+    positions = range(1, 2 * k + m + 1)
     out = []
-    for subset in combinations(range(1, total + 1), 2 * k):
-        inside = set(subset)
-        outside = [p for p in range(1, total + 1) if p not in inside]
-        ok = True
-        for i in range(len(outside) - 1):
-            for j in range(i + 1, len(outside)):
-                between = sum(
-                    1 for p in range(outside[i] + 1, outside[j]) if p in inside
-                )
-                if between % 2:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+    for subset in combinations(positions, 2 * k):
+        outside = sorted(set(positions) - set(subset))
+        if all((b - a) % 2 for a, b in zip(outside, outside[1:])):
             out.append(subset)
-    return tuple(sorted(out))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -5,19 +5,21 @@ sets whose complement in Q still contains a reduced word for pi.  Positions
 are 1-based throughout, facets are sorted position tuples, and the facet
 list is sorted lexicographically so all outputs are deterministic.
 
-Facets come from one kernel, ``enumerate_facets``, under the ``MAX_FACES``
-budget: a search over increasing flips from the greedy facet, carrying each
-facet's root table as a sequence of signed-root codes and updating it by
-one root reflection per flip, so no facet is found twice and no dead end is
-explored.  ``flip`` and ``root_table`` stay the public single-facet calls;
-``enumerate_facets_bfs`` closes a seed facet under ``flip`` and serves as a
-second, independent enumerator.
+Facets come from one kernel under the ``MAX_FACES`` budget, shared by
+``enumerate_facets`` and ``subword_complex``: a search over increasing flips
+from the greedy facet, carrying each facet's root table as a sequence of
+signed-root codes and updating it by one root reflection per flip, so no
+facet is found twice and no dead end is explored.  ``flip`` and
+``root_table`` stay the public single-facet calls; ``enumerate_facets_bfs``
+closes a seed facet under ``flip`` and serves as a second, independent
+enumerator.
 
-Face counts never materialise the faces: ``f_vector`` comes from
-``h_vector``, which reads the lexicographic shelling off one root-function
-walk per facet.  ``all_faces`` builds the faces up to a size cap from one
-facet bitset per vertex, under the ``MAX_FACES`` budget, and
-``minimal_nonfaces`` extends those faces by one vertex.
+Face counts never materialise the faces: the kernel counts the h-vector of
+the lexicographic shelling while it enumerates, from the sign of the root
+at each facet position, so ``h_vector`` and ``f_vector`` walk nothing.
+``all_faces`` builds the faces up to a size cap from one facet bitset per
+vertex, under the ``MAX_FACES`` budget, and ``minimal_nonfaces`` extends
+those faces by one vertex.
 """
 
 from __future__ import annotations
@@ -79,12 +81,21 @@ def is_sphere(system: CoxeterSystem, word: Word, target: Element) -> bool:
 def enumerate_facets(
     system: CoxeterSystem, word: Word, target: Element
 ) -> tuple[Facet, ...]:
-    """All facets, sorted, by a search over increasing flips from the greedy facet.
+    """All facets, sorted, by the search of ``_facet_search``."""
+    return _facet_search(system, word, target)[0]
+
+
+def _facet_search(
+    system: CoxeterSystem, word: Word, target: Element
+) -> tuple[tuple[Facet, ...], tuple[int, ...]]:
+    """The sorted facets and the h-vector, by a search over increasing flips
+    from the greedy facet.
 
     The greedy facet (Pilaud-Pocchiola) leaves out the rightmost reduced
     word for target: scanning right to left from u = target, a position
     joins the complement when its letter is a right descent of u, and then
-    u becomes u*s.  The complex is empty when u does not end at the identity.
+    u becomes u*s.  The complex is empty when u does not end at the
+    identity; then both the facets and the h-vector are ().
 
     The search runs over ``reduce_to_w0(word, target)``, whose facets that
     avoid the appended completion are the facets of the complex.  There the
@@ -105,6 +116,14 @@ def enumerate_facets(
     ``CoxeterSystem.codes``), read as one-code slices: a partner is one
     ``find`` and a table update one ``translate``.  Raises
     ``ResourceLimitError`` once more than ``MAX_FACES`` facets are found.
+
+    The h-vector (h_0, ..., h_d), d the facet size, comes from the same
+    sign test.  Facets in lexicographic order form a shelling
+    (Knutson-Miller), and a position q of a facet I has its flip partner
+    left of q exactly when r(I, q) is negative; partners in the completion
+    lie right of every position and belong to the boundary of a ball.  So
+    h_i counts the facets with i negative roots at their own positions,
+    which the search adds up for each facet it pops.
     """
     r = len(word)
     check_word(system, word)
@@ -119,7 +138,7 @@ def enumerate_facets(
             u = right_multiply(u, s)
             outside |= 1 << p
     if u != system.identity.image:
-        return ()
+        return (), ()
     seed = tuple(p for p in range(1, r + 1) if not outside >> p & 1)
     # table[p] is the code of r(I, p); table[0] is a code no root has
     completed = reduce_to_w0(system, word, target)
@@ -128,13 +147,16 @@ def enumerate_facets(
     )
     reflections = system.reflections
     facets = [seed]
+    h = [0] * (len(seed) + 1)
     # (facet, facet bitmask, root table, last position with a negative root)
     stack = [(seed, sum(1 << p for p in seed), table, 0)]
     while stack:
         facet, mask, table, last = stack.pop()
+        descents = 0
         for i, q in enumerate(facet):
             root = table[q:q + 1]
             if root > top:
+                descents += 1
                 continue  # a decreasing flip: it leads back towards the seed
             p = table.find(root, q + 1)
             while mask >> p & 1:  # skip facet positions carrying the root
@@ -148,13 +170,14 @@ def enumerate_facets(
             child_table = table[:q + 1] + moved + table[p + 1:]
             stack.append((child, mask ^ (1 << q) ^ (1 << p), child_table, p))
             facets.append(child)
+        h[descents] += 1
         if len(facets) > MAX_FACES:
             raise ResourceLimitError(
                 f"more than {MAX_FACES} facets: the limit was passed"
                 f" on a word of {r} letters"
             )
     facets.sort()
-    return tuple(facets)
+    return tuple(facets), tuple(h)
 
 
 def _root_walk(system: CoxeterSystem, word: Word, facet, names) -> list:
@@ -259,22 +282,18 @@ def enumerate_facets_bfs(
 
 @dataclass(frozen=True)
 class SubwordComplex:
-    """A word, a target element, and the (eagerly enumerated) facet list."""
+    """A word, a target element, and the (eagerly enumerated) facet list
+    with the h-vector counted by the same search."""
 
     system: CoxeterSystem
     word: Word
     target: Element
     facets: tuple[Facet, ...]
     vertices: tuple[int, ...]
+    h: tuple[int, ...]
 
     def facet_size(self) -> int:
         return len(self.word) - self.target.length()
-
-    def is_face(self, positions) -> bool:
-        return is_face(self.system, self.word, self.target, positions)
-
-    def dimension(self) -> int:
-        return self.facet_size() - 1
 
 
 def subword_complex(
@@ -283,9 +302,9 @@ def subword_complex(
     """Build the complex; with no target, the Demazure product is used (sphere)."""
     if target is None:
         target = demazure_product(system, word)
-    facets = enumerate_facets(system, word, target)
+    facets, h = _facet_search(system, word, target)
     vertices = tuple(sorted({p for facet in facets for p in facet}))
-    return SubwordComplex(system, word, target, facets, vertices)
+    return SubwordComplex(system, word, target, facets, vertices, h)
 
 
 @dataclass(frozen=True)
@@ -358,36 +377,9 @@ def reduce_to_w0(system: CoxeterSystem, word: Word, target: Element) -> Word:
 
 
 def h_vector(complex_: SubwordComplex) -> tuple[int, ...]:
-    """(h_0, ..., h_d) from the lexicographic shelling of the facets.
-
-    Facets in lexicographic order form a shelling (Knutson-Miller).  Over
-    ``reduce_to_w0`` every position q of a facet I has a flip partner, and
-    that partner lies left of q exactly when the root r(I, q) is negative;
-    partners in the appended completion lie right of every position and
-    belong to the boundary of a ball.  So h_i counts the facets with i
-    negative roots at their own positions.  Only their signs are read, on
-    the inverse walk of ``_root_walk``: r(I, q) = w(alpha_s) is negative
-    exactly when +alpha_s is not an image of w^{-1}, so when ``find`` of
-    its code fails.  The completion never precedes a facet position, so the
-    walk stops at the end of the word.  An empty complex gives ().
-    """
-    if not complex_.facets:
-        return ()
-    system, word = complex_.system, complex_.word
-    codes, reflections = system.codes, system.reflections
-    start = system.encode_codes(range(system.number_of_positive_roots + 1))
-    h = [0] * (complex_.facet_size() + 1)
-    for facet in complex_.facets:
-        inside = set(facet)
-        inverse = start
-        descents = 0
-        for p, s in enumerate(word, start=1):
-            if p in inside:
-                descents += inverse.find(codes[s]) < 0
-            else:
-                inverse = inverse.translate(reflections[s - 1])
-        h[descents] += 1
-    return tuple(h)
+    """(h_0, ..., h_d) from the lexicographic shelling of the facets, as
+    counted by the facet search (see ``_facet_search``); () when empty."""
+    return complex_.h
 
 
 def f_vector(complex_: SubwordComplex) -> tuple[int, ...]:

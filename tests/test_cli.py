@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from subwordlab import coxeter, experiments
+from subwordlab import coxeter, experiments, subword
 from subwordlab.cli import main
 from subwordlab.experiments import (
     flip_graph_diameter,
@@ -249,6 +249,24 @@ def test_cli_bijection_typeb(capsys):
     assert third["letter"] == "s3" and third["pair"] == [[0, 7], [2, 5]]
     seventh = payload["results"][6]
     assert seventh["pair"] == [[2, 7]]
+
+
+@pytest.mark.parametrize(
+    "flavor, m, bound", [("typea", "3", "2k + 2"), ("typeb", "2", "k + 2")]
+)
+def test_cli_bijection_names_its_bound_on_m(capsys, flavor, m, bound):
+    assert main(["bijection", flavor, "--m", m, "-k", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: need m >= {bound}\n"
+
+
+def test_cli_rejects_an_over_budget_complex_before_searching(monkeypatch, capsys):
+    monkeypatch.setattr(subword, "_facet_search", lambda *args: pytest.fail("searched"))
+    assert main(["complex", "facets", "--type", "A16"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: A16 with k=1 has 129644790 facets")
 
 
 def test_cli_quiver_ar(tmp_path, capsys):

@@ -368,6 +368,13 @@ def test_enumerate_coxeter_words_counts():
     assert len(enumerate_coxeter_words(system("D4"))) == 8
 
 
+@pytest.mark.parametrize("name", ["A1", "A4", "B3", "D5", "E6", "F4", "H4", "I2(7)"])
+def test_first_coxeter_word_is_s1_to_sn(name):
+    # the CLI and the verify suite default to it without enumerating
+    s = system(name)
+    assert enumerate_coxeter_words(s)[0] == tuple(range(1, s.rank + 1))
+
+
 def test_equal_up_to_commutations_examples():
     a3, a2 = system("A3"), system("A2")
     assert equal_up_to_commutations(a3, (1, 3, 2), (3, 1, 2))

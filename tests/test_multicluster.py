@@ -6,10 +6,11 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from subwordlab import multicluster
+from subwordlab import multicluster, subword
 from subwordlab.coxeter import (
     CoxeterError,
     CoxeterSystem,
+    ResourceLimitError,
     SignedRoot,
     element_from_word,
     element_order,
@@ -579,6 +580,44 @@ def test_e7_cluster_complex_facet_count():
     complex_ = multi_cluster_complex(e7, enumerate_coxeter_words(e7)[0], 1)
     assert len(complex_.facets) == facet_count_formula(e7, 1) == 4160
     assert all(len(facet) == 7 for facet in complex_.facets)
+
+
+def _no_search(*args):
+    raise AssertionError("the facet search ran")
+
+
+@pytest.mark.parametrize("name, k, count", [("A16", 1, 129644790), ("A10", 2, 403127256)])
+def test_over_budget_multi_cluster_complex_is_rejected_up_front(monkeypatch, name, k, count):
+    monkeypatch.setattr(subword, "_facet_search", _no_search)
+    s = system(name)
+    with pytest.raises(
+        ResourceLimitError,
+        match=f"{name} with k={k} has {count} facets, more than the limit of 1000000",
+    ):
+        multi_cluster_complex(s, tuple(range(1, s.rank + 1)), k)
+
+
+def test_multi_cluster_budget_is_the_kernel_budget(monkeypatch):
+    a3 = system("A3")
+    monkeypatch.setattr(subword, "MAX_FACES", 13)
+    with pytest.raises(
+        ResourceLimitError, match="A3 with k=1 has 14 facets, more than the limit of 13"
+    ):
+        multi_cluster_complex(a3, (1, 2, 3), 1)
+    monkeypatch.setattr(subword, "MAX_FACES", 14)
+    assert len(multi_cluster_complex(a3, (1, 2, 3), 1).facets) == 14
+
+
+def test_multi_cluster_budget_trusts_only_formulas_that_are_theorems(monkeypatch):
+    # D4 k=3: the formula gives 8575 but the complex has 8578 facets, so the
+    # limit is left to the kernel, which counts the facets it finds
+    d4 = system("D4")
+    monkeypatch.setattr(subword, "MAX_FACES", 100)
+    with pytest.raises(
+        ResourceLimitError,
+        match="more than 100 facets: the limit was passed on a word of 24 letters",
+    ):
+        multi_cluster_complex(d4, (1, 2, 3, 4), 3)
 
 
 def test_csp_polynomials():

@@ -70,9 +70,10 @@ def test_pentagon_facets():
 
 def test_pentagon_faces():
     a2, complex_ = pentagon()
-    assert complex_.is_face((1, 2))
-    assert not complex_.is_face((1, 3))
-    assert complex_.is_face(())
+    w0 = longest_element(a2)
+    assert is_face(a2, PENTAGON, w0, (1, 2))
+    assert not is_face(a2, PENTAGON, w0, (1, 3))
+    assert is_face(a2, PENTAGON, w0, ())
 
 
 def test_empty_face_iff_demazure_reaches_target():
