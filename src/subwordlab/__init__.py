@@ -12,7 +12,6 @@ from .coxeter import (
     element_from_word,
     enumerate_coxeter_words,
     equal_up_to_commutations,
-    format_root,
     format_word,
     inversion_set,
     is_reduced,
@@ -68,7 +67,6 @@ from .subword import (
     flip_graph,
     h_vector,
     is_face,
-    is_sphere,
     link,
     minimal_nonfaces,
     reduce_to_w0,

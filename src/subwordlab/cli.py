@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 import time
+from typing import NamedTuple
 
 from .coxeter import (
     CoxeterError,
@@ -19,12 +20,13 @@ from .coxeter import (
     demazure_product,
     format_word,
     longest_element,
+    parse_descriptor,
     parse_word,
 )
 from .experiments import (
     EXPERIMENTS,
+    _lex_coxeter_word,
     flip_graph_diameter,
-    run_maximality_experiment,
 )
 from .multicluster import (
     _polygon_rank,
@@ -49,14 +51,15 @@ from .subword import (
 )
 
 
-def _emit_json(command: str, params: dict, results, started: float) -> None:
-    payload = {
-        "command": command,
-        "params": params,
-        "results": results,
-        "elapsed_ms": round((time.perf_counter() - started) * 1000.0, 3),
-    }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+class _Output(NamedTuple):
+    """What a text-or-JSON command prints: ``lines`` in text mode, otherwise
+    the JSON payload; ``lines`` is None for a JSON-only command."""
+
+    command: str
+    params: dict
+    results: object
+    lines: list[str] | None
+    code: int = 0
 
 
 def _system_from(args) -> CoxeterSystem:
@@ -66,9 +69,7 @@ def _system_from(args) -> CoxeterSystem:
 
 
 def _coxeter_word_from(args, system: CoxeterSystem) -> Word:
-    if args.cox:
-        return parse_word(args.cox)
-    return tuple(range(1, system.rank + 1))  # the first ``enumerate_coxeter_words``
+    return parse_word(args.cox) if args.cox else _lex_coxeter_word(system)
 
 
 def _complex_from(args, system: CoxeterSystem):
@@ -82,32 +83,32 @@ def _complex_from(args, system: CoxeterSystem):
     return multi_cluster_complex(system, _coxeter_word_from(args, system), args.k)
 
 
+def _braced(positions) -> str:
+    return "{" + ",".join(map(str, positions)) + "}"
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
-def _cmd_sort(args) -> int:
-    started = time.perf_counter()
+def _cmd_sort(args) -> _Output:
     system = _system_from(args)
     cox = _coxeter_word_from(args, system)
     report = sorting_word_w0(system, cox)
     phi = {f"s{s}": count for s, count in sorted(report.phi.items())}
     factorization = [[f"s{s}" for s in block] for block in report.factorization]
-    if args.json:
-        _emit_json(
-            "sort",
-            {"type": args.type, "cox": format_word(cox)},
-            {"word": format_word(report.word), "phi": phi, "factorization": factorization},
-            started,
-        )
-    else:
-        print(f"word: {format_word(report.word)}")
-        print(f"phi: {phi}")
-        print("factorization: " + " | ".join(",".join(block) for block in factorization))
-    return 0
+    return _Output(
+        "sort",
+        {"type": args.type, "cox": format_word(cox)},
+        {"word": format_word(report.word), "phi": phi, "factorization": factorization},
+        [
+            f"word: {format_word(report.word)}",
+            f"phi: {phi}",
+            "factorization: " + " | ".join(",".join(block) for block in factorization),
+        ],
+    )
 
 
-def _cmd_complex(args) -> int:
-    started = time.perf_counter()
+def _cmd_complex(args) -> _Output:
     if args.max_size is not None:
         if args.action != "nonfaces":
             raise CoxeterError("--max-size only applies to complex nonfaces")
@@ -115,59 +116,30 @@ def _cmd_complex(args) -> int:
             raise CoxeterError(f"--max-size must be at least 1, got {args.max_size}")
     system = _system_from(args)
     complex_ = _complex_from(args, system)
+    results = {"word": format_word(complex_.word)}
     if args.action == "facets":
-        results = {
-            "word": format_word(complex_.word),
-            "facets": [list(facet) for facet in complex_.facets],
-            "count": len(complex_.facets),
-        }
-        if args.json:
-            _emit_json("complex facets", _complex_params(args), results, started)
-        else:
-            print(f"word: {results['word']}")
-            print(f"{results['count']} facets:")
-            for facet in complex_.facets:
-                print("  {" + ",".join(map(str, facet)) + "}")
+        results["facets"] = [list(facet) for facet in complex_.facets]
+        results["count"] = len(complex_.facets)
+        lines = [f"word: {results['word']}", f"{results['count']} facets:"]
+        lines += ["  " + _braced(facet) for facet in complex_.facets]
     elif args.action == "fvector":
         fv = f_vector(complex_)
-        results = {
-            "word": format_word(complex_.word),
-            "f_vector": list(fv),
-            "reduced_euler_characteristic": reduced_euler_characteristic(complex_),
-        }
-        if args.json:
-            _emit_json("complex fvector", _complex_params(args), results, started)
-        else:
-            print(f"f-vector: {fv}")
-            print(f"reduced Euler characteristic: {results['reduced_euler_characteristic']}")
+        euler = reduced_euler_characteristic(complex_)
+        results["f_vector"] = list(fv)
+        results["reduced_euler_characteristic"] = euler
+        lines = [f"f-vector: {fv}", f"reduced Euler characteristic: {euler}"]
     else:  # nonfaces
         cap = args.max_size
         if cap is None:
             cap = complex_.facet_size() + 1
         found = minimal_nonfaces(complex_, cap)
-        results = {
-            "word": format_word(complex_.word),
-            "max_size": cap,
-            "minimal_nonfaces": [list(x) for x in found],
-            "sizes": sorted({len(x) for x in found}),
-        }
-        if args.json:
-            _emit_json("complex nonfaces", _complex_params(args), results, started)
-        else:
-            print(f"{len(found)} minimal non-faces (sizes {results['sizes']}):")
-            for group in found:
-                print("  {" + ",".join(map(str, group)) + "}")
-    return 0
-
-
-def _complex_params(args) -> dict:
-    return {
-        "type": args.type,
-        "cox": args.cox,
-        "k": args.k,
-        "word": args.word,
-        "pi": args.pi,
-    }
+        results["max_size"] = cap
+        results["minimal_nonfaces"] = [list(x) for x in found]
+        results["sizes"] = sorted({len(x) for x in found})
+        lines = [f"{len(found)} minimal non-faces (sizes {results['sizes']}):"]
+        lines += ["  " + _braced(group) for group in found]
+    params = {key: getattr(args, key) for key in ("type", "cox", "k", "word", "pi")}
+    return _Output(f"complex {args.action}", params, results, lines)
 
 
 def _write_dot(dot: str, path) -> None:
@@ -187,8 +159,7 @@ def _cmd_flipgraph(args) -> int:
     return 0
 
 
-def _cmd_theta(args) -> int:
-    started = time.perf_counter()
+def _cmd_theta(args) -> _Output:
     system = _system_from(args)
     cox = _coxeter_word_from(args, system)
     perm = theta_permutation(system, cox, args.k)
@@ -204,27 +175,18 @@ def _cmd_theta(args) -> int:
             "orbit_sizes": [len(orbit) for orbit in orbits],
             "orbits": [[list(facet) for facet in orbit] for orbit in orbits],
         }
-        lines = [
-            " -> ".join("{" + ",".join(map(str, facet)) + "}" for facet in orbit)
-            for orbit in orbits
-        ]
+        lines = [" -> ".join(_braced(facet) for facet in orbit) for orbit in orbits]
     else:
         results = {"permutation": list(perm)}
         lines = [
             f"positions: {list(range(1, len(perm) + 1))}",
             f"images:    {list(perm)}",
         ]
-    if args.json:
-        params = {"type": args.type, "cox": format_word(cox), "k": args.k}
-        _emit_json("theta", params, results, started)
-    else:
-        for line in lines:
-            print(line)
-    return 0
+    params = {"type": args.type, "cox": format_word(cox), "k": args.k}
+    return _Output("theta", params, results, lines)
 
 
-def _cmd_bijection(args) -> int:
-    started = time.perf_counter()
+def _cmd_bijection(args) -> _Output:
     family = "A" if args.flavor == "typea" else "B"
     system = CoxeterSystem(f"{family}{_polygon_rank(family, args.m, args.k)}")
     cox = _coxeter_word_from(args, system)
@@ -240,13 +202,8 @@ def _cmd_bijection(args) -> int:
         {"position": p, "letter": f"s{s}", key: image}
         for p, (s, image) in enumerate(zip(word, images), start=1)
     ]
-    _emit_json(
-        f"bijection {args.flavor}",
-        {"m": args.m, "k": args.k, "cox": format_word(cox)},
-        results,
-        started,
-    )
-    return 0
+    params = {"m": args.m, "k": args.k, "cox": format_word(cox)}
+    return _Output(f"bijection {args.flavor}", params, results, None)
 
 
 def _cmd_quiver(args) -> int:
@@ -260,42 +217,35 @@ def _cmd_quiver(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    started = time.perf_counter()
+def _cmd_verify(args) -> _Output:
+    type_ = parse_descriptor(args.type).name() if args.type else None
     names = list(EXPERIMENTS) if args.what == "all" else [args.what]
     reports = []
     for name in names:
-        if name == "maximality":
-            report = run_maximality_experiment(seed=args.seed)
-        else:
-            runner = EXPERIMENTS[name]
-            report = runner()
-        if args.type or args.k is not None:
-            report.rows = [
-                row
-                for row in report.rows
-                if (not args.type or row.get("type") == args.type)
-                and (args.k is None or row.get("k") == args.k)
-            ]
+        runner = EXPERIMENTS[name]
+        report = runner(seed=args.seed) if name == "maximality" else runner()
+        report.rows = [
+            row
+            for row in report.rows
+            if (not type_ or row.get("type") == type_)
+            and (args.k is None or row.get("k") == args.k)
+        ]
         reports.append(report)
-    if (args.type or args.k is not None) and not any(r.rows for r in reports):
+    if (type_ or args.k is not None) and not any(r.rows for r in reports):
         flags = [f"--type {args.type}"] if args.type else []
         flags += [] if args.k is None else [f"-k {args.k}"]
         raise CoxeterError(f"no verify {args.what} rows match {' '.join(flags)}")
-    failed = [r.name for r in reports if r.verdict == "fail"]
-    if args.json:
-        _emit_json(
-            f"verify {args.what}",
-            {"type": args.type, "k": args.k, "seed": args.seed},
-            [report.as_dict() for report in reports],
-            started,
-        )
-    else:
-        for report in reports:
-            print(f"[{report.verdict:11s}] {report.name} ({report.elapsed_ms:.0f} ms)")
-            for row in report.rows:
-                print(f"    {row}")
-    return 1 if failed else 0
+    lines = []
+    for report in reports:
+        lines.append(f"[{report.verdict:11s}] {report.name} ({report.elapsed_ms:.0f} ms)")
+        lines += [f"    {row}" for row in report.rows]
+    return _Output(
+        f"verify {args.what}",
+        {"type": args.type, "k": args.k, "seed": args.seed},
+        [report.as_dict() for report in reports],
+        lines,
+        1 if any(r.verdict == "fail" for r in reports) else 0,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +321,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _emit(output, args, started: float) -> int:
+    """The one emitter: print a command's text lines, or its JSON payload under
+    ``--json`` or when it has no text form, and return its exit code."""
+    if isinstance(output, int):  # the DOT commands print their own output
+        return output
+    if output.lines is None or args.json:
+        payload = {
+            "command": output.command,
+            "params": output.params,
+            "results": output.results,
+            "elapsed_ms": round((time.perf_counter() - started) * 1000.0, 3),
+        }
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        for line in output.lines:
+            print(line)
+    return output.code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        return _emit(args.func(args), args, started)
     except (CoxeterError, ResourceLimitError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -684,22 +684,6 @@ def commutation_position_map(
     return tuple(target[key] for key in _layer_keys(system, word))
 
 
-def format_root(system: CoxeterSystem, signed: SignedRoot) -> str:
-    """Human-readable form of a signed root, e.g. ``a1+2*a2`` or ``-a1``."""
-    vec = system.positive_roots[signed.root]
-    parts = []
-    for i, c in enumerate(vec):
-        if c == 0:
-            continue
-        name = f"a{i + 1}"
-        if c == 1:
-            parts.append(name)
-        else:
-            parts.append(f"{c}*{name}")
-    body = "+".join(parts)
-    return body if signed.sign > 0 else f"-({body})" if len(parts) > 1 else f"-{body}"
-
-
 def iter_all_words(system: CoxeterSystem, length_: int) -> Iterator[Word]:
     """All n^length words of a fixed length, lexicographic order; raises
     ``ResourceLimitError`` up front when there are more than ``MAX_WORDS``."""

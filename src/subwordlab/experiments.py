@@ -3,8 +3,11 @@
 Experiments that check proved statements carry a pass/fail verdict and the
 whole run is expected to exit nonzero on any failure; experiments probing
 conjectures are "report-only" and never assert, they just emit the observed
-data.  All instance lists are fixed tuples so reports are deterministic
-(apart from the elapsed-time field) for a given seed.
+data.  Every experiment goes through one runner, ``_run``: it times the
+report, builds one ``CoxeterSystem`` per instance and folds the verdict, so
+each ``run_*_experiment`` only says how an instance becomes rows.  All
+instance lists are fixed tuples so reports are deterministic (apart from the
+elapsed-time field) for a given seed.
 """
 
 from __future__ import annotations
@@ -58,18 +61,7 @@ class ExperimentReport:
     elapsed_ms: float = 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "parameters": self.parameters,
-            "verdict": self.verdict,
-            "rows": self.rows,
-            "elapsed_ms": round(self.elapsed_ms, 3),
-        }
-
-
-def _timed(report: ExperimentReport, start: float) -> ExperimentReport:
-    report.elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return report
+        return {**vars(self), "elapsed_ms": round(self.elapsed_ms, 3)}
 
 
 def _lex_coxeter_word(system: CoxeterSystem) -> Word:
@@ -136,9 +128,34 @@ INDEPENDENCE_INSTANCES: tuple[tuple[str, int], ...] = (
     ("A3", 1), ("A3", 2), ("B3", 1), ("B3", 2), ("D4", 1),
 )
 
+# ``scripts/conjecture_sweep.py --wide``: a few slower instances on top
+WIDE_COUNTS = COUNT_INSTANCES + (("D4", 2), ("B4", 1), ("I2(9)", 2), ("I2(10)", 1))
+WIDE_NONFACES = NONFACE_INSTANCES + (("A4", 1), ("B4", 1), ("D4", 1))
+
 
 # ---------------------------------------------------------------------------
 # Experiments
+
+def _run(name, instances, rows_of, *, verdict=PASS, parameters=None, key="k"):
+    """The one runner: a timed report over ``instances`` of (type, value, ...).
+
+    Each instance gets one fresh ``CoxeterSystem``; ``rows_of(system, value,
+    ...)`` yields (row, ok) pairs, and each row is stored after the instance's
+    type and ``key``.  A row with ok false fails an assertion-backed report
+    (verdict PASS); a report-only verdict never changes.
+    """
+    start = time.perf_counter()
+    rows = []
+    for type_, value, *rest in instances:
+        for row, ok in rows_of(CoxeterSystem(type_), value, *rest):
+            rows.append({"type": type_, key: value, **row})
+            if not ok and verdict == PASS:
+                verdict = FAIL
+    if parameters is None:
+        parameters = {"instances": len(rows)}
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    return ExperimentReport(name, parameters, verdict, rows, elapsed_ms)
+
 
 def run_count_experiment(instances=COUNT_INSTANCES) -> ExperimentReport:
     """Enumerated facet counts against the degree-product formula.
@@ -147,13 +164,9 @@ def run_count_experiment(instances=COUNT_INSTANCES) -> ExperimentReport:
     k = 1 in all types; other instances are reported without asserting,
     since the product formula is not a count in general.
     """
-    start = time.perf_counter()
-    rows = []
-    verdict = PASS
-    for name, k in instances:
-        system = CoxeterSystem(name)
-        cox = _lex_coxeter_word(system)
-        complex_ = multi_cluster_complex(system, cox, k)
+
+    def rows_of(system, k):
+        complex_ = multi_cluster_complex(system, _lex_coxeter_word(system), k)
         enumerated = len(complex_.facets)
         bfs = enumerate_facets_bfs(
             system, complex_.word, complex_.target, complex_.facets[0]
@@ -161,68 +174,45 @@ def run_count_experiment(instances=COUNT_INSTANCES) -> ExperimentReport:
         formula = facet_count_formula(system, k)
         asserted = system.descriptor.family in ("A", "B", "I") or k == 1
         agrees = formula == enumerated and len(bfs) == enumerated
-        if asserted and not agrees:
-            verdict = FAIL
-        rows.append(
-            {
-                "type": name,
-                "k": k,
-                "facets": enumerated,
-                "formula": str(formula),
-                "enumerators_agree": len(bfs) == enumerated,
-                "asserted": asserted,
-                "agrees": agrees,
-            }
-        )
-    return _timed(ExperimentReport("counts", {"instances": len(rows)}, verdict, rows), start)
+        row = {
+            "facets": enumerated,
+            "formula": str(formula),
+            "enumerators_agree": len(bfs) == enumerated,
+            "asserted": asserted,
+            "agrees": agrees,
+        }
+        yield row, agrees or not asserted
+
+    return _run("counts", instances, rows_of)
 
 
 def run_nonface_experiment(instances=NONFACE_INSTANCES) -> ExperimentReport:
     """Sizes of all inclusion-minimal non-faces (conjectured to be k + 1)."""
-    start = time.perf_counter()
-    rows = []
-    for name, k in instances:
-        system = CoxeterSystem(name)
-        cox = _lex_coxeter_word(system)
-        complex_ = multi_cluster_complex(system, cox, k)
+
+    def rows_of(system, k):
+        complex_ = multi_cluster_complex(system, _lex_coxeter_word(system), k)
         found = minimal_nonfaces(complex_, complex_.facet_size() + 1)
         sizes = sorted({len(x) for x in found})
-        rows.append(
-            {
-                "type": name,
-                "k": k,
-                "count": len(found),
-                "sizes": sizes,
-                "all_k_plus_1": sizes == [k + 1],
-            }
-        )
-    return _timed(
-        ExperimentReport("nonfaces", {"instances": len(rows)}, REPORT_ONLY, rows), start
-    )
+        yield {"count": len(found), "sizes": sizes, "all_k_plus_1": sizes == [k + 1]}, True
+
+    return _run("nonfaces", instances, rows_of, verdict=REPORT_ONLY)
 
 
 def run_csp_experiment(instances=CSP_INSTANCES) -> ExperimentReport:
     """Fixed facets of each power of the cyclic action against the
     polynomial evaluated at the matching root of unity (order 2k + h)."""
-    start = time.perf_counter()
-    rows = []
-    for name, k in instances:
-        system = CoxeterSystem(name)
-        cox = _lex_coxeter_word(system)
-        table = csp_fixed_point_table(system, cox, k)
-        rows.append(
-            {
-                "type": name,
-                "k": k,
-                "group_order": 2 * k + system.coxeter_number,
-                "fixed": [fixed for fixed, _ in table],
-                "evaluations": [value for _, value in table],
-                "matches": all(fixed == value for fixed, value in table),
-            }
-        )
-    return _timed(
-        ExperimentReport("csp", {"instances": len(rows)}, REPORT_ONLY, rows), start
-    )
+
+    def rows_of(system, k):
+        table = csp_fixed_point_table(system, _lex_coxeter_word(system), k)
+        row = {
+            "group_order": 2 * k + system.coxeter_number,
+            "fixed": [fixed for fixed, _ in table],
+            "evaluations": [value for _, value in table],
+            "matches": all(fixed == value for fixed, value in table),
+        }
+        yield row, True
+
+    return _run("csp", instances, rows_of, verdict=REPORT_ONLY)
 
 
 def run_maximality_experiment(
@@ -233,83 +223,62 @@ def run_maximality_experiment(
 ) -> ExperimentReport:
     """Hunt for same-length words beating the multi-cluster facet count.
 
-    Exhaustive instances also record whether every word attaining the
-    maximum has the strong intervening-neighbors property.
+    Exhaustive instances search every word of that length and also record
+    whether every word attaining the maximum has the strong
+    intervening-neighbors property; sampled ones draw ``samples`` words from
+    one ``Random(seed)``.
     """
-    start = time.perf_counter()
     rng = random.Random(seed)
-    rows = []
-    for name, k in exhaustive:
-        system = CoxeterSystem(name)
+    sample_mode = f"sample[{samples}]"
+
+    def rows_of(system, k, mode):
         complex_ = multi_cluster_complex(system, _lex_coxeter_word(system), k)
         reference, size, target = len(complex_.facets), len(complex_.word), complex_.target
+        every_word = mode == "exhaustive"
+        if every_word:
+            words = iter_all_words(system, size)
+        else:
+            words = (
+                tuple(rng.randint(1, system.rank) for _ in range(size))
+                for _ in range(samples)
+            )
         best = 0
         winners_all_sin = True
         counterexample = None
-        for word in iter_all_words(system, size):
+        for word in words:
             count = len(enumerate_facets(system, word, target))
             if count > best:
                 best = count
                 winners_all_sin = True
-            if count == best and best > 0:
-                if not has_sin_property(system, word):
-                    winners_all_sin = False
+            if every_word and count == best > 0 and not has_sin_property(system, word):
+                winners_all_sin = False
             if count > reference and counterexample is None:
                 counterexample = list(word)
-        rows.append(
-            {
-                "type": name,
-                "k": k,
-                "mode": "exhaustive",
-                "reference": reference,
-                "max_found": best,
-                "counterexample": counterexample,
-                "max_only_at_sin_words": winners_all_sin and best == reference,
-            }
-        )
-    for name, k in sampled:
-        system = CoxeterSystem(name)
-        complex_ = multi_cluster_complex(system, _lex_coxeter_word(system), k)
-        reference, size, target = len(complex_.facets), len(complex_.word), complex_.target
-        best = 0
-        counterexample = None
-        for _ in range(samples):
-            word = tuple(rng.randint(1, system.rank) for _ in range(size))
-            count = len(enumerate_facets(system, word, target))
-            best = max(best, count)
-            if count > reference and counterexample is None:
-                counterexample = list(word)
-        rows.append(
-            {
-                "type": name,
-                "k": k,
-                "mode": f"sample[{samples}]",
-                "reference": reference,
-                "max_found": best,
-                "counterexample": counterexample,
-            }
-        )
-    return _timed(
-        ExperimentReport(
-            "maximality", {"seed": seed, "samples": samples}, REPORT_ONLY, rows
-        ),
-        start,
-    )
+        row = {
+            "mode": mode,
+            "reference": reference,
+            "max_found": best,
+            "counterexample": counterexample,
+        }
+        if every_word:
+            row["max_only_at_sin_words"] = winners_all_sin and best == reference
+        yield row, True
+
+    instances = [(name, k, "exhaustive") for name, k in exhaustive]
+    instances += [(name, k, sample_mode) for name, k in sampled]
+    parameters = {"seed": seed, "samples": samples}
+    return _run("maximality", instances, rows_of, verdict=REPORT_ONLY, parameters=parameters)
 
 
 def run_sin_experiment(instances=SIN_INSTANCES) -> ExperimentReport:
     """Exhaustive equivalence: a word has the strong intervening-neighbors
     property iff it equals some c^k * sorting word up to commutations."""
-    start = time.perf_counter()
-    rows = []
-    verdict = PASS
-    for name, size in instances:
-        system = CoxeterSystem(name)
-        n = system.rank
+
+    def rows_of(system, size):
         big_n = system.number_of_positive_roots
         references = []
-        if size >= big_n and (size - big_n) % n == 0:
-            k = (size - big_n) // n
+        if size >= big_n and (size - big_n) % system.rank == 0:
+            k = (size - big_n) // system.rank
             references = [
                 cox * k + sorting_word_w0(system, cox).word
                 for cox in enumerate_coxeter_words(system)
@@ -325,51 +294,32 @@ def run_sin_experiment(instances=SIN_INSTANCES) -> ExperimentReport:
                 sin_count += 1
             if sin != canonical:
                 mismatches += 1
-        if mismatches:
-            verdict = FAIL
-        rows.append(
-            {
-                "type": name,
-                "length": size,
-                "words": system.rank ** size,
-                "sin_words": sin_count,
-                "mismatches": mismatches,
-            }
-        )
-    return _timed(ExperimentReport("sin", {"instances": len(rows)}, verdict, rows), start)
+        row = {
+            "words": system.rank ** size,
+            "sin_words": sin_count,
+            "mismatches": mismatches,
+        }
+        yield row, mismatches == 0
+
+    return _run("sin", instances, rows_of, key="length")
 
 
 def run_mesh_experiment(instances=MESH_INSTANCES) -> ExperimentReport:
     """Mesh relation at every consecutive-occurrence site of multi-cluster words."""
-    start = time.perf_counter()
-    rows = []
-    verdict = PASS
-    for name, k in instances:
-        system = CoxeterSystem(name)
+
+    def rows_of(system, k):
         for cox in enumerate_coxeter_words(system):
             ok = check_mesh_relation(system, multi_cluster_word(system, cox, k))
-            if not ok:
-                verdict = FAIL
-            rows.append(
-                {
-                    "type": name,
-                    "k": k,
-                    "cox": list(cox),
-                    "holds": ok,
-                    "exact": system.exact,
-                }
-            )
-    return _timed(ExperimentReport("mesh", {"instances": len(rows)}, verdict, rows), start)
+            yield {"cox": list(cox), "holds": ok, "exact": system.exact}, ok
+
+    return _run("mesh", instances, rows_of)
 
 
 def run_independence_experiment(instances=INDEPENDENCE_INSTANCES) -> ExperimentReport:
     """Facet counts and f-vectors across all Coxeter words, plus the explicit
     rotation bijection from each word to its initial-letter conjugate."""
-    start = time.perf_counter()
-    rows = []
-    verdict = PASS
-    for name, k in instances:
-        system = CoxeterSystem(name)
+
+    def rows_of(system, k):
         words = enumerate_coxeter_words(system)
         data = [(cox, multi_cluster_complex(system, cox, k)) for cox in words]
         counts = {len(c.facets) for _, c in data}
@@ -377,22 +327,15 @@ def run_independence_experiment(instances=INDEPENDENCE_INSTANCES) -> ExperimentR
         rotation_ok = all(
             _rotation_step_bijection(system, cox, k, complex_) for cox, complex_ in data
         )
-        ok = len(counts) == 1 and len(fvecs) == 1 and rotation_ok
-        if not ok:
-            verdict = FAIL
-        rows.append(
-            {
-                "type": name,
-                "k": k,
-                "words": len(words),
-                "facets": sorted(counts),
-                "distinct_f_vectors": len(fvecs),
-                "rotation_bijection": rotation_ok,
-            }
-        )
-    return _timed(
-        ExperimentReport("independence", {"instances": len(rows)}, verdict, rows), start
-    )
+        row = {
+            "words": len(words),
+            "facets": sorted(counts),
+            "distinct_f_vectors": len(fvecs),
+            "rotation_bijection": rotation_ok,
+        }
+        yield row, len(counts) == 1 and len(fvecs) == 1 and rotation_ok
+
+    return _run("independence", instances, rows_of)
 
 
 def _rotation_step_bijection(

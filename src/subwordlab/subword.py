@@ -74,10 +74,6 @@ def is_face(system: CoxeterSystem, word: Word, target: Element, positions) -> bo
     return demazure_product(system, completed) == longest_element(system)
 
 
-def is_sphere(system: CoxeterSystem, word: Word, target: Element) -> bool:
-    return demazure_product(system, word) == target
-
-
 def enumerate_facets(
     system: CoxeterSystem, word: Word, target: Element
 ) -> tuple[Facet, ...]:

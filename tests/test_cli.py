@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -128,6 +129,84 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+# Text mode, line for line; only the "(N ms)" of a verify report varies.
+NONFACES_A2 = [
+    "5 minimal non-faces (sizes [2]):", "  {1,3}", "  {1,4}", "  {2,4}", "  {2,5}", "  {3,5}",
+]
+TEXT_OUTPUT = [
+    (
+        ("sort", "--type", "A3"),
+        [
+            "word: s1,s2,s3,s1,s2,s1",
+            "phi: {'s1': 3, 's2': 2, 's3': 1}",
+            "factorization: s1,s2,s3 | s1,s2 | s1",
+        ],
+    ),
+    (
+        ("sort", "--type", "B2", "--cox", "s2,s1"),
+        ["word: s2,s1,s2,s1", "phi: {'s1': 2, 's2': 2}", "factorization: s2,s1 | s2,s1"],
+    ),
+    (
+        ("complex", "facets", "--type", "A2"),
+        [
+            "word: s1,s2,s1,s2,s1", "5 facets:",
+            "  {1,2}", "  {1,5}", "  {2,3}", "  {3,4}", "  {4,5}",
+        ],
+    ),
+    (
+        ("complex", "facets", "--type", "B2", "--word", "s1,s2,s1"),
+        ["word: s1,s2,s1", "1 facets:", "  {}"],
+    ),
+    (
+        ("complex", "fvector", "--type", "B2"),
+        ["f-vector: (1, 6, 6)", "reduced Euler characteristic: -1"],
+    ),
+    (
+        ("complex", "fvector", "--type", "A3", "--cox", "s2,s1,s3"),
+        ["f-vector: (1, 9, 21, 14)", "reduced Euler characteristic: 1"],
+    ),
+    (
+        ("complex", "nonfaces", "--type", "A2"),
+        NONFACES_A2,
+    ),
+    (
+        ("complex", "nonfaces", "--type", "A2", "--word", "s1,s2,s1,s2,s1", "--pi", "w0",
+         "--max-size", "2"),
+        NONFACES_A2,
+    ),
+    (
+        ("theta", "--type", "A2"),
+        ["positions: [1, 2, 3, 4, 5]", "images:    [3, 4, 5, 1, 2]"],
+    ),
+    (
+        ("theta", "--type", "A2", "--orbits"),
+        ["{1,2} -> {3,4} -> {1,5} -> {2,3} -> {4,5}"],
+    ),
+    (
+        ("theta", "--type", "B2", "--orbits"),
+        ["{1,2} -> {3,4} -> {5,6}", "{1,6} -> {2,3} -> {4,5}"],
+    ),
+    (("theta", "--type", "B2", "-k", "2", "--order"), ["order: 4 (formula: 4)"]),
+    (
+        ("verify", "sin"),
+        [
+            "[pass       ] sin (N ms)",
+            "    {'type': 'A2', 'length': 5, 'words': 32, 'sin_words': 2, 'mismatches': 0}",
+            "    {'type': 'B2', 'length': 6, 'words': 64, 'sin_words': 2, 'mismatches': 0}",
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, lines", TEXT_OUTPUT, ids=[" ".join(argv) for argv, _ in TEXT_OUTPUT]
+)
+def test_cli_text_output(capsys, argv, lines):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert re.sub(r"\(\d+ ms\)", "(N ms)", out) == "".join(line + "\n" for line in lines)
 
 
 def test_cli_sort_json(capsys):
@@ -316,6 +395,31 @@ def test_cli_verify_filters(capsys):
     payload = json.loads(out)
     rows = payload["results"][0]["rows"]
     assert len(rows) == 1 and rows[0]["type"] == "A3"
+
+
+@pytest.mark.parametrize(
+    "what, spelling, rows",
+    [
+        ("counts", "B3", [("B3", 1)]),
+        ("counts", "b3", [("B3", 1)]),
+        ("counts", "C3", [("B3", 1)]),
+        ("counts", " b3 ", [("B3", 1)]),
+        ("mesh", "i2(7)", [("I2(7)", 1)] * 2 + [("I2(7)", 2)] * 2),  # two Coxeter words
+        ("sin", "c2", [("B2", None)]),
+    ],
+)
+def test_cli_verify_type_filter_reads_the_type_like_every_command(capsys, what, spelling, rows):
+    code, out = run_cli(capsys, "verify", what, "--type", spelling, "--json")
+    assert code == 0
+    found = json.loads(out)["results"][0]["rows"]
+    assert [(row["type"], row.get("k")) for row in found] == rows
+
+
+def test_cli_verify_type_filter_rejects_an_unknown_type(capsys):
+    assert main(["verify", "counts", "--type", "Q9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no finite irreducible type Q9\n"
 
 
 @pytest.mark.parametrize(

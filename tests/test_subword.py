@@ -25,7 +25,6 @@ from subwordlab.subword import (
     flip_graph_dot,
     h_vector,
     is_face,
-    is_sphere,
     link,
     minimal_nonfaces,
     reduce_to_w0,
@@ -84,10 +83,9 @@ def test_empty_face_iff_demazure_reaches_target():
 
 def test_is_sphere():
     a2, b2 = system("A2"), system("B2")
-    assert is_sphere(a2, PENTAGON, longest_element(a2))
-    assert not is_sphere(b2, (1, 2), longest_element(b2))
-    word = (1, 2, 1)
-    assert is_sphere(a2, word, demazure_product(a2, word))
+    # a subword complex is a sphere when its word's Demazure product is the target
+    assert demazure_product(a2, PENTAGON) == longest_element(a2)
+    assert demazure_product(b2, (1, 2)) != longest_element(b2)
 
 
 def test_hexagon_facets_are_cyclically_consecutive():
@@ -193,7 +191,7 @@ def test_enumerate_facets_matches_the_oracle(data):
     facets = enumerate_facets(s, word, target)
     assert facets == brute_facets(s, word, target)
     assert bool(facets) == (kind != "empty")
-    assert is_sphere(s, word, target) == (kind == "sphere")
+    assert (demazure_product(s, word) == target) == (kind == "sphere")
 
 
 @settings(max_examples=60, deadline=None)
