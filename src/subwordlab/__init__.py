@@ -61,8 +61,8 @@ from .sorting import (
 from .subword import (
     SubwordComplex,
     enumerate_facets,
-    enumerate_facets_bfs,
     f_vector,
+    facet_count,
     flip,
     flip_graph,
     h_vector,

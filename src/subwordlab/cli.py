@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import NamedTuple
@@ -345,7 +346,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        return _emit(args.func(args), args, started)
+        code = _emit(args.func(args), args, started)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: flush the rest into devnull, exit as if killed by SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (CoxeterError, ResourceLimitError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

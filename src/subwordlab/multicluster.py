@@ -129,14 +129,12 @@ def sigma_involution(
 # Reflection criterion for facets
 
 def reflection_sequence(system: CoxeterSystem, word: Word) -> tuple[Element, ...]:
-    """Reflections t_i = q_1...q_{i-1} q_i q_{i-1}...q_1 along a word."""
-    out = []
-    prefix = system.identity
-    for s in word:
-        generator = system.generators[s - 1]
-        out.append(prefix * generator * prefix.inverse())
-        prefix = prefix * generator
-    return tuple(out)
+    """Reflections t_i = q_1...q_{i-1} q_i q_{i-1}...q_1 along a word: t_i is
+    the reflection in r(empty facet, i), so one root walk gives them all."""
+    reflections = system.reflections
+    return tuple(
+        Element(system, reflections[r.root]) for r in root_table(system, word, ())
+    )
 
 
 def is_facet_by_reflections(
@@ -156,11 +154,7 @@ def is_facet_by_reflections(
     product = system.identity
     for p in reversed(chosen):
         product = product * reflections[p - 1]
-    coxeter_element = element_from_word(system, cox)
-    power = system.identity
-    for _ in range(k):
-        power = power * coxeter_element
-    return product == power
+    return product == element_from_word(system, tuple(cox) * k)  # c^k
 
 
 # ---------------------------------------------------------------------------

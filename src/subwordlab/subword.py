@@ -10,9 +10,9 @@ Facets come from one kernel under the ``MAX_FACES`` budget, shared by
 from the greedy facet, carrying each facet's root table as a sequence of
 signed-root codes and updating it by one root reflection per flip, so no
 facet is found twice and no dead end is explored.  ``flip`` and
-``root_table`` stay the public single-facet calls; ``enumerate_facets_bfs``
-closes a seed facet under ``flip`` and serves as a second, independent
-enumerator.
+``root_table`` stay the public single-facet calls; ``facet_count`` counts
+the facets independently, by a sweep over group elements with no root table
+or flip, under a budget of |W| <= ``MAX_FACES`` states.
 
 Face counts never materialise the faces: the kernel counts the h-vector of
 the lexicographic shelling while it enumerates, from the sign of the root
@@ -25,9 +25,8 @@ those faces by one vertex.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
 from .coxeter import (
     CoxeterError,
@@ -248,32 +247,31 @@ def flip(
     return new_facet, q_new
 
 
-def enumerate_facets_bfs(
-    system: CoxeterSystem, word: Word, target: Element, seed
-) -> tuple[Facet, ...]:
-    """Flip closure of a seed facet by the public ``flip``; agrees with
-    ``enumerate_facets``, which it checks through a separate code path.
+def facet_count(system: CoxeterSystem, word: Word, target: Element) -> int:
+    """The number of facets, by a sweep over group elements.
 
-    The flips run over ``reduce_to_w0(word, target)``, so they exist for
-    balls too; a flip that lands in the appended completion is a boundary
-    wall and is skipped.
+    Facets are the complements of the reduced subwords for target
+    (Knutson-Miller).  Keyed by the image of u, the sweep counts the ways
+    the complement letters so far spell a reduced word for u: at a letter s
+    each count stays (s joins the facet), and the count of a u with ascent s
+    also moves on to u*s (s joins the complement).  Its at most |W| =
+    prod(degrees) states are checked against ``MAX_FACES`` before it starts.
     """
-    seed = _check_positions(word, seed)
-    if len(seed) != len(word) - target.length() or not is_face(
-        system, word, target, seed
-    ):
-        raise CoxeterError("seed is not a facet")
-    completed = reduce_to_w0(system, word, target)
-    seen = {seed}
-    queue = deque([seed])
-    while queue:
-        facet = queue.popleft()
-        for q in facet:
-            neighbor, landing = flip(system, completed, facet, q)
-            if landing <= len(word) and neighbor not in seen:
-                seen.add(neighbor)
-                queue.append(neighbor)
-    return tuple(sorted(seen))
+    check_word(system, word)
+    order = prod(system.degrees)
+    if order > MAX_FACES:
+        raise ResourceLimitError(
+            f"{system.descriptor.name()} has {order} elements, more than the limit"
+            f" of {MAX_FACES} states for counting facets"
+        )
+    top = system.codes[system.number_of_positive_roots]  # codes above it are negative
+    counts = {system.identity.image: 1}
+    for s in word:
+        for u, count in list(counts.items()):  # u*s has descent s: it moves no further
+            if u[s:s + 1] <= top:
+                v = system.right_multiply(u, s)
+                counts[v] = counts.get(v, 0) + count
+    return counts.get(target.image, 0)
 
 
 @dataclass(frozen=True)
@@ -320,9 +318,9 @@ class FlipGraph:
 
 
 def flip_graph(complex_: SubwordComplex) -> FlipGraph:
-    """Flip every position of every facet, over ``reduce_to_w0`` as in
-    ``enumerate_facets_bfs``, so balls work too: a flip that lands in the
-    appended completion is a boundary wall and gives no edge."""
+    """Flip every position of every facet, over ``reduce_to_w0`` so that
+    balls work too: a flip that lands in the appended completion is a
+    boundary wall and gives no edge."""
     system, word = complex_.system, complex_.word
     completed = reduce_to_w0(system, word, complex_.target)
     index = {facet: i for i, facet in enumerate(complex_.facets)}

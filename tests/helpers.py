@@ -4,7 +4,8 @@ The oracles deliberately avoid the code paths they check: word-length by
 breadth-first search over the group, face tests by brute-force subword
 search, commutation classes by breadth-first search over adjacent swaps,
 facets and root tables by ``Element`` products instead of the code
-sequences of the kernel, f-vectors and minimal non-faces by materialising
+sequences of the kernel, facets also as the closure of a seed facet under
+the public ``flip``, f-vectors and minimal non-faces by materialising
 every subset of every facet instead of the h-vector and the facet-bitset
 growth, diagonal crossings by cyclic interleaving, cyclic-sieving values by
 complex floating-point evaluation instead of cyclotomic remainders, counts
@@ -24,6 +25,7 @@ from subwordlab.coxeter import (
     Element,
     enumerate_coxeter_words,
 )
+from subwordlab.subword import flip, is_face, reduce_to_w0
 
 
 @lru_cache(maxsize=None)
@@ -105,6 +107,29 @@ def brute_facets(sys: CoxeterSystem, word, target: Element) -> tuple:
     return tuple(sorted(facets))
 
 
+def flip_closure(sys: CoxeterSystem, word, target: Element, seed) -> tuple:
+    """Every facet reached from a seed facet by the public ``flip``, sorted.
+
+    The flips run over ``reduce_to_w0(word, target)``, so they exist for
+    balls too; a flip that lands in the appended completion is a boundary
+    wall and is skipped.
+    """
+    seed = tuple(sorted(seed))
+    if len(seed) != len(word) - target.length() or not is_face(sys, word, target, seed):
+        raise ValueError("seed is not a facet")
+    completed = reduce_to_w0(sys, word, target)
+    seen = {seed}
+    queue = deque([seed])
+    while queue:
+        facet = queue.popleft()
+        for q in facet:
+            neighbor, landing = flip(sys, completed, facet, q)
+            if landing <= len(word) and neighbor not in seen:
+                seen.add(neighbor)
+                queue.append(neighbor)
+    return tuple(sorted(seen))
+
+
 def brute_root_table(sys: CoxeterSystem, word, facet) -> tuple:
     """Root function values w(alpha_s) by ``Element`` products and ``apply``."""
     out = []
@@ -115,6 +140,10 @@ def brute_root_table(sys: CoxeterSystem, word, facet) -> tuple:
             prefix = prefix * sys.generators[s - 1]
     return tuple(out)
 
+
+# Small groups of most families, for draws that run an exponential oracle
+# on every example.
+SMALL_TYPES = ["A1", "A2", "A3", "B2", "B3", "G2", "H3", "D4"]
 
 # Types on both sides of the byte/str boundary of code sequences: I2(127) is
 # the last byte-coded type, I2(128) and A16 are str-coded.

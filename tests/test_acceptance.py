@@ -38,7 +38,6 @@ from subwordlab.quivers import check_mesh_relation
 from subwordlab.sorting import phi_counts, sorting_word, sorting_word_w0
 from subwordlab.subword import (
     enumerate_facets,
-    enumerate_facets_bfs,
     f_vector,
     flip,
     flip_graph,
@@ -48,7 +47,7 @@ from subwordlab.subword import (
     root_table,
     subword_complex,
 )
-from helpers import system
+from helpers import flip_closure, system
 
 PENTAGON_WORD = (2, 1, 2, 1, 2)
 HEXAGON_WORD = (1, 2, 1, 2, 1, 2)
@@ -149,7 +148,7 @@ def test_criterion_05_facet_counts():
         s = system(name)
         word = multi_cluster_word(s, cox, k)
         facets = enumerate_facets(s, word, longest_element(s))
-        bfs = enumerate_facets_bfs(s, word, longest_element(s), facets[0])
+        bfs = flip_closure(s, word, longest_element(s), facets[0])
         assert len(facets) == expected, (name, k)
         assert bfs == facets
         assert facet_count_formula(s, k) == expected

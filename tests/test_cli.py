@@ -1,8 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import subwordlab
 from subwordlab import coxeter, experiments, subword
 from subwordlab.cli import main
 from subwordlab.experiments import (
@@ -34,6 +39,18 @@ def test_count_experiment_passes():
     assert by_key[("H3", 1)]["facets"] == 32
     assert by_key[("A1", 3)]["facets"] == 4
     assert all(row["enumerators_agree"] for row in report.rows)
+
+
+def test_count_experiment_fails_when_the_counters_disagree(monkeypatch):
+    # H3 k=2 is report-only against the formula, but both counts are exact
+    h3 = (("H3", 2),)
+    assert run_count_experiment(h3).verdict == "pass"
+    counter = experiments.facet_count
+    monkeypatch.setattr(experiments, "facet_count", lambda *args: counter(*args) + 1)
+    report = run_count_experiment(h3)
+    assert report.verdict == "fail"
+    assert report.rows[0]["asserted"] is False
+    assert report.rows[0]["enumerators_agree"] is False
 
 
 def test_nonface_experiment_reports_k_plus_one():
@@ -447,6 +464,37 @@ def test_cli_rejects_reducible_dihedral_type(capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize(
+    "argv", [("sort", "--type", "A3"), ("flipgraph", "--type", "A2", "--dot", "-")]
+)
+def test_cli_closed_pipe_is_not_an_error(argv, unbuffered):
+    # a reader that has gone, as in `subwordlab sort | head -0`; buffered
+    # stdout would otherwise only fail in the interpreter's final flush
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    env["PYTHONPATH"] = str(Path(subwordlab.__file__).parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "subwordlab.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env,
+        )
+    finally:
+        os.close(write_end)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert err == b""
+
+
+def test_cli_unwritable_dot_path_is_an_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "flips.dot"
+    assert main(["flipgraph", "--type", "A2", "--dot", str(target)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_verify_failure_exits_nonzero(monkeypatch, capsys):

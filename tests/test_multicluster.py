@@ -48,6 +48,7 @@ from subwordlab.sorting import sorting_word_w0
 from subwordlab.subword import enumerate_facets, subword_complex
 from helpers import (
     CODE_EDGE_TYPES,
+    SMALL_TYPES,
     brute_diagonals_cross,
     brute_root_table,
     catalan,
@@ -250,6 +251,18 @@ def test_b2_reflection_sequence():
         for w in [(1,), (1, 2, 1), (2, 1, 2), (2,), (1,), (1, 2, 1)]
     ]
     assert list(sequence) == words
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(SMALL_TYPES + ["I2(128)"]), st.data())
+def test_reflection_sequence_matches_the_conjugation_definition(name, data):
+    # I2(128) keeps its codes in str
+    s = system(name)
+    word = tuple(data.draw(st.lists(st.integers(1, s.rank), max_size=12)))
+    conjugates = tuple(  # q_1...q_{i-1} q_i q_{i-1}...q_1
+        element_from_word(s, word[:i] + word[i::-1]) for i in range(len(word))
+    )
+    assert reflection_sequence(s, word) == conjugates
 
 
 def test_reflection_sequence_basics():

@@ -18,8 +18,8 @@ from subwordlab.multicluster import multi_cluster_word
 from subwordlab.subword import (
     all_faces,
     enumerate_facets,
-    enumerate_facets_bfs,
     f_vector,
+    facet_count,
     flip,
     flip_graph,
     flip_graph_dot,
@@ -33,6 +33,7 @@ from subwordlab.subword import (
     subword_complex,
 )
 from helpers import (
+    SMALL_TYPES,
     brute_all_faces,
     brute_contains_reduced_word,
     brute_f_vector,
@@ -40,6 +41,7 @@ from helpers import (
     brute_minimal_nonfaces,
     brute_root_table,
     catalan,
+    flip_closure,
     group_by_bfs,
     system,
 )
@@ -126,7 +128,7 @@ def test_enumerators_agree_on_random_spherical_words(name, data):
     target = demazure_product(s, word)
     facets = enumerate_facets(s, word, target)
     assert facets, "a spherical complex always has at least one facet"
-    assert enumerate_facets_bfs(s, word, target, facets[0]) == facets
+    assert flip_closure(s, word, target, facets[0]) == facets
     for facet in facets:
         complement = tuple(x for p, x in enumerate(word, 1) if p not in facet)
         assert element_from_word(s, complement) == target
@@ -179,9 +181,6 @@ def draw_complex(data, names, max_letters=8):
     return s, word, target, kind
 
 
-SMALL_TYPES = ["A1", "A2", "A3", "B2", "B3", "G2", "H3", "D4"]
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_enumerate_facets_matches_the_oracle(data):
@@ -204,6 +203,33 @@ def test_enumerate_facets_at_the_last_byte_code(data):
     assert bool(facets) == (kind != "empty")
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_facet_count_matches_the_oracle(data):
+    # I2(127) keeps its codes in bytes; I2(128) and I2(140) need str
+    names = SMALL_TYPES + ["F4", "I2(5)", "I2(7)", "I2(127)", "I2(128)", "I2(140)"]
+    s, word, target, kind = draw_complex(data, names, max_letters=10)
+    count = facet_count(s, word, target)
+    assert count == len(brute_facets(s, word, target))
+    assert (count > 0) == (kind != "empty")
+
+
+@pytest.mark.parametrize("name, order", [("E7", 2903040), ("A16", 355687428096000)])
+def test_facet_count_checks_the_group_order_up_front(monkeypatch, name, order):
+    s = system(name)
+    w0 = longest_element(s)
+
+    def no_sweep(image, t):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(s, "right_multiply", no_sweep)
+    with pytest.raises(
+        ResourceLimitError,
+        match=rf"^{name} has {order} elements, more than the limit of 1000000 states",
+    ):
+        facet_count(s, (1, 2, 1), w0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_bfs_matches_the_oracle_on_spheres_and_balls(data):
@@ -211,14 +237,14 @@ def test_bfs_matches_the_oracle_on_spheres_and_balls(data):
     facets = brute_facets(s, word, target)
     if facets:
         seed = facets[data.draw(st.integers(0, len(facets) - 1))]
-        assert enumerate_facets_bfs(s, word, target, seed) == facets
+        assert flip_closure(s, word, target, seed) == facets
 
 
 def test_bfs_on_a_ball():
     # A2, target s1: the flip of 2 in {1, 2} lands in the completion
     a2 = system("A2")
     target = element_from_word(a2, (1,))
-    assert enumerate_facets_bfs(a2, (1, 2, 1), target, (1, 2)) == ((1, 2), (2, 3))
+    assert flip_closure(a2, (1, 2, 1), target, (1, 2)) == ((1, 2), (2, 3))
 
 
 def test_enumerate_facets_rejects_letters_outside_the_system():
@@ -249,7 +275,7 @@ def test_bfs_on_single_facet_complex():
     a3 = system("A3")
     word = (2, 1, 3)
     target = element_from_word(a3, word)
-    assert enumerate_facets_bfs(a3, word, target, ()) == ((),)
+    assert flip_closure(a3, word, target, ()) == ((),)
 
 
 # ---------------------------------------------------------------------------
