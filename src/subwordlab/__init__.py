@@ -52,7 +52,6 @@ from .quivers import (
 from .sorting import (
     SortingWordReport,
     has_sin_property,
-    phi_counts,
     recognize_multi_cluster_word,
     rotate_word,
     sorting_word,

@@ -154,9 +154,10 @@ def _write_dot(dot: str, path) -> None:
 def _cmd_flipgraph(args) -> int:
     system = _system_from(args)
     complex_ = _complex_from(args, system)
-    _write_dot(flip_graph_dot(flip_graph(complex_)), args.dot)
+    graph = flip_graph(complex_)
+    _write_dot(flip_graph_dot(graph), args.dot)
     if args.diameter:
-        print(f"diameter: {flip_graph_diameter(complex_)}")
+        print(f"diameter: {flip_graph_diameter(graph)}")
     return 0
 
 

@@ -134,7 +134,7 @@ def validate_descriptor(descriptor: GroupDescriptor) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Static type data: graph edges, Cartan entries, degrees, psi
+# Static type data: graph edges, Cartan entries, degrees
 
 def _graph_edges(d: GroupDescriptor) -> list[tuple[int, int, int]]:
     """Edges (s, t, m(s,t)) with s < t of the Coxeter graph."""
@@ -203,20 +203,6 @@ def _degrees(d: GroupDescriptor) -> tuple[int, ...]:
     raise CoxeterError(f"unknown family {d.family!r}")
 
 
-def _psi_table(d: GroupDescriptor) -> tuple[int, ...]:
-    n = d.rank
-    table = list(range(1, n + 1))
-    if d.family == "A":
-        table = [n + 1 - i for i in range(1, n + 1)]
-    elif d.family == "D" and n % 2 == 1:
-        table[n - 2], table[n - 1] = n, n - 1
-    elif d.family == "E" and n == 6:
-        table = [4, 5, 3, 1, 2, 6]
-    elif d.family == "I" and d.dihedral_order % 2 == 1:
-        table = [2, 1]
-    return tuple(table)
-
-
 # ---------------------------------------------------------------------------
 # Root systems
 
@@ -224,8 +210,9 @@ def _closure_roots(n: int, cartan, expected: int):
     """BFS closure of the simple roots under simple reflections.
 
     Returns (roots, images) where images[t][i] is the code of
-    s_{t+1}(beta_i).  Raises if the closure does not have exactly
-    ``expected`` elements, which would mean broken Cartan conventions.
+    s_{t+1}(beta_i), recorded as the BFS reflects each root.  Raises if the
+    closure does not have exactly ``expected`` elements, which would mean
+    broken Cartan conventions.
     """
     def reflect(vec, t):
         coef = sum(vec[s] * cartan[s][t] for s in range(n) if vec[s])
@@ -236,31 +223,25 @@ def _closure_roots(n: int, cartan, expected: int):
     simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     roots = list(simples)
     index = {root: i for i, root in enumerate(roots)}
+    images: list[list[int]] = [[] for _ in range(n)]
     head = 0
     while head < len(roots):
         vec = roots[head]
         for t in range(n):
             if head == t:
-                continue  # s_t(alpha_t) = -alpha_t; every other image stays positive
+                # s_t(alpha_t) = -alpha_t; every other image stays positive
+                images[t].append(2 * expected - t)
+                continue
             image = reflect(vec, t)
             if image not in index:
                 index[image] = len(roots)
                 roots.append(image)
+            images[t].append(index[image] + 1)
         head += 1
         if len(roots) > expected:
             raise CoxeterError("root closure exceeded the expected count; Cartan conventions are broken")
     if len(roots) != expected:
         raise CoxeterError(f"root closure produced {len(roots)} roots, expected {expected}")
-
-    images = []
-    for t in range(n):
-        col = []
-        for i, vec in enumerate(roots):
-            if i == t:
-                col.append(2 * expected - t)  # -alpha_t
-            else:
-                col.append(index[reflect(vec, t)] + 1)
-        images.append(col)
     return tuple(roots), images
 
 
@@ -436,9 +417,22 @@ class CoxeterSystem:
         self.reflections = _root_reflections(simple_images, self.encode_codes)
         self.generators = tuple(Element(self, table) for table in self.reflections[:n])
         self.identity = Element(self, self.encode_codes(range(len(self.reflections[0]))))
-        self.psi_table = _psi_table(descriptor)
-        self._w0: Element | None = None
-        self._check_psi_table()
+        top = self.codes[N]
+        w = self.identity.image
+        for _ in range(N):  # climb by the first ascent
+            for s in range(1, n + 1):
+                if w[s:s + 1] <= top:
+                    w = self.right_multiply(w, s)
+                    break
+        self._w0 = Element(self, w)
+        if self._w0.length() != N:
+            raise CoxeterError("failed to reach the longest element")
+        # w0(alpha_s) = -alpha_psi(s), and -alpha_t has code 2N + 1 - t
+        self.psi_table = tuple(
+            2 * N + 1 - ord(self._w0.image[s:s + 1]) for s in range(1, n + 1)
+        )
+        if sorted(self.psi_table) != list(range(1, n + 1)):
+            raise CoxeterError("the longest element does not permute the simple roots up to sign")
 
     # -- basic queries ------------------------------------------------------
 
@@ -451,16 +445,6 @@ class CoxeterSystem:
 
     def __repr__(self) -> str:
         return f"CoxeterSystem({self.descriptor.name()!r})"
-
-    def _check_psi_table(self) -> None:
-        w0 = longest_element(self)
-        w0_inv = w0.inverse()
-        for s in range(1, self.rank + 1):
-            conjugate = w0_inv * self.generators[s - 1] * w0
-            if conjugate != self.generators[self.psi_table[s - 1] - 1]:
-                raise CoxeterError(
-                    f"psi table disagrees with conjugation by the longest element at s{s}"
-                )
 
 
 # ---------------------------------------------------------------------------
@@ -535,19 +519,6 @@ def demazure_product(system: CoxeterSystem, word: Word) -> Element:
 
 
 def longest_element(system: CoxeterSystem) -> Element:
-    if system._w0 is None:
-        N = system.number_of_positive_roots
-        top = system.codes[N]
-        w = system.identity.image
-        for _ in range(N):
-            for s in range(1, system.rank + 1):
-                if w[s:s + 1] <= top:
-                    w = system.right_multiply(w, s)
-                    break
-        w0 = Element(system, w)
-        if w0.length() != N:
-            raise CoxeterError("failed to reach the longest element")
-        system._w0 = w0
     return system._w0
 
 
@@ -589,7 +560,8 @@ def enumerate_coxeter_words(system: CoxeterSystem) -> tuple[Word, ...]:
     orientation.  The Coxeter graphs here are trees, so every orientation of
     the edges is acyclic and there are 2^(#edges) of them.  The words come
     sorted, and the first is always s1 s2 ... sn: every ordering of the
-    generators is the canonical word of the orientation it induces.
+    generators is the canonical word of the orientation it induces.  More
+    than ``MAX_WORDS`` orientations raise ``ResourceLimitError`` up front.
     """
     n = system.rank
     edges = [
@@ -598,8 +570,14 @@ def enumerate_coxeter_words(system: CoxeterSystem) -> tuple[Word, ...]:
         for t in system.neighbors[s - 1]
         if s < t
     ]
+    count = 1 << len(edges)
+    if count > MAX_WORDS:
+        raise ResourceLimitError(
+            f"{system.descriptor.name()} has 2^{len(edges)} = {count} Coxeter words,"
+            f" more than the limit of {MAX_WORDS}"
+        )
     words = []
-    for mask in range(1 << len(edges)):
+    for mask in range(count):
         succ = {s: [] for s in range(1, n + 1)}
         indegree = {s: 0 for s in range(1, n + 1)}
         for bit, (s, t) in enumerate(edges):

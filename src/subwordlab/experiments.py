@@ -39,11 +39,11 @@ from .quivers import check_mesh_relation
 from .sorting import has_sin_property, rotate_word, sorting_word_w0
 from .subword import (
     MAX_FACES,
+    FlipGraph,
     SubwordComplex,
     enumerate_facets,
     f_vector,
     facet_count,
-    flip_graph,
     minimal_nonfaces,
 )
 
@@ -361,9 +361,8 @@ def _rotation_step_bijection(
     return True
 
 
-def flip_graph_diameter(complex_: SubwordComplex) -> int:
-    """Largest BFS eccentricity over the flip graph."""
-    graph = flip_graph(complex_)
+def flip_graph_diameter(graph: FlipGraph) -> int:
+    """Largest BFS eccentricity over a flip graph."""
     diameter = 0
     for source in range(len(graph.nodes)):
         dist = {source: 0}

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from .coxeter import (
     CoxeterError,
@@ -371,7 +371,15 @@ def gale_facets_rank2(m: int, k: int) -> tuple[Facet, ...]:
     Even counts between consecutive outside positions a < b add up to even
     counts between any two, and only inside positions lie between a and b,
     so each such gap b - a must be odd.  Subsets come in lexicographic order.
+    All C(2k + m, 2k) subsets are scanned, so more than ``MAX_FACES`` of them
+    raise ``ResourceLimitError`` before the scan starts.
     """
+    count = comb(2 * k + m, 2 * k)
+    if count > subword.MAX_FACES:
+        raise ResourceLimitError(
+            f"the Gale scan for m={m}, k={k} has C({2 * k + m}, {2 * k}) = {count}"
+            f" subsets, more than the limit of {subword.MAX_FACES}"
+        )
     positions = range(1, 2 * k + m + 1)
     out = []
     for subset in combinations(positions, 2 * k):

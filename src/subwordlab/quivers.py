@@ -33,9 +33,6 @@ class Quiver:
     vertices: tuple[Vertex, ...]
     arrows: tuple[tuple[Vertex, Vertex], ...]
 
-    def arrow_count(self) -> int:
-        return len(self.arrows)
-
 
 def coxeter_quiver(system: CoxeterSystem, cox: Word) -> Quiver:
     """One vertex per generator; s -> t when the neighbors s, t have s first in c."""
@@ -56,7 +53,7 @@ def knitting_quiver(system: CoxeterSystem, word: Word, origin: int = 1) -> Quive
     The j-th occurrence of generator s becomes vertex (origin + j - 1, s).
     """
     check_word(system, word)
-    vertices, labels = _occurrence_labels(word, origin)
+    labels = _occurrence_labels(word, origin)
     arrows = []
     for s in range(1, system.rank + 1):
         for t in system.neighbors[s - 1]:
@@ -66,16 +63,16 @@ def knitting_quiver(system: CoxeterSystem, word: Word, origin: int = 1) -> Quive
             for a, b in zip(chain, chain[1:]):
                 if word[a] != word[b]:
                     arrows.append((labels[a], labels[b]))
-    return Quiver(vertices, tuple(sorted(arrows)))
+    return Quiver(labels, tuple(sorted(arrows)))
 
 
-def _occurrence_labels(word: Word, origin: int) -> tuple[tuple[Vertex, ...], list[Vertex]]:
+def _occurrence_labels(word: Word, origin: int) -> tuple[Vertex, ...]:
     seen: dict[int, int] = {}
     labels = []
     for s in word:
         seen[s] = seen.get(s, 0) + 1
         labels.append((origin + seen[s] - 1, s))
-    return tuple(labels), labels
+    return tuple(labels)
 
 
 def ar_quiver(system: CoxeterSystem, cox: Word) -> Quiver:
@@ -112,11 +109,6 @@ class RepetitionWindow:
         image = (i - 1, s)
         return image if image in self._vertex_set else None
 
-    def tau_inverse(self, vertex: Vertex) -> Vertex | None:
-        i, s = vertex
-        image = (i + 1, s)
-        return image if image in self._vertex_set else None
-
     def shift(self, vertex: Vertex) -> Vertex | None:
         """The same block position one block to the right, if present."""
         b, j = self._block_position[vertex]
@@ -140,13 +132,9 @@ def repetition_window(
     words = [base if b % 2 == 0 else psi_word(system, base) for b in range(copies)]
     full = tuple(s for w in words for s in w)
     quiver = knitting_quiver(system, full, origin)
-    _, labels = _occurrence_labels(full, origin)
-    blocks = []
-    at = 0
-    for w in words:
-        blocks.append(tuple(labels[at : at + len(w)]))
-        at += len(w)
-    return RepetitionWindow(quiver, tuple(blocks))
+    size = len(base)  # the vertices are the letters of ``full``, in order
+    blocks = tuple(quiver.vertices[b * size:(b + 1) * size] for b in range(copies))
+    return RepetitionWindow(quiver, blocks)
 
 
 # ---------------------------------------------------------------------------

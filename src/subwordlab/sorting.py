@@ -1,10 +1,11 @@
-"""Sorting words, letter-count solving, word rotation, and SIN recognition.
+"""Sorting words, word rotation, and SIN recognition.
 
 A sorting word of an element w relative to a Coxeter word c is the
-lexicographically first subword of c,c,c,... that is a reduced word for w.
-For the longest element the letter multiplicities phi(s) satisfy a difference
-relation along each Coxeter-graph edge, which pins the whole word down by a
-single linear solve; both routes are implemented and cross-checked in tests.
+lexicographically first subword of c,c,c,... that is a reduced word for w
+(Reading, *Clusters, Coxeter-sortable elements and noncrossing partitions*).
+One greedy scan of c,c,c,... finds it pass by pass; for the longest element
+the passes are the nested supports K_1 >= K_2 >= ... and the letter counts
+phi(s) follow from them.
 """
 
 from __future__ import annotations
@@ -38,65 +39,38 @@ class SortingWordReport:
     factorization: tuple[Word, ...]
 
 
-def sorting_word(system: CoxeterSystem, cox: Word, w: Element) -> Word:
-    """Greedy scan of c,c,c,...: take a letter whenever it shortens the rest."""
+def _sorting_blocks(system: CoxeterSystem, cox: Word, w: Element) -> tuple[Word, ...]:
+    """Greedy scan of c,c,c,...: take a letter whenever it shortens the rest.
+
+    Returns the letters taken in each pass over c.  The scan ends: c contains
+    every generator, so a pass that took no letter would have met a left
+    descent of the unchanged rest, and each pass takes at least one letter.
+    """
     check_coxeter_word(system, cox)
     identity = system.identity.image
     top = system.codes[system.number_of_positive_roots]
-    out: list[int] = []
+    blocks = []
     rest = w.inverse().image  # inverse of the still-unwritten right factor
-    passes = 0
     while rest != identity:
+        block = []
         for s in cox:
             if rest[s:s + 1] > top:  # s starts a reduced word of the rest
-                out.append(s)
+                block.append(s)
                 rest = system.right_multiply(rest, s)
-        passes += 1
-        if passes > system.number_of_positive_roots + 1:
-            raise CoxeterError("sorting scan failed to terminate")
-    return tuple(out)
+        blocks.append(tuple(block))
+    return tuple(blocks)
 
 
-def phi_counts(system: CoxeterSystem, cox: Word) -> dict[int, int]:
-    """Letter multiplicities of the sorting word of the longest element.
-
-    Along each graph edge with s before t in c the counts differ by 0 or 1
-    according to whether psi(s) comes before psi(t) in c; propagating those
-    differences over the (tree) graph and fixing the total at N solves them.
-    """
-    check_coxeter_word(system, cox)
-    n = system.rank
-    pos = {s: i for i, s in enumerate(cox)}
-    diff = {cox[0]: 0}
-    stack = [cox[0]]
-    while stack:
-        u = stack.pop()
-        for v in system.neighbors[u - 1]:
-            if v in diff:
-                continue
-            s, t = (u, v) if pos[u] < pos[v] else (v, u)
-            gap = 0 if pos[system.psi_table[s - 1]] < pos[system.psi_table[t - 1]] else 1
-            # phi(s) - phi(t) = gap
-            diff[v] = diff[u] - gap if u == s else diff[u] + gap
-            stack.append(v)
-    total = system.number_of_positive_roots
-    base, remainder = divmod(total - sum(diff.values()), n)
-    if remainder:
-        raise CoxeterError("letter counts do not solve to integers")
-    phi = {s: base + diff[s] for s in range(1, n + 1)}
-    if any(count < 1 for count in phi.values()) or sum(phi.values()) != total:
-        raise CoxeterError("letter-count solve is inconsistent")
-    return phi
+def sorting_word(system: CoxeterSystem, cox: Word, w: Element) -> Word:
+    """The c-sorting word of w: the passes of the greedy scan, joined."""
+    return tuple(s for block in _sorting_blocks(system, cox, w) for s in block)
 
 
 def sorting_word_w0(system: CoxeterSystem, cox: Word) -> SortingWordReport:
-    """Sorting word of the longest element assembled from the letter counts."""
-    phi = phi_counts(system, cox)
-    depth = max(phi.values())
-    blocks = tuple(
-        tuple(s for s in cox if phi[s] >= i) for i in range(1, depth + 1)
-    )
+    """Sorting word of the longest element, its passes and its letter counts."""
+    blocks = _sorting_blocks(system, cox, longest_element(system))
     word = tuple(s for block in blocks for s in block)
+    phi = {s: word.count(s) for s in range(1, system.rank + 1)}
     return SortingWordReport(word=word, phi=phi, factorization=blocks)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import subwordlab
-from subwordlab import coxeter, experiments, subword
+from subwordlab import cli, coxeter, experiments, subword
 from subwordlab.cli import main
 from subwordlab.experiments import (
     flip_graph_diameter,
@@ -22,7 +22,7 @@ from subwordlab.experiments import (
     run_sin_experiment,
 )
 from subwordlab.coxeter import ResourceLimitError, longest_element
-from subwordlab.subword import subword_complex
+from subwordlab.subword import flip_graph, subword_complex
 from helpers import system
 
 
@@ -102,12 +102,13 @@ def test_independence_experiment():
 def test_flip_graph_diameters():
     a2 = system("A2")
     pentagon = subword_complex(a2, (2, 1, 2, 1, 2), longest_element(a2))
-    assert flip_graph_diameter(pentagon) == 2
+    assert flip_graph_diameter(flip_graph(pentagon)) == 2
     b2 = system("B2")
     hexagon = subword_complex(b2, (1, 2) * 3, longest_element(b2))
-    assert flip_graph_diameter(hexagon) == 3
+    assert flip_graph_diameter(flip_graph(hexagon)) == 3
     a1 = system("A1")
-    assert flip_graph_diameter(subword_complex(a1, (1, 1), longest_element(a1))) == 1
+    segment = subword_complex(a1, (1, 1), longest_element(a1))
+    assert flip_graph_diameter(flip_graph(segment)) == 1
 
 
 def test_naive_complex_is_not_pure_in_b3():
@@ -307,6 +308,22 @@ def test_cli_flipgraph_dot_and_diameter(tmp_path, capsys):
     assert "diameter: 2" in out
     text = target.read_text()
     assert text.startswith("graph flips {") and text.count("--") == 5
+
+
+def test_cli_flipgraph_diameter_builds_the_graph_once(monkeypatch, capsys):
+    calls = []
+    real = subword.flip_graph
+
+    def counted(complex_):
+        calls.append(complex_)
+        return real(complex_)
+
+    for module in (subword, experiments, cli):
+        monkeypatch.setattr(module, "flip_graph", counted, raising=False)
+    code, out = run_cli(capsys, "flipgraph", "--type", "D4", "-k", "1", "--dot", "-", "--diameter")
+    assert code == 0
+    assert "diameter: " in out
+    assert len(calls) == 1
 
 
 def test_cli_theta(capsys):

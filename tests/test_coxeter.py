@@ -102,6 +102,64 @@ def test_cartan_product_identity(name):
             assert math.isclose(float(product), expected, abs_tol=1e-9)
 
 
+PSI_TYPES = (
+    [f"A{n}" for n in range(1, 9)] + ["A16"] + [f"B{n}" for n in range(2, 6)] + ["B12"]
+    + [f"D{n}" for n in range(3, 9)] + ["D12", "E6", "E7", "E8", "F4", "G2", "H3", "H4"]
+    + [f"I2({m})" for m in (3, 4, 5, 6, 7, 8, 127, 128, 140)]
+)
+
+
+def _expected_psi_table(name):
+    """psi by family: A reverses, odd D swaps s(n-1) and s(n), E6 has its own
+    table, odd I2(m) swaps; every other type has trivial psi."""
+    d = parse_descriptor(name)
+    n = d.rank
+    if d.family == "A":
+        return tuple(range(n, 0, -1))
+    if d.family == "D" and n % 2:
+        return tuple(range(1, n - 1)) + (n, n - 1)
+    if d.family == "E" and n == 6:
+        return (4, 5, 3, 1, 2, 6)
+    if d.family == "I" and d.dihedral_order % 2:
+        return (2, 1)
+    return tuple(range(1, n + 1))
+
+
+@pytest.mark.parametrize("name", PSI_TYPES)
+def test_psi_table_pins_every_family(name):
+    s = system(name)
+    assert s.psi_table == _expected_psi_table(name)
+    # psi(s) is conjugation of s by the longest element
+    w0 = longest_element(s)
+    for a in range(1, s.rank + 1):
+        assert w0 * s.generators[a - 1] * w0 == s.generators[psi(s, a) - 1]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["A1", "A4", "B4", "D3", "D5", "E6", "E7", "E8", "F4", "G2", "H3", "H4",
+     "I2(3)", "I2(4)", "I2(5)", "I2(6)", "A16", "B12", "D12"],
+)
+def test_generator_tables_reflect_root_vectors(name):
+    # an oracle apart from the root closure: s_t(beta) from the coordinates of
+    # beta and the Cartan matrix, looked up among the positive roots
+    s = system(name)
+    N = s.number_of_positive_roots
+    index = {root: j for j, root in enumerate(s.positive_roots)}
+    for t in range(s.rank):
+        table = s.reflections[t]
+        for i, vec in enumerate(s.positive_roots):
+            coef = sum(vec[u] * s.cartan[u][t] for u in range(s.rank) if vec[u])
+            image = list(vec)
+            image[t] = vec[t] - coef
+            if tuple(image) in index:
+                code = index[tuple(image)] + 1
+            else:
+                code = 2 * N - index[tuple(-c for c in image)]
+            assert ord(table[i + 1:i + 2]) == code
+            assert ord(table[2 * N - i:2 * N - i + 1]) == 2 * N + 1 - code
+
+
 def test_known_degree_tables():
     assert system("A3").degrees == (2, 3, 4)
     assert system("A3").coxeter_number == 4
@@ -366,6 +424,26 @@ def test_enumerate_coxeter_words_counts():
     assert enumerate_coxeter_words(system("A2")) == ((1, 2), (2, 1))
     assert len(enumerate_coxeter_words(system("A3"))) == 4
     assert len(enumerate_coxeter_words(system("D4"))) == 8
+
+
+def test_enumerate_coxeter_words_checks_its_budget_up_front(monkeypatch):
+    d4, a22 = system("D4"), system("A22")
+    monkeypatch.setattr(coxeter, "MAX_WORDS", 8)
+    assert len(enumerate_coxeter_words(d4)) == 8  # at the limit
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the orientation loop started")
+
+    # the topological sort of each orientation sorts its sources first
+    monkeypatch.setattr(coxeter, "sorted", fail, raising=False)
+    monkeypatch.setattr(coxeter, "MAX_WORDS", 7)
+    with pytest.raises(
+        ResourceLimitError, match=r"D4 has 2\^3 = 8 Coxeter words, more than the limit of 7"
+    ):
+        enumerate_coxeter_words(d4)
+    monkeypatch.setattr(coxeter, "MAX_WORDS", 10**6)
+    with pytest.raises(ResourceLimitError, match=r"A22 has 2\^21 = 2097152 Coxeter words"):
+        enumerate_coxeter_words(a22)
 
 
 @pytest.mark.parametrize("name", ["A1", "A4", "B3", "D5", "E6", "F4", "H4", "I2(7)"])

@@ -556,6 +556,25 @@ def test_gale_counts():
         assert len(gale_facets_rank2(m, 1)) == m + 2
 
 
+def test_gale_facets_rank2_checks_its_budget_up_front(monkeypatch):
+    monkeypatch.setattr(subword, "MAX_FACES", 35)
+    assert len(gale_facets_rank2(3, 2)) == 14  # C(7, 4) = 35 subsets, at the limit
+
+    def fail(*args):
+        raise AssertionError("the subset scan started")
+
+    monkeypatch.setattr(multicluster, "combinations", fail)
+    monkeypatch.setattr(subword, "MAX_FACES", 34)
+    with pytest.raises(
+        ResourceLimitError,
+        match=r"Gale scan for m=3, k=2 has C\(7, 4\) = 35 subsets, more than the limit of 34",
+    ):
+        gale_facets_rank2(3, 2)
+    monkeypatch.setattr(subword, "MAX_FACES", 10**6)
+    with pytest.raises(ResourceLimitError, match=r"C\(50, 20\) = 47129212243960 subsets"):
+        gale_facets_rank2(30, 10)
+
+
 def test_gale_matches_enumeration():
     for m in range(3, 8):
         for k in range(1, 4):

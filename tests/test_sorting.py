@@ -13,7 +13,6 @@ from subwordlab.coxeter import (
 )
 from subwordlab.sorting import (
     has_sin_property,
-    phi_counts,
     recognize_multi_cluster_word,
     rotate_word,
     sorting_word,
@@ -67,17 +66,17 @@ def test_sorting_word_for_arbitrary_elements(name, data):
 
 
 def test_phi_counts_a4():
-    assert phi_counts(system("A4"), (1, 3, 2, 4)) == {1: 3, 2: 2, 3: 3, 4: 2}
+    assert sorting_word_w0(system("A4"), (1, 3, 2, 4)).phi == {1: 3, 2: 2, 3: 3, 4: 2}
 
 
 def test_phi_counts_e6():
-    phi = phi_counts(system("E6"), (3, 5, 4, 6, 2, 1))
+    phi = sorting_word_w0(system("E6"), (3, 5, 4, 6, 2, 1)).phi
     assert sorted(phi.values()) == [5, 5, 6, 6, 7, 7]
     assert sum(phi.values()) == 36
 
 
 def test_phi_counts_b2():
-    assert phi_counts(system("B2"), (1, 2)) == {1: 2, 2: 2}
+    assert sorting_word_w0(system("B2"), (1, 2)).phi == {1: 2, 2: 2}
 
 
 def test_sorting_word_w0_report_structure():
@@ -95,8 +94,29 @@ def test_sorting_word_w0_report_structure():
             ) == report.word
             for i, block in enumerate(report.factorization, start=1):
                 assert set(block) == {g for g, count in report.phi.items() if count >= i}
-            # the letter-count assembly agrees with the greedy scan
-            assert report.word == sorting_word(s, cox, longest_element(s))
+
+
+RANK_UP_TO_8 = (
+    [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+    + [f"D{n}" for n in range(3, 9)]
+    + ["E6", "E7", "E8", "F4", "G2", "H3", "H4", "I2(5)", "I2(7)", "I2(8)", "I2(128)"]
+)
+
+
+def test_letter_counts_follow_the_difference_relation():
+    # for s before t on an edge of c, phi(s) - phi(t) is 0 when psi(s) comes
+    # before psi(t) in c and 1 otherwise; with sum(phi) = N this pins phi down
+    for name in RANK_UP_TO_8:
+        s = system(name)
+        for cox in enumerate_coxeter_words(s):
+            phi = sorting_word_w0(s, cox).phi
+            assert sum(phi.values()) == s.number_of_positive_roots
+            position = {g: i for i, g in enumerate(cox)}
+            for a in range(1, s.rank + 1):
+                for b in s.neighbors[a - 1]:
+                    if position[a] < position[b]:
+                        gap = 0 if position[psi(s, a)] < position[psi(s, b)] else 1
+                        assert phi[a] - phi[b] == gap, (name, cox, a, b)
 
 
 def test_e6_block_structure():
@@ -147,7 +167,7 @@ def test_reversal_identities():
             assert equal_up_to_commutations(s, w0c, first)
             second = w0c + tuple(reversed(sorting_word_w0(s, rev).word))
             assert equal_up_to_commutations(s, cox * h, second)
-            phi = phi_counts(s, cox)
+            phi = sorting_word_w0(s, cox).phi
             for g in range(1, s.rank + 1):
                 assert phi[g] + phi[psi(s, g)] == h
 
