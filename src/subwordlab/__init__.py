@@ -33,6 +33,7 @@ from .multicluster import (
     multi_cluster_complex,
     multi_cluster_word,
     negative_simple,
+    recognize_multi_cluster_word,
     reflection_sequence,
     sigma_involution,
     theta_orbits_on_facets,
@@ -52,7 +53,6 @@ from .quivers import (
 from .sorting import (
     SortingWordReport,
     has_sin_property,
-    recognize_multi_cluster_word,
     rotate_word,
     sorting_word,
     sorting_word_w0,

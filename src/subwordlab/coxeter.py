@@ -73,17 +73,6 @@ class SignedRoot(NamedTuple):
 
 _DESCRIPTOR_RE = re.compile(r"^([A-Za-z])\s*(\d+)\s*(?:\(\s*(\d+)\s*\))?$")
 
-_LEGAL_RANKS = {
-    "A": lambda n: n >= 1,
-    "B": lambda n: n >= 2,
-    "D": lambda n: n >= 3,
-    "E": lambda n: n in (6, 7, 8),
-    "F": lambda n: n == 4,
-    "G": lambda n: n == 2,
-    "H": lambda n: n in (3, 4),
-    "I": lambda n: n == 2,
-}
-
 
 @dataclass(frozen=True)
 class GroupDescriptor:
@@ -117,52 +106,49 @@ def parse_descriptor(text: str) -> GroupDescriptor:
         if order is not None:
             raise CoxeterError(f"only I2 takes a parenthesised order: {text!r}")
         descriptor = GroupDescriptor(family, rank)
-    validate_descriptor(descriptor)
+    _type_data(descriptor)
     return descriptor
 
 
-def validate_descriptor(descriptor: GroupDescriptor) -> None:
-    family, rank = descriptor.family, descriptor.rank
-    legal = _LEGAL_RANKS.get(family)
-    if legal is None or not legal(rank):
-        raise CoxeterError(f"no finite irreducible type {family}{rank}")
-    if family == "I":
-        if descriptor.dihedral_order is None or descriptor.dihedral_order < 3:
-            raise CoxeterError("I2(m) needs m >= 3")
-    elif descriptor.dihedral_order is not None:
-        raise CoxeterError("only I2 carries a dihedral order")
-
-
 # ---------------------------------------------------------------------------
-# Static type data: graph edges, Cartan entries, degrees
+# Static type data: graph edges, degrees, Cartan entries
 
-def _graph_edges(d: GroupDescriptor) -> list[tuple[int, int, int]]:
-    """Edges (s, t, m(s,t)) with s < t of the Coxeter graph."""
-    n = d.rank
-    if d.family == "A":
-        return [(i, i + 1, 3) for i in range(1, n)]
-    if d.family == "B":
-        return [(1, 2, 4)] + [(i, i + 1, 3) for i in range(2, n)]
-    if d.family == "D":
-        return [(i, i + 1, 3) for i in range(1, n - 2)] + [(n - 2, n - 1, 3), (n - 2, n, 3)]
-    if d.family == "E":
-        if n == 6:
-            # Branch node s6; arms s3 | s5,s4 | s2,s1.
-            pairs = [(1, 2), (2, 6), (3, 6), (5, 6), (4, 5)]
-        elif n == 7:
-            pairs = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7)]
-        else:
-            pairs = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 8)]
-        return [(a, b, 3) for a, b in pairs]
-    if d.family == "F":
-        return [(1, 2, 3), (2, 3, 4), (3, 4, 3)]
-    if d.family == "G":
-        return [(1, 2, 6)]
-    if d.family == "H":
-        return [(1, 2, 5)] + [(i, i + 1, 3) for i in range(2, n)]
-    if d.family == "I":
-        return [(1, 2, d.dihedral_order)]
-    raise CoxeterError(f"unknown family {d.family!r}")
+def _type_data(d: GroupDescriptor) -> tuple[list[tuple[int, int, int]], tuple[int, ...]]:
+    """The edges (s, t, m(s,t)) with s < t of the Coxeter graph, and the
+    degrees; ``CoxeterError`` for a family and rank with no finite type."""
+    family, n, m = d.family, d.rank, d.dihedral_order
+
+    def chain(first: int, last: int = n) -> list[tuple[int, int, int]]:
+        return [(i, i + 1, 3) for i in range(first, last)]
+
+    if family == "A" and n >= 1:
+        data = chain(1), tuple(range(2, n + 2))
+    elif family == "B" and n >= 2:
+        data = [(1, 2, 4)] + chain(2), tuple(range(2, 2 * n + 1, 2))
+    elif family == "D" and n >= 3:
+        data = chain(1, n - 1) + [(n - 2, n, 3)], tuple(sorted([n, *range(2, 2 * n - 1, 2)]))
+    elif family == "E" and n == 6:
+        # Branch node s6; arms s3 | s5,s4 | s2,s1.
+        pairs = [(1, 2), (2, 6), (3, 6), (5, 6), (4, 5)]
+        data = [(a, b, 3) for a, b in pairs], (2, 5, 6, 8, 9, 12)
+    elif family == "E" and n in (7, 8):
+        degrees = (2, 6, 8, 10, 12, 14, 18) if n == 7 else (2, 8, 12, 14, 18, 20, 24, 30)
+        data = chain(1, n - 1) + [(3, n, 3)], degrees
+    elif family == "F" and n == 4:
+        data = [(1, 2, 3), (2, 3, 4), (3, 4, 3)], (2, 6, 8, 12)
+    elif family == "G" and n == 2:
+        data = [(1, 2, 6)], (2, 6)
+    elif family == "H" and n in (3, 4):
+        data = [(1, 2, 5)] + chain(2), ((2, 6, 10) if n == 3 else (2, 12, 20, 30))
+    elif family == "I" and n == 2:
+        if m is None or m < 3:
+            raise CoxeterError("I2(m) needs m >= 3")
+        return [(1, 2, m)], (2, m)
+    else:
+        raise CoxeterError(f"no finite irreducible type {family}{n}")
+    if m is not None:
+        raise CoxeterError("only I2 carries a dihedral order")
+    return data
 
 
 def _cartan_pair(m: int):
@@ -178,29 +164,6 @@ def _cartan_pair(m: int):
     # General dihedral edge: a_st * a_ts = 4 cos^2(pi/m), floats.
     c = -2.0 * math.cos(math.pi / m)
     return c, c
-
-
-def _degrees(d: GroupDescriptor) -> tuple[int, ...]:
-    n = d.rank
-    if d.family == "A":
-        return tuple(range(2, n + 2))
-    if d.family == "B":
-        return tuple(2 * i for i in range(1, n + 1))
-    if d.family == "D":
-        return tuple(sorted([2 * i for i in range(1, n)] + [n]))
-    if d.family == "E":
-        return {6: (2, 5, 6, 8, 9, 12),
-                7: (2, 6, 8, 10, 12, 14, 18),
-                8: (2, 8, 12, 14, 18, 20, 24, 30)}[n]
-    if d.family == "F":
-        return (2, 6, 8, 12)
-    if d.family == "G":
-        return (2, 6)
-    if d.family == "H":
-        return (2, 6, 10) if n == 3 else (2, 12, 20, 30)
-    if d.family == "I":
-        return tuple(sorted((2, d.dihedral_order)))
-    raise CoxeterError(f"unknown family {d.family!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +330,11 @@ class CoxeterSystem:
     def __init__(self, descriptor: GroupDescriptor | str):
         if isinstance(descriptor, str):
             descriptor = parse_descriptor(descriptor)
-        validate_descriptor(descriptor)
+        edges, self.degrees = _type_data(descriptor)
         self.descriptor = descriptor
         n = descriptor.rank
         self.rank = n
 
-        edges = _graph_edges(descriptor)
         matrix = [[2] * n for _ in range(n)]
         cartan = [[0] * n for _ in range(n)]
         for i in range(n):
@@ -390,7 +352,6 @@ class CoxeterSystem:
             for s in range(n)
         )
 
-        self.degrees = _degrees(descriptor)
         self.coxeter_number = self.degrees[-1]
         self.number_of_positive_roots = n * self.coxeter_number // 2
         if sum(d - 1 for d in self.degrees) != self.number_of_positive_roots:
@@ -470,6 +431,16 @@ def format_word(word: Word) -> str:
     return ",".join(f"s{s}" for s in word)
 
 
+def occurrence_indices(word: Word) -> tuple[int, ...]:
+    """For each position, how many times its letter occurs up to and including it."""
+    seen: dict[int, int] = {}
+    out = []
+    for s in word:
+        seen[s] = seen.get(s, 0) + 1
+        out.append(seen[s])
+    return tuple(out)
+
+
 def check_word(system: CoxeterSystem, word: Word) -> None:
     if word and not (1 <= min(word) and max(word) <= system.rank):  # C-level scans
         s = next(s for s in word if not 1 <= s <= system.rank)
@@ -524,6 +495,7 @@ def longest_element(system: CoxeterSystem) -> Element:
 
 def psi(system: CoxeterSystem, s: int) -> int:
     """The diagram automorphism s -> w0^{-1} s w0."""
+    check_word(system, (s,))
     return system.psi_table[s - 1]
 
 

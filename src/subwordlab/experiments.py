@@ -16,11 +16,9 @@ import random
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .coxeter import (
     CoxeterSystem,
-    ResourceLimitError,
     Word,
     commutation_position_map,
     enumerate_coxeter_words,
@@ -28,17 +26,15 @@ from .coxeter import (
     iter_all_words,
 )
 from .multicluster import (
-    almost_positive_roots,
-    c_compatible,
+    count_formula_is_theorem,
     csp_fixed_point_table,
     facet_count_formula,
     multi_cluster_complex,
     multi_cluster_word,
 )
 from .quivers import check_mesh_relation
-from .sorting import has_sin_property, rotate_word, sorting_word_w0
+from .sorting import has_sin_property, rotate_word
 from .subword import (
-    MAX_FACES,
     FlipGraph,
     SubwordComplex,
     enumerate_facets,
@@ -161,9 +157,9 @@ def run_count_experiment(instances=COUNT_INSTANCES) -> ExperimentReport:
     """Enumerated facet counts against ``facet_count``, which must agree,
     and the degree-product formula.
 
-    Equality with the formula is asserted for the A, B and I2 families at
-    every k and for k = 1 in all types; other instances are reported
-    without asserting, since the product formula is not a count in general.
+    Equality with the formula is asserted where it is a theorem
+    (``count_formula_is_theorem``); other instances are reported without
+    asserting, since the product formula is not a count in general.
     """
 
     def rows_of(system, k):
@@ -171,7 +167,7 @@ def run_count_experiment(instances=COUNT_INSTANCES) -> ExperimentReport:
         enumerated = len(complex_.facets)
         counted = facet_count(system, complex_.word, complex_.target)
         formula = facet_count_formula(system, k)
-        asserted = system.descriptor.family in ("A", "B", "I") or k == 1
+        asserted = count_formula_is_theorem(system, k)
         row = {
             "facets": enumerated,
             "formula": str(formula),
@@ -278,8 +274,7 @@ def run_sin_experiment(instances=SIN_INSTANCES) -> ExperimentReport:
         if size >= big_n and (size - big_n) % system.rank == 0:
             k = (size - big_n) // system.rank
             references = [
-                cox * k + sorting_word_w0(system, cox).word
-                for cox in enumerate_coxeter_words(system)
+                multi_cluster_word(system, cox, k) for cox in enumerate_coxeter_words(system)
             ]
         mismatches = 0
         sin_count = 0
@@ -377,45 +372,6 @@ def flip_graph_diameter(graph: FlipGraph) -> int:
             raise ValueError("flip graph is not connected")
         diameter = max(diameter, max(dist.values()))
     return diameter
-
-
-def naive_complex_max_face_sizes(system: CoxeterSystem, cox: Word, k: int) -> tuple[int, ...]:
-    """Maximal face sizes of the pairwise-compatibility complex.
-
-    Faces are the root sets with no k+1 pairwise-incompatible members; the
-    construction fails purity in general, which is why the multi-cluster
-    complex is not defined this way.
-    """
-    roots = almost_positive_roots(system)
-    total = len(roots)
-    if 1 << total > MAX_FACES:
-        raise ResourceLimitError(
-            f"the compatibility complex of {system.descriptor.name()} with k={k} has"
-            f" 2^{total} = {1 << total} root sets, more than the limit of {MAX_FACES}"
-        )
-    incompatible = [[False] * total for _ in range(total)]
-    for i in range(total):
-        for j in range(i + 1, total):
-            bad = not c_compatible(system, cox, roots[i], roots[j])
-            incompatible[i][j] = incompatible[j][i] = bad
-
-    def admissible(members: tuple[int, ...]) -> bool:
-        # no k+1 pairwise-incompatible subset
-        for group in combinations(members, k + 1):
-            if all(incompatible[a][b] for a in group for b in group if a < b):
-                return False
-        return True
-
-    faces = set()
-    for mask in range(1 << total):
-        members = tuple(i for i in range(total) if mask >> i & 1)
-        if admissible(members):
-            faces.add(frozenset(members))
-    maximal_sizes = set()
-    for face in faces:
-        if not any(face | {v} in faces for v in range(total) if v not in face):
-            maximal_sizes.add(len(face))
-    return tuple(sorted(maximal_sizes))
 
 
 EXPERIMENTS = {

@@ -1,11 +1,14 @@
 """Multi-cluster complexes and their combinatorial models.
 
-Every multi-cluster complex is built by ``multi_cluster_complex``.  Covers
-the almost-positive-root labeling of the letters of c * w0(c), the induced
+Every multi-cluster word c^k w0(c) is built by ``multi_cluster_word`` and
+every multi-cluster complex by ``multi_cluster_complex``.  Covers the
+recognition of multi-cluster words up to commutations, the
+almost-positive-root labeling of the letters of c * w0(c), the induced
 compatibility relation, the reflection-product facet criterion, the
-next-occurrence cyclic action, the polygon bijections in types A and B,
-Gale-evenness facets in rank two, and the q-analogue of the facet-count
-product formula with its exact values at roots of unity.
+next-occurrence cyclic action, the polygon bijections in types A and B (one
+rotated-seed construction), Gale-evenness facets in rank two, and the
+q-analogue of the facet-count product formula with its exact values at
+roots of unity.
 """
 
 from __future__ import annotations
@@ -23,11 +26,14 @@ from .coxeter import (
     SignedRoot,
     Word,
     check_coxeter_word,
+    check_word,
     element_from_word,
+    equal_up_to_commutations,
     longest_element,
+    occurrence_indices,
 )
 from . import subword
-from .sorting import sorting_word_w0
+from .sorting import has_sin_property, sorting_word_w0
 from .subword import Facet, SubwordComplex, is_face, root_table, subword_complex
 
 Diagonal = tuple  # (a, b) vertex labels, a < b
@@ -44,15 +50,43 @@ def multi_cluster_word(system: CoxeterSystem, cox: Word, k: int) -> Word:
     return tuple(cox) * k + sorting_word_w0(system, cox).word
 
 
+def recognize_multi_cluster_word(
+    system: CoxeterSystem, word: Word
+) -> tuple[Word, int] | None:
+    """Recover (c, k) such that ``word`` equals c^k * sorting word, up to commutations.
+
+    Returns None when the word lacks the strong intervening-neighbors
+    property.  The Coxeter word is read off from the first occurrences, and
+    the reconstruction is verified via the commutation canonical form.
+    """
+    if not has_sin_property(system, word):
+        return None
+    extra = len(word) - system.number_of_positive_roots
+    if extra < 0 or extra % system.rank:
+        return None
+    k = extra // system.rank
+    cox = tuple(dict.fromkeys(word))
+    if len(cox) != system.rank:
+        return None
+    if not equal_up_to_commutations(system, word, multi_cluster_word(system, cox, k)):
+        return None
+    return cox, k
+
+
+def count_formula_is_theorem(system: CoxeterSystem, k: int) -> bool:
+    """Whether ``facet_count_formula`` counts the facets: k = 1, and types
+    A, B and I2 at every k."""
+    return k == 1 or system.descriptor.family in ("A", "B", "I")
+
+
 def multi_cluster_complex(system: CoxeterSystem, cox: Word, k: int) -> SubwordComplex:
     """The multi-cluster complex: the subword complex of c^k w0(c) with target w0.
 
-    Where ``facet_count_formula`` is a theorem (k = 1, and types A, B and
-    I2 at every k), a count above ``MAX_FACES`` raises ``ResourceLimitError``
-    before any facet is searched for.
+    Where ``facet_count_formula`` is a theorem, a count above ``MAX_FACES``
+    raises ``ResourceLimitError`` before any facet is searched for.
     """
     word = multi_cluster_word(system, cox, k)
-    if k == 1 or system.descriptor.family in ("A", "B", "I"):
+    if count_formula_is_theorem(system, k):
         count = facet_count_formula(system, k)
         if count > subword.MAX_FACES:
             raise ResourceLimitError(
@@ -112,6 +146,7 @@ def sigma_involution(
     system: CoxeterSystem, s: int, root: SignedRoot
 ) -> SignedRoot:
     """Involution on almost positive roots: fix -alpha_t for t != s, else apply s."""
+    check_word(system, (s,))
     if root.sign < 0:
         if root.root >= system.rank:
             raise CoxeterError("negated roots must be simple")
@@ -167,15 +202,13 @@ def theta_permutation(system: CoxeterSystem, cox: Word, k: int) -> tuple[int, ..
     Entry p-1 holds the image of position p (1-based).
     """
     word = multi_cluster_word(system, cox, k)
-    out = []
+    where: dict[int, list[int]] = {}  # the positions of each letter, in order
     for p, s in enumerate(word, start=1):
-        later = [q for q in range(p + 1, len(word) + 1) if word[q - 1] == s]
-        if later:
-            out.append(later[0])
-        else:
-            partner = system.psi_table[s - 1]
-            out.append(next(q for q, x in enumerate(word, start=1) if x == partner))
-    return tuple(out)
+        where.setdefault(s, []).append(p)
+    return tuple(
+        where[s][j] if j < len(where[s]) else where[system.psi_table[s - 1]][0]
+        for s, j in zip(word, occurrence_indices(word))
+    )
 
 
 def permutation_order(perm: tuple[int, ...]) -> int:
@@ -202,10 +235,6 @@ def theta_order_formula(system: CoxeterSystem, k: int) -> int:
     return 2 * k + h
 
 
-def apply_permutation_to_set(perm: tuple[int, ...], positions) -> Facet:
-    return tuple(sorted(perm[p - 1] for p in positions))
-
-
 def theta_orbits_on_facets(
     system: CoxeterSystem, cox: Word, k: int
 ) -> tuple[tuple[Facet, ...], ...]:
@@ -219,40 +248,20 @@ def theta_orbits_on_facets(
         if facet in seen:
             continue
         orbit = [facet]
-        seen.add(facet)
-        current = apply_permutation_to_set(perm, facet)
-        while current != facet:
+        while True:
+            current = tuple(sorted(perm[p - 1] for p in orbit[-1]))
+            if current == facet:
+                break
             if current not in facet_set:
                 raise CoxeterError("the action failed to map a facet to a facet")
             orbit.append(current)
-            seen.add(current)
-            current = apply_permutation_to_set(perm, current)
+        seen.update(orbit)
         orbits.append(tuple(orbit))
     return tuple(orbits)
 
 
 # ---------------------------------------------------------------------------
 # Polygon models, types A and B
-
-def _copy_indices(word: Word) -> tuple[int, ...]:
-    """For each position, how many earlier occurrences of its letter exist."""
-    seen: dict[int, int] = {}
-    out = []
-    for s in word:
-        seen[s] = seen.get(s, 0) + 1
-        out.append(seen[s])
-    return tuple(out)
-
-
-def _ascent_descent_counts(cox: Word, n: int) -> tuple[list[int], list[int]]:
-    position = {s: i for i, s in enumerate(cox)}
-    ascents = [0] * (n + 1)
-    descents = [0] * (n + 1)
-    for i in range(2, n + 1):
-        ascents[i] = ascents[i - 1] + (1 if position[i - 1] < position[i] else 0)
-        descents[i] = descents[i - 1] + (1 if position[i - 1] > position[i] else 0)
-    return ascents, descents
-
 
 def _polygon_rank(family: str, m: int, k: int) -> int:
     """The rank n of the polygon model: m = n + 2k + 1 in type A (n >= 1),
@@ -266,27 +275,33 @@ def _polygon_rank(family: str, m: int, k: int) -> int:
     return n
 
 
-def type_a_bijection(m: int, k: int, cox: Word) -> tuple[Diagonal, ...]:
-    """Positions of the type-A multi-cluster word to diagonals of the m-gon.
+def _rotated_seeds(family: str, m: int, k: int, cox: Word) -> list[tuple[int, int]]:
+    """The diagonal of each position of the multi-cluster word of type A or
+    B, before its endpoints are reduced.
 
-    The letter s_i seeds the diagonal [a_i, b_i]; its l-th copy is that
-    diagonal rotated l-1 steps clockwise (vertex labels +1 mod m).
+    With a_i and d_i the ascents and descents of c among s_1..s_i (s_{i-1}
+    before, or after, s_i in c), the letter s_i seeds (a_i, b_i), where
+    b_i = -k-1-d_i in type A and m-d_i in type B; its j-th copy is that
+    seed rotated j-1 steps (both endpoints + j - 1).
     """
-    n = _polygon_rank("A", m, k)
-    system = CoxeterSystem(f"A{n}")
-    check_coxeter_word(system, cox)
+    system = CoxeterSystem(f"{family}{_polygon_rank(family, m, k)}")
     word = multi_cluster_word(system, cox, k)
-    ascents, descents = _ascent_descent_counts(cox, n)
-    seeds = {
-        i: (ascents[i] % m, (-k - 1 - descents[i]) % m) for i in range(1, n + 1)
-    }
-    copies = _copy_indices(word)
-    out = []
-    for p, s in enumerate(word):
-        a, b = seeds[s]
-        shift = copies[p] - 1
-        out.append(_normalize_diagonal((a + shift) % m, (b + shift) % m))
-    return tuple(out)
+    position = {s: i for i, s in enumerate(cox)}
+    seeds = {1: (0, -k - 1 if family == "A" else m)}
+    for i in range(2, system.rank + 1):
+        a, b = seeds[i - 1]
+        ascent = position[i - 1] < position[i]
+        seeds[i] = (a + 1, b) if ascent else (a, b - 1)
+    return [
+        (seeds[s][0] + j - 1, seeds[s][1] + j - 1)
+        for s, j in zip(word, occurrence_indices(word))
+    ]
+
+
+def type_a_bijection(m: int, k: int, cox: Word) -> tuple[Diagonal, ...]:
+    """Positions of the type-A multi-cluster word to diagonals of the m-gon:
+    the rotated seeds, labels mod m."""
+    return tuple(_normalize_diagonal(a % m, b % m) for a, b in _rotated_seeds("A", m, k, cox))
 
 
 def _normalize_diagonal(a: int, b: int) -> Diagonal:
@@ -339,26 +354,15 @@ def contains_pairwise_crossing(m: int, count: int, diagonals) -> bool:
 
 def type_b_bijection(m: int, k: int, cox: Word) -> tuple[frozenset, ...]:
     """Positions of the type-B multi-cluster word to symmetric diagonal pairs
-    of the 2m-gon (a singleton frozenset for diameters)."""
-    n = _polygon_rank("B", m, k)
-    system = CoxeterSystem(f"B{n}")
-    check_coxeter_word(system, cox)
-    word = multi_cluster_word(system, cox, k)
-    ascents, descents = _ascent_descent_counts(cox, n)
-    seeds = {i: (ascents[i], m - descents[i]) for i in range(1, n + 1)}
-    copies = _copy_indices(word)
-    out = []
-    for p, s in enumerate(word):
-        a, b = seeds[s]
-        shift = copies[p] - 1
-        pair = frozenset(
-            {
-                _normalize_diagonal((a + shift) % (2 * m), (b + shift) % (2 * m)),
-                _normalize_diagonal((a + m + shift) % (2 * m), (b + m + shift) % (2 * m)),
-            }
-        )
-        out.append(pair)
-    return tuple(out)
+    of the 2m-gon (a singleton frozenset for diameters): each rotated seed
+    with its half-turn, labels mod 2m."""
+    return tuple(
+        frozenset({
+            _normalize_diagonal(a % (2 * m), b % (2 * m)),
+            _normalize_diagonal((a + m) % (2 * m), (b + m) % (2 * m)),
+        })
+        for a, b in _rotated_seeds("B", m, k, cox)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +378,10 @@ def gale_facets_rank2(m: int, k: int) -> tuple[Facet, ...]:
     All C(2k + m, 2k) subsets are scanned, so more than ``MAX_FACES`` of them
     raise ``ResourceLimitError`` before the scan starts.
     """
+    if m < 3:
+        raise CoxeterError("I2(m) needs m >= 3")
+    if k < 0:
+        raise CoxeterError("the number of copies must be nonnegative")
     count = comb(2 * k + m, 2 * k)
     if count > subword.MAX_FACES:
         raise ResourceLimitError(

@@ -18,6 +18,7 @@ from .coxeter import (
     Word,
     check_coxeter_word,
     check_word,
+    occurrence_indices,
     psi_word,
 )
 from .sorting import has_sin_property, sorting_word_w0
@@ -35,16 +36,11 @@ class Quiver:
 
 
 def coxeter_quiver(system: CoxeterSystem, cox: Word) -> Quiver:
-    """One vertex per generator; s -> t when the neighbors s, t have s first in c."""
+    """The knitting of c at occurrence index 0, vertices sorted: one vertex
+    per generator, and s -> t when the neighbors s, t have s first in c."""
     check_coxeter_word(system, cox)
-    position = {s: i for i, s in enumerate(cox)}
-    vertices = tuple((0, s) for s in range(1, system.rank + 1))
-    arrows = []
-    for s in range(1, system.rank + 1):
-        for t in system.neighbors[s - 1]:
-            if position[s] < position[t]:
-                arrows.append(((0, s), (0, t)))
-    return Quiver(vertices, tuple(sorted(arrows)))
+    quiver = knitting_quiver(system, cox, 0)
+    return Quiver(tuple(sorted(quiver.vertices)), quiver.arrows)
 
 
 def knitting_quiver(system: CoxeterSystem, word: Word, origin: int = 1) -> Quiver:
@@ -53,7 +49,7 @@ def knitting_quiver(system: CoxeterSystem, word: Word, origin: int = 1) -> Quive
     The j-th occurrence of generator s becomes vertex (origin + j - 1, s).
     """
     check_word(system, word)
-    labels = _occurrence_labels(word, origin)
+    labels = tuple((origin + j - 1, s) for s, j in zip(word, occurrence_indices(word)))
     arrows = []
     for s in range(1, system.rank + 1):
         for t in system.neighbors[s - 1]:
@@ -64,15 +60,6 @@ def knitting_quiver(system: CoxeterSystem, word: Word, origin: int = 1) -> Quive
                 if word[a] != word[b]:
                     arrows.append((labels[a], labels[b]))
     return Quiver(labels, tuple(sorted(arrows)))
-
-
-def _occurrence_labels(word: Word, origin: int) -> tuple[Vertex, ...]:
-    seen: dict[int, int] = {}
-    labels = []
-    for s in word:
-        seen[s] = seen.get(s, 0) + 1
-        labels.append((origin + seen[s] - 1, s))
-    return tuple(labels)
 
 
 def ar_quiver(system: CoxeterSystem, cox: Word) -> Quiver:

@@ -20,7 +20,6 @@ from .coxeter import (
     check_coxeter_word,
     check_word,
     demazure_product,
-    equal_up_to_commutations,
     longest_element,
     psi_word,
 )
@@ -104,31 +103,3 @@ def has_sin_property(system: CoxeterSystem, word: Word) -> bool:
                         return False
                     previous = x
     return True
-
-
-def recognize_multi_cluster_word(
-    system: CoxeterSystem, word: Word
-) -> tuple[Word, int] | None:
-    """Recover (c, k) such that ``word`` equals c^k * sorting word, up to commutations.
-
-    Returns None when the word lacks the strong intervening-neighbors
-    property.  The Coxeter word is read off from the first occurrences, and
-    the reconstruction is verified via the commutation canonical form.
-    """
-    if not has_sin_property(system, word):
-        return None
-    extra = len(word) - system.number_of_positive_roots
-    if extra < 0 or extra % system.rank:
-        return None
-    k = extra // system.rank
-    seen: list[int] = []
-    for s in word:
-        if s not in seen:
-            seen.append(s)
-    cox = tuple(seen)
-    if len(cox) != system.rank:
-        return None
-    target = cox * k + sorting_word_w0(system, cox).word
-    if not equal_up_to_commutations(system, word, target):
-        return None
-    return cox, k

@@ -9,7 +9,9 @@ the public ``flip``, f-vectors and minimal non-faces by materialising
 every subset of every facet instead of the h-vector and the facet-bitset
 growth, diagonal crossings by cyclic interleaving, cyclic-sieving values by
 complex floating-point evaluation instead of cyclotomic remainders, counts
-by closed formulas from outside the package.
+by closed formulas from outside the package, the next-occurrence action by
+rescanning the word, the pairwise-compatibility complex by scanning every
+root set.
 """
 
 from __future__ import annotations
@@ -20,11 +22,14 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb
 
+from subwordlab import subword
 from subwordlab.coxeter import (
     CoxeterSystem,
     Element,
+    ResourceLimitError,
     enumerate_coxeter_words,
 )
+from subwordlab.multicluster import almost_positive_roots, c_compatible
 from subwordlab.subword import flip, is_face, reduce_to_w0
 
 
@@ -156,6 +161,61 @@ def oracle_coxeter_words(sys: CoxeterSystem) -> tuple:
     if sys.descriptor.name() in CODE_EDGE_TYPES:
         return (tuple(range(1, sys.rank + 1)),)
     return enumerate_coxeter_words(sys)
+
+
+def brute_theta(sys: CoxeterSystem, word) -> tuple:
+    """The next-occurrence permutation by rescanning the word at every
+    position: the next later copy of the letter, else the first copy of its
+    psi image."""
+    out = []
+    for p, s in enumerate(word, start=1):
+        later = [q for q in range(p + 1, len(word) + 1) if word[q - 1] == s]
+        if later:
+            out.append(later[0])
+        else:
+            partner = sys.psi_table[s - 1]
+            out.append(next(q for q, x in enumerate(word, start=1) if x == partner))
+    return tuple(out)
+
+
+def naive_complex_max_face_sizes(sys: CoxeterSystem, cox, k: int) -> tuple:
+    """Maximal face sizes of the pairwise-compatibility complex.
+
+    Faces are the root sets with no k+1 pairwise-incompatible members; the
+    construction fails purity in general, which is why the multi-cluster
+    complex is not defined this way.  More than ``subword.MAX_FACES`` root
+    sets raise ``ResourceLimitError`` before the scan starts.
+    """
+    roots = almost_positive_roots(sys)
+    total = len(roots)
+    if 1 << total > subword.MAX_FACES:
+        raise ResourceLimitError(
+            f"the compatibility complex of {sys.descriptor.name()} with k={k} has"
+            f" 2^{total} = {1 << total} root sets, more than the limit of {subword.MAX_FACES}"
+        )
+    incompatible = [[False] * total for _ in range(total)]
+    for i in range(total):
+        for j in range(i + 1, total):
+            bad = not c_compatible(sys, cox, roots[i], roots[j])
+            incompatible[i][j] = incompatible[j][i] = bad
+
+    def admissible(members: tuple) -> bool:
+        # no k+1 pairwise-incompatible subset
+        for group in combinations(members, k + 1):
+            if all(incompatible[a][b] for a in group for b in group if a < b):
+                return False
+        return True
+
+    faces = set()
+    for mask in range(1 << total):
+        members = tuple(i for i in range(total) if mask >> i & 1)
+        if admissible(members):
+            faces.add(frozenset(members))
+    maximal_sizes = set()
+    for face in faces:
+        if not any(face | {v} in faces for v in range(total) if v not in face):
+            maximal_sizes.add(len(face))
+    return tuple(sorted(maximal_sizes))
 
 
 def brute_all_faces(complex_) -> frozenset:

@@ -12,7 +12,6 @@ from subwordlab import cli, coxeter, experiments, subword
 from subwordlab.cli import main
 from subwordlab.experiments import (
     flip_graph_diameter,
-    naive_complex_max_face_sizes,
     run_count_experiment,
     run_csp_experiment,
     run_independence_experiment,
@@ -23,7 +22,7 @@ from subwordlab.experiments import (
 )
 from subwordlab.coxeter import ResourceLimitError, longest_element
 from subwordlab.subword import flip_graph, subword_complex
-from helpers import system
+from helpers import naive_complex_max_face_sizes, system
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +116,7 @@ def test_naive_complex_is_not_pure_in_b3():
 
 
 def test_naive_complex_checks_its_budget_up_front(monkeypatch):
-    monkeypatch.setattr(experiments, "MAX_FACES", 2**12 - 1)
+    monkeypatch.setattr(subword, "MAX_FACES", 2**12 - 1)
     with pytest.raises(
         ResourceLimitError,
         match=r"compatibility complex of B3 with k=2 has 2\^12 = 4096 root sets,"

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from subwordlab import coxeter
 from subwordlab.coxeter import (
     CoxeterError,
+    CoxeterSystem,
+    GroupDescriptor,
     ResourceLimitError,
     SignedRoot,
     commutation_position_map,
@@ -45,10 +47,50 @@ def test_descriptor_parsing():
     assert parse_descriptor(" h3 ").name() == "H3"
 
 
-@pytest.mark.parametrize("bad", ["E5", "E9", "F5", "G3", "H5", "A0", "B1", "D2", "I2", "I3(5)", "I2(1)", "I2(2)", "X3", "A"])
+REJECTED_DESCRIPTORS = {
+    "E5": "no finite irreducible type E5",
+    "E9": "no finite irreducible type E9",
+    "F5": "no finite irreducible type F5",
+    "G3": "no finite irreducible type G3",
+    "H5": "no finite irreducible type H5",
+    "A0": "no finite irreducible type A0",
+    "B1": "no finite irreducible type B1",
+    "D2": "no finite irreducible type D2",
+    "I2": "dihedral descriptors are written I2(m) with m >= 3",
+    "I3(5)": "dihedral descriptors are written I2(m) with m >= 3",
+    "I2(1)": "I2(m) needs m >= 3",
+    "I2(2)": "I2(m) needs m >= 3",
+    "X3": "no finite irreducible type X3",
+    "A": "cannot parse group descriptor 'A'",
+}
+
+
+@pytest.mark.parametrize("bad", list(REJECTED_DESCRIPTORS))
 def test_descriptor_rejection(bad):
-    with pytest.raises(CoxeterError):
+    with pytest.raises(CoxeterError) as caught:
         parse_descriptor(bad)
+    assert str(caught.value) == REJECTED_DESCRIPTORS[bad]
+
+
+def test_constructor_checks_descriptor_objects():
+    # descriptors built directly skip the parser; the constructor checks them
+    rejected = [
+        (GroupDescriptor("A", 0), "no finite irreducible type A0"),
+        (GroupDescriptor("C", 3), "no finite irreducible type C3"),
+        (GroupDescriptor("E", 5), "no finite irreducible type E5"),
+        (GroupDescriptor("I", 3, 5), "no finite irreducible type I3"),
+        (GroupDescriptor("X", 3), "no finite irreducible type X3"),
+        (GroupDescriptor("I", 2), "I2(m) needs m >= 3"),
+        (GroupDescriptor("I", 2, 2), "I2(m) needs m >= 3"),
+        (GroupDescriptor("A", 3, 5), "only I2 carries a dihedral order"),
+        (GroupDescriptor("B", 2, 4), "only I2 carries a dihedral order"),
+    ]
+    for descriptor, message in rejected:
+        with pytest.raises(CoxeterError) as caught:
+            CoxeterSystem(descriptor)
+        assert str(caught.value) == message
+    assert CoxeterSystem(GroupDescriptor("D", 3)).degrees == (2, 3, 4)
+    assert CoxeterSystem(GroupDescriptor("I", 2, 9)).degrees == (2, 9)
 
 
 def test_word_parsing():
@@ -282,6 +324,13 @@ def test_psi_examples():
     assert psi(system("B2"), 1) == 1
     assert psi(system("A2"), 1) == 2
     assert psi(system("A4"), 2) == 3
+
+
+def test_psi_rejects_out_of_range_generators():
+    a3 = system("A3")
+    for s in (0, -1, 4):
+        with pytest.raises(CoxeterError, match=f"generator s{s} out of range"):
+            psi(a3, s)
 
 
 def test_inversion_sets():

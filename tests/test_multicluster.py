@@ -51,6 +51,7 @@ from helpers import (
     SMALL_TYPES,
     brute_diagonals_cross,
     brute_root_table,
+    brute_theta,
     catalan,
     float_csp_values,
     oracle_coxeter_words,
@@ -220,6 +221,14 @@ def test_sigma_involution_basics():
         assert sigma_involution(b2, 1, sigma_involution(b2, 1, root)) == root
 
 
+def test_sigma_involution_rejects_out_of_range_generators():
+    a3 = system("A3")
+    for s in (0, -1, 4):
+        for root in (SignedRoot(0, 1), negative_simple(a3, 1), negative_simple(a3, 3)):
+            with pytest.raises(CoxeterError, match=f"generator s{s} out of range"):
+                sigma_involution(a3, s, root)
+
+
 def test_compatibility_recursion_under_initial_letters():
     # compatibility w.r.t. c matches compatibility of the sigma images
     # w.r.t. the conjugated word, for the initial letter of c
@@ -373,6 +382,26 @@ def test_theta_orders_match_formula(name, k):
     assert permutation_order(perm) == theta_order_formula(s, k)
 
 
+THETA_RESCAN_TYPES = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"B{n}" for n in range(2, 9)]
+    + [f"D{n}" for n in range(3, 9)]
+    + ["E6", "E7", "E8", "F4", "G2", "H3", "H4", "I2(5)", "I2(7)", "I2(8)"]
+)
+
+
+@pytest.mark.parametrize("name", THETA_RESCAN_TYPES)
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_theta_permutation_matches_the_rescan(name, data):
+    s = system(name)
+    words = enumerate_coxeter_words(s)
+    cox = words[data.draw(st.integers(0, len(words) - 1), label="word")]
+    k = data.draw(st.integers(0, 3), label="k")
+    expected = brute_theta(s, multi_cluster_word(s, cox, k))
+    assert theta_permutation(s, cox, k) == expected
+
+
 def test_theta_orbits_on_facets():
     b2, a2 = system("B2"), system("A2")
     assert [len(o) for o in theta_orbits_on_facets(b2, (1, 2), 1)] == [3, 3]
@@ -391,6 +420,38 @@ def test_theta_orbits_on_facets():
 def test_pentagon_diagonal_table():
     table = type_a_bijection(5, 1, (2, 1))
     assert table == ((0, 2), (0, 3), (1, 3), (1, 4), (2, 4))
+
+
+TYPE_A_TABLES = {
+    (7, 2, (1, 2)): ((0, 4), (1, 4), (1, 5), (2, 5), (2, 6), (3, 6), (0, 3)),
+    (7, 2, (2, 1)): ((0, 3), (0, 4), (1, 4), (1, 5), (2, 5), (2, 6), (3, 6)),
+    (8, 2, (1, 2, 3)): (
+        (0, 5), (1, 5), (2, 5), (1, 6), (2, 6), (3, 6),
+        (2, 7), (3, 7), (4, 7), (0, 3), (0, 4), (1, 4),
+    ),
+    (8, 2, (1, 3, 2)): (
+        (0, 5), (1, 4), (1, 5), (1, 6), (2, 5), (2, 6),
+        (2, 7), (3, 6), (3, 7), (0, 3), (4, 7), (0, 4),
+    ),
+    (8, 2, (2, 1, 3)): (
+        (0, 4), (0, 5), (1, 4), (1, 5), (1, 6), (2, 5),
+        (2, 6), (2, 7), (3, 6), (3, 7), (0, 3), (4, 7),
+    ),
+    (8, 2, (3, 2, 1)): (
+        (0, 3), (0, 4), (0, 5), (1, 4), (1, 5), (1, 6),
+        (2, 5), (2, 6), (2, 7), (3, 6), (3, 7), (4, 7),
+    ),
+}
+
+
+def test_type_a_bijection_tables_on_every_coxeter_word():
+    for m, k in [(7, 2), (8, 2)]:
+        s = system(f"A{m - 2 * k - 1}")
+        assert {cox for mm, kk, cox in TYPE_A_TABLES if (mm, kk) == (m, k)} == set(
+            enumerate_coxeter_words(s)
+        )
+    for (m, k, cox), table in TYPE_A_TABLES.items():
+        assert type_a_bijection(m, k, cox) == table
 
 
 def test_type_a_bijection_is_onto_relevant_diagonals():
@@ -554,6 +615,14 @@ def test_gale_counts():
     assert len(gale_facets_rank2(4, 2)) == 20
     for m in range(3, 9):
         assert len(gale_facets_rank2(m, 1)) == m + 2
+
+
+def test_gale_facets_rank2_rejects_illegal_parameters():
+    for m in (2, 1, 0):
+        with pytest.raises(CoxeterError, match=r"^I2\(m\) needs m >= 3$"):
+            gale_facets_rank2(m, 1)
+    with pytest.raises(CoxeterError, match="^the number of copies must be nonnegative$"):
+        gale_facets_rank2(5, -1)
 
 
 def test_gale_facets_rank2_checks_its_budget_up_front(monkeypatch):

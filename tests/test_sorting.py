@@ -11,9 +11,9 @@ from subwordlab.coxeter import (
     psi,
     psi_word,
 )
+from subwordlab.multicluster import recognize_multi_cluster_word
 from subwordlab.sorting import (
     has_sin_property,
-    recognize_multi_cluster_word,
     rotate_word,
     sorting_word,
     sorting_word_w0,
