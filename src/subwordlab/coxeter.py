@@ -500,6 +500,8 @@ def psi(system: CoxeterSystem, s: int) -> int:
 
 
 def psi_word(system: CoxeterSystem, word: Word) -> Word:
+    """``psi`` applied to every letter of the word."""
+    check_word(system, word)
     return tuple(system.psi_table[s - 1] for s in word)
 
 

@@ -18,8 +18,10 @@ Face counts never materialise the faces: the kernel counts the h-vector of
 the lexicographic shelling while it enumerates, from the sign of the root
 at each facet position, so ``h_vector`` and ``f_vector`` walk nothing.
 ``all_faces`` builds the faces up to a size cap from one facet bitset per
-vertex, under the ``MAX_FACES`` budget, and ``minimal_nonfaces`` extends
-those faces by one vertex.
+vertex, under the ``MAX_FACES`` budget.  ``minimal_nonfaces`` builds them
+only up to one below its cap and extends them by one vertex; a candidate at
+the cap is tested on the same facet bitsets, so no face of that size is
+built.
 """
 
 from __future__ import annotations
@@ -390,27 +392,45 @@ def f_vector(complex_: SubwordComplex) -> tuple[int, ...]:
     )
 
 
+def _facet_bitsets(complex_: SubwordComplex) -> dict[int, int]:
+    """For each vertex, the bitset of the facets that contain it (bit b for
+    the b-th facet).
+
+    Each vertex collects its bits in a ``bytearray``, read as one
+    little-endian int at the end, so the build is linear in the facets times
+    their size; or-ing each bit into an int would copy the growing int at
+    every bit.
+    """
+    facets = complex_.facets
+    rows = {v: bytearray((len(facets) + 7) // 8) for v in complex_.vertices}
+    for bit, facet in enumerate(facets):
+        byte, value = bit >> 3, 1 << (bit & 7)
+        for v in facet:
+            rows[v][byte] |= value
+    return {v: int.from_bytes(row, "little") for v, row in rows.items()}
+
+
 def all_faces(
     complex_: SubwordComplex, max_size: int | None = None
 ) -> frozenset[frozenset[int]]:
     """Every face with at most ``max_size`` positions (default: all faces).
 
-    Each vertex gets a bitset of the facets that contain it, and faces grow
-    level by level: a face extended by a larger vertex v is still a face
-    exactly when some facet contains both, that is, when the face's facet
-    bitset meets that of v.  Each face is built once.  Raises
-    ``ResourceLimitError`` once more than ``MAX_FACES`` faces are built.
+    Each vertex gets a bitset of the facets that contain it
+    (``_facet_bitsets``), and faces grow level by level: a face extended by
+    a larger vertex v is still a face exactly when some facet contains both,
+    that is, when the face's facet bitset meets that of v.  Each face is
+    built once, and every face built counts against ``MAX_FACES``:
+    ``ResourceLimitError`` is raised once more than ``MAX_FACES`` faces of
+    size <= ``max_size`` are built.  ``minimal_nonfaces`` asks only for the
+    faces one below its own cap.
     """
     facets, vertices = complex_.facets, complex_.vertices
     if max_size is None:
         max_size = complex_.facet_size()
     if not facets or max_size < 0:
         return frozenset()
-    index = {v: i for i, v in enumerate(vertices)}
-    containing = [0] * len(vertices)
-    for bit, facet in enumerate(facets):
-        for v in facet:
-            containing[index[v]] |= 1 << bit
+    bitsets = _facet_bitsets(complex_)
+    containing = [bitsets[v] for v in vertices]
     # a face is (positions, index of the next vertex it may take, facet bitset)
     level = [((), 0, (1 << len(facets)) - 1)]
     faces = [()]
@@ -429,6 +449,7 @@ def all_faces(
                 )
         faces.extend(face for face, _, _ in grown)
         level = grown
+    level.clear()  # free the facet bitsets of the last level before the copy
     return frozenset(map(frozenset, faces))
 
 
@@ -442,15 +463,27 @@ def minimal_nonfaces(complex_: SubwordComplex, max_size: int) -> tuple[Facet, ..
 
     Candidates are faces of size < max_size extended by one larger vertex; a
     candidate is a minimal non-face when it is not a face but dropping any
-    one of its positions leaves a face.
+    one of its positions leaves a face.  Only the faces of size < max_size
+    are built, by ``all_faces``, and only they count against ``MAX_FACES``.
+    A candidate below the cap is looked up among them; one at the cap,
+    F + {v}, is a face exactly when the AND of the facet bitsets of F meets
+    that of v, so no face of size max_size is built.  At the full cap, one
+    more than the facet size and the CLI default, no face has max_size
+    positions anyway, so every face is built and counts against the budget.
     """
-    faces = all_faces(complex_, max_size)
+    faces = all_faces(complex_, max_size - 1)
     vertices = complex_.vertices
+    bitsets = _facet_bitsets(complex_)
+    everywhere = (1 << len(complex_.facets)) - 1
     out: list[Facet] = []
     for face in faces:
-        if len(face) >= max_size:
-            continue
-        for v in vertices[bisect_right(vertices, max(face, default=0)):]:
+        larger = vertices[bisect_right(vertices, max(face, default=0)):]
+        if len(face) == max_size - 1:  # keep the candidates that no facet contains
+            mask = everywhere
+            for u in face:
+                mask &= bitsets[u]
+            larger = [v for v in larger if not mask & bitsets[v]]
+        for v in larger:
             candidate = face | {v}
             if candidate not in faces and all(candidate - {u} in faces for u in face):
                 out.append(tuple(sorted(candidate)))

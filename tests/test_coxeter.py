@@ -24,6 +24,7 @@ from subwordlab.coxeter import (
     parse_descriptor,
     parse_word,
     psi,
+    psi_word,
     reduced_word,
 )
 from helpers import brute_min_word_length, commutation_class, group_by_bfs, system
@@ -331,6 +332,14 @@ def test_psi_rejects_out_of_range_generators():
     for s in (0, -1, 4):
         with pytest.raises(CoxeterError, match=f"generator s{s} out of range"):
             psi(a3, s)
+
+
+def test_psi_word_rejects_out_of_range_generators():
+    a3 = system("A3")
+    assert psi_word(a3, (1, 2, 3)) == (3, 2, 1)
+    for s in (0, -1, 4):
+        with pytest.raises(CoxeterError, match=f"generator s{s} out of range"):
+            psi_word(a3, (1, s))
 
 
 def test_inversion_sets():

@@ -733,3 +733,28 @@ def test_all_faces_budget(monkeypatch):
     with pytest.raises(ResourceLimitError, match="more than 12 faces"):
         minimal_nonfaces(complex_, 3)
     assert len(all_faces(complex_, 1)) == 7
+
+
+def test_minimal_nonfaces_build_no_face_at_the_cap(monkeypatch):
+    # the hexagon has 7 faces of size <= 1 and 13 of size <= 2: a budget of
+    # 7 leaves room for the faces below the cap only
+    _, complex_ = hexagon()
+    monkeypatch.setattr(subword, "MAX_FACES", 7)
+    found = minimal_nonfaces(complex_, 2)
+    assert found and found == brute_minimal_nonfaces(complex_, 2)
+    with pytest.raises(ResourceLimitError, match="more than 7 faces"):
+        all_faces(complex_, 2)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3"])
+def test_face_bitsets_over_several_bytes(name):
+    # k = 2 gives 84 (A3) and 175 (B3) facets, so each vertex bitset spans
+    # several bytes
+    s, k = system(name), 2
+    cox = enumerate_coxeter_words(s)[0]
+    complex_ = subword_complex(s, multi_cluster_word(s, cox, k), longest_element(s))
+    assert len(complex_.facets) > 64
+    faces = brute_all_faces(complex_)
+    for cap in range(0, k + 3):
+        assert all_faces(complex_, cap) == {f for f in faces if len(f) <= cap}
+        assert minimal_nonfaces(complex_, cap) == brute_minimal_nonfaces(complex_, cap)
