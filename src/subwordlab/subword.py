@@ -6,17 +6,23 @@ are 1-based throughout, facets are sorted position tuples, and the facet
 list is sorted lexicographically so all outputs are deterministic.
 
 Facets come from one kernel under the ``MAX_FACES`` budget, shared by
-``enumerate_facets`` and ``subword_complex``: a search over increasing flips
-from the greedy facet, carrying each facet's root table as a sequence of
-signed-root codes and updating it by one root reflection per flip, so no
-facet is found twice and no dead end is explored.  ``flip`` and
-``root_table`` stay the public single-facet calls; ``facet_count`` counts
-the facets independently, by a sweep over group elements with no root table
-or flip, under a budget of |W| <= ``MAX_FACES`` states.
+``enumerate_facets`` and ``subword_complex``: a reverse search over
+increasing flips from the greedy facet, whose parent rule is the canonical
+spanning tree of the increasing flip graph (Pilaud-Stump, arXiv:1210.1435),
+so no facet is found twice and no dead end is explored.  It carries each
+facet's root table as a sequence of signed-root codes with the facet
+positions blanked, and the roots at the facet positions as a second one;
+one root reflection per flip updates both.  A facet's children are found
+by a fixed number of C-level calls (``translate``, ``find``), not by a
+Python loop over its positions, and a child with no children of its own
+is counted without being pushed.  ``flip`` and ``root_table`` stay the
+public single-facet calls; ``facet_count`` counts the facets
+independently, by a sweep over group elements with no root table or flip,
+under a budget of |W| <= ``MAX_FACES`` states.
 
 Face counts never materialise the faces: the kernel counts the h-vector of
-the lexicographic shelling while it enumerates, from the sign of the root
-at each facet position, so ``h_vector`` and ``f_vector`` walk nothing.
+the lexicographic shelling while it enumerates, from the signs of the roots
+at each facet's positions, so ``h_vector`` and ``f_vector`` walk nothing.
 ``all_faces`` builds the faces up to a size cap from one facet bitset per
 vertex, under the ``MAX_FACES`` budget.  ``minimal_nonfaces`` builds them
 only up to one below its cap and extends them by one vertex; a candidate at
@@ -85,8 +91,8 @@ def enumerate_facets(
 def _facet_search(
     system: CoxeterSystem, word: Word, target: Element
 ) -> tuple[tuple[Facet, ...], tuple[int, ...]]:
-    """The sorted facets and the h-vector, by a search over increasing flips
-    from the greedy facet.
+    """The sorted facets and the h-vector, by a reverse search over
+    increasing flips from the greedy facet.
 
     The greedy facet (Pilaud-Pocchiola) leaves out the rightmost reduced
     word for target: scanning right to left from u = target, a position
@@ -103,30 +109,45 @@ def _facet_search(
     table only at the positions min(q, q') < p <= max(q, q'), by the
     reflection in that root (CLS, Lemma 3.6; Pilaud-Stump).
 
-    The greedy facet is the one facet with no negative root at its own
-    positions.  Every other facet has exactly one parent, the flip at its
-    last position L with a negative root, which is lexicographically
-    smaller; so the children of a facet are its increasing flips q -> q'
-    with q' beyond its own L, and a child's L is q'.  Each facet is thus
-    reached once and no set of seen facets is kept.  Root tables are
-    sequences of signed-root codes (``bytes`` or ``str``, see
-    ``CoxeterSystem.codes``), read as one-code slices: a partner is one
-    ``find`` and a table update one ``translate``.  Raises
-    ``ResourceLimitError`` once more than ``MAX_FACES`` facets are found.
+    The parent rule is the canonical spanning tree of the increasing flip
+    graph (Pilaud-Stump, arXiv:1210.1435).  The greedy facet is the one
+    facet with no negative root at its own positions.  Every other facet
+    has exactly one parent, the flip at its last position L with a negative
+    root, which is lexicographically smaller; so the children of a facet
+    are its increasing flips q -> q' with q' beyond its own L, and a
+    child's L is q'.  Each facet is thus reached once and no set of seen
+    facets is kept.
+
+    A facet is carried as its positions, its root table with the facet
+    positions blanked to code 0 (``outer``) and the roots at its positions
+    in order (``roots``), all as sequences of signed-root codes (``bytes``
+    or ``str``, see ``CoxeterSystem.codes``).  Reflections fix code 0, so a
+    flip updates both sequences with one ``translate`` each, and the
+    partner of a positive root is its one occurrence in ``outer``.  The
+    children are then the roots that reappear in ``outer`` between L and
+    the end of the word: one ``translate`` by a ``maketrans`` of that tail
+    marks them and a ``find`` loop reads the marks in position order, with
+    no Python loop over the positions of the facet.  A flip leaves the
+    table right of q' alone, so a child none of whose roots occur there in
+    its parent's table, one deleting ``translate``, is a leaf: it is
+    counted but never pushed, and its ``outer`` is never built.  Raises
+    ``ResourceLimitError`` once more than ``MAX_FACES`` facets are found,
+    checked after each facet's children are found.
 
     The h-vector (h_0, ..., h_d), d the facet size, comes from the same
-    sign test.  Facets in lexicographic order form a shelling
-    (Knutson-Miller), and a position q of a facet I has its flip partner
-    left of q exactly when r(I, q) is negative; partners in the completion
-    lie right of every position and belong to the boundary of a ball.  So
-    h_i counts the facets with i negative roots at their own positions,
-    which the search adds up for each facet it pops.
+    signs.  Facets in lexicographic order form a shelling (Knutson-Miller),
+    and a position q of a facet I has its flip partner left of q exactly
+    when r(I, q) is negative; partners in the completion lie right of every
+    position and belong to the boundary of a ball.  So h_i counts the
+    facets with i negative roots at their own positions: one ``translate``
+    of ``roots`` to signs and one ``count`` for each facet found.
     """
     r = len(word)
     check_word(system, word)
     right_multiply = system.right_multiply
-    codes = system.codes
-    top = codes[system.number_of_positive_roots]  # codes above it are negative
+    codes, reflections = system.codes, system.reflections
+    N = system.number_of_positive_roots
+    top = codes[N]  # codes above it are negative
     u = target.image
     outside = 0  # complement positions, as a bitmask
     for p in range(r, 0, -1):
@@ -137,37 +158,53 @@ def _facet_search(
     if u != system.identity.image:
         return (), ()
     seed = tuple(p for p in range(1, r + 1) if not outside >> p & 1)
-    # table[p] is the code of r(I, p); table[0] is a code no root has
-    completed = reduce_to_w0(system, word, target)
-    table = codes[0] + system.encode_codes(
-        _root_walk(system, completed, seed, range(len(codes)))
+    inside = set(seed)
+    walk = _root_walk(
+        system, reduce_to_w0(system, word, target), seed, range(len(codes))
     )
-    reflections = system.reflections
+    encode = system.encode_codes
+    blank, minus = codes[0], codes[1]  # blank is the code no root has
+    maketrans, join = type(blank).maketrans, blank[:0].join
+    as_bytes = isinstance(blank, bytes)
+    # signs sends the positive codes to blank and the negative ones to minus
+    signs = blank * (N + 1) + minus * (len(reflections[0]) - N - 1)
+    roots = encode([walk[p - 1] for p in seed])
     facets = [seed]
     h = [0] * (len(seed) + 1)
-    # (facet, facet bitmask, root table, last position with a negative root)
-    stack = [(seed, sum(1 << p for p in seed), table, 0)]
+    h[roots.translate(signs).count(minus)] += 1
+    # (facet, outer, roots, L) of the facets that may have children
+    stack = [(
+        seed,
+        encode([0] + [0 if p in inside else c for p, c in enumerate(walk, 1)]),
+        roots,
+        0,
+    )]
     while stack:
-        facet, mask, table, last = stack.pop()
-        descents = 0
-        for i, q in enumerate(facet):
-            root = table[q:q + 1]
-            if root > top:
-                descents += 1
-                continue  # a decreasing flip: it leads back towards the seed
-            p = table.find(root, q + 1)
-            while mask >> p & 1:  # skip facet positions carrying the root
-                p = table.find(root, p + 1)
-            if p <= last or p > r:
-                continue
-            rest = facet[:i] + facet[i + 1:]
-            j = bisect_right(rest, p)
-            child = rest[:j] + (p,) + rest[j:]
-            moved = table[q + 1:p + 1].translate(reflections[ord(root) - 1])
-            child_table = table[:q + 1] + moved + table[p + 1:]
-            stack.append((child, mask ^ (1 << q) ^ (1 << p), child_table, p))
+        facet, outer, roots, last = stack.pop()
+        tail = outer[last + 1:r + 1]
+        marked = roots.translate(maketrans(tail, blank * len(tail)))
+        i = marked.find(blank)
+        while i >= 0:  # flip facet[i] to p, its partner in the tail
+            root = roots[i:i + 1]
+            p = outer.find(root, last + 1)
+            j = bisect_right(facet, p, i + 1)  # facet[i + 1:j] lie between
+            reflect = reflections[ord(root) - 1]
+            child = facet[:i] + facet[i + 1:j] + (p,) + facet[j:]
+            flipped = (roots[i + 1:j] + root).translate(reflect)  # -root lands at p
+            child_roots = join((roots[:i], flipped, roots[j:]))
             facets.append(child)
-        h[descents] += 1
+            h[child_roots.translate(signs).count(minus)] += 1
+            beyond = outer[p + 1:r + 1]
+            kept = (
+                child_roots.translate(None, beyond) if as_bytes
+                else child_roots.translate(maketrans("", "", beyond))
+            )
+            if len(kept) < len(child_roots):
+                q = facet[i]
+                moved = outer[q + 1:p].translate(reflect)
+                child_outer = join((outer[:q], root, moved, blank, outer[p + 1:]))
+                stack.append((child, child_outer, child_roots, p))
+            i = marked.find(blank, i + 1)
         if len(facets) > MAX_FACES:
             raise ResourceLimitError(
                 f"more than {MAX_FACES} facets: the limit was passed"
@@ -299,7 +336,7 @@ def subword_complex(
     if target is None:
         target = demazure_product(system, word)
     facets, h = _facet_search(system, word, target)
-    vertices = tuple(sorted({p for facet in facets for p in facet}))
+    vertices = tuple(sorted(set().union(*facets)))
     return SubwordComplex(system, word, target, facets, vertices, h)
 
 
@@ -322,17 +359,21 @@ class FlipGraph:
 def flip_graph(complex_: SubwordComplex) -> FlipGraph:
     """Flip every position of every facet, over ``reduce_to_w0`` so that
     balls work too: a flip that lands in the appended completion is a
-    boundary wall and gives no edge."""
+    boundary wall and gives no edge.  Flips of distinct positions q, q' of
+    a facet I give distinct neighbours (I - q + p = I - q' + p' would put
+    q' = p outside I), so each adjacency list needs no deduplication."""
     system, word = complex_.system, complex_.word
     completed = reduce_to_w0(system, word, complex_.target)
     index = {facet: i for i, facet in enumerate(complex_.facets)}
-    neighbors: list[set[int]] = [set() for _ in complex_.facets]
-    for facet, i in index.items():
+    neighbors = []
+    for facet in complex_.facets:
+        adjacent = []
         for q in facet:
             other, landing = flip(system, completed, facet, q)
             if landing <= len(word):
-                neighbors[i].add(index[other])
-    return FlipGraph(complex_.facets, tuple(tuple(sorted(adj)) for adj in neighbors))
+                adjacent.append(index[other])
+        neighbors.append(tuple(sorted(adjacent)))
+    return FlipGraph(complex_.facets, tuple(neighbors))
 
 
 def flip_graph_dot(graph: FlipGraph) -> str:

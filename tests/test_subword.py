@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -269,6 +271,21 @@ def test_facet_budget(monkeypatch):
         match=r"^more than 139 facets: the limit was passed on a word of 140 letters$",
     ):
         enumerate_facets(a1, word, longest_element(a1))
+
+
+def test_facet_budget_counts_the_leaves(monkeypatch):
+    # A3 k=2 has 84 facets, most of them leaves of the search, which are
+    # counted when they are found and never pushed
+    a3 = system("A3")
+    word = multi_cluster_word(a3, enumerate_coxeter_words(a3)[0], 2)
+    monkeypatch.setattr(subword, "MAX_FACES", 84)
+    assert len(enumerate_facets(a3, word, longest_element(a3))) == 84
+    monkeypatch.setattr(subword, "MAX_FACES", 83)
+    with pytest.raises(
+        ResourceLimitError,
+        match=r"^more than 83 facets: the limit was passed on a word of 12 letters$",
+    ):
+        enumerate_facets(a3, word, longest_element(a3))
 
 
 def test_bfs_on_single_facet_complex():
@@ -698,11 +715,30 @@ def test_h_vector_of_a_sphere_is_palindromic(name, data):
     assert h == h[::-1]
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_h_vector_matches_the_face_count_oracle(data):
+    # the kernel counts the negative roots of each facet on bytes codes up
+    # to I2(127) and on str codes from I2(128)
+    names = SMALL_TYPES + ["I2(127)", "I2(128)"]
+    s, word, target, kind = draw_complex(data, names, max_letters=10)
+    complex_ = subword_complex(s, word, target)
+    assert complex_.facets == brute_facets(s, word, target)
+    f = brute_f_vector(complex_)
+    if kind == "empty":
+        assert (complex_.h, f) == ((), (0,))
+        return
+    # h_i = sum over j <= i of (-1)^(i - j) C(d - j, i - j) f_{j-1}
+    d = len(f) - 1
+    assert complex_.h == tuple(
+        sum((-1) ** (i - j) * comb(d - j, i - j) * f[j] for j in range(i + 1))
+        for i in range(d + 1)
+    )
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_h_vector_of_type_a_cluster_complex_is_narayana(n):
     # N(n+1, i+1) = C(n+1, i+1) C(n+1, i) / (n+1)
-    from math import comb
-
     s = system(f"A{n}")
     cox = enumerate_coxeter_words(s)[0]
     complex_ = subword_complex(s, multi_cluster_word(s, cox, 1), longest_element(s))
