@@ -43,6 +43,8 @@ def main(argv=None) -> int:
     parser.add_argument("--wide", action="store_true", help="include slower instances")
     parser.add_argument("--json", action="store_true")
     args = parser.parse_args(argv)
+    if args.samples < 1:
+        parser.error(f"--samples must be at least 1, got {args.samples}")
 
     reports = [
         run_count_experiment(WIDE_COUNTS if args.wide else COUNT_INSTANCES),

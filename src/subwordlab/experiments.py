@@ -18,6 +18,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .coxeter import (
+    CoxeterError,
     CoxeterSystem,
     Word,
     commutation_position_map,
@@ -220,8 +221,11 @@ def run_maximality_experiment(
     Exhaustive instances search every word of that length and also record
     whether every word attaining the maximum has the strong
     intervening-neighbors property; sampled ones draw ``samples`` words from
-    one ``Random(seed)``.
+    one ``Random(seed)``; ``CoxeterError`` when ``samples`` is below 1,
+    which would leave the sampled rows with no word tried.
     """
+    if samples < 1:
+        raise CoxeterError(f"samples must be at least 1, got {samples}")
     rng = random.Random(seed)
     sample_mode = f"sample[{samples}]"
 

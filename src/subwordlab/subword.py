@@ -23,17 +23,19 @@ under a budget of |W| <= ``MAX_FACES`` states.
 Face counts never materialise the faces: the kernel counts the h-vector of
 the lexicographic shelling while it enumerates, from the signs of the roots
 at each facet's positions, so ``h_vector`` and ``f_vector`` walk nothing.
-``all_faces`` builds the faces up to a size cap from one facet bitset per
-vertex, under the ``MAX_FACES`` budget.  ``minimal_nonfaces`` builds them
-only up to one below its cap and extends them by one vertex; a candidate at
-the cap is tested on the same facet bitsets, so no face of that size is
-built.
+Each complex keeps one bitset per vertex of the facets that contain it
+(``SubwordComplex.facet_bitsets``), built on first use.  ``all_faces``
+builds the faces up to a size cap from them, under the ``MAX_FACES``
+budget.  ``minimal_nonfaces`` builds the faces only up to one below its cap
+and joins each two faces that differ in their last vertex only; a join at
+the cap is tested on the facet bitsets, so no face of that size is built.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb, prod
 
 from .coxeter import (
@@ -328,6 +330,24 @@ class SubwordComplex:
     def facet_size(self) -> int:
         return len(self.word) - self.target.length()
 
+    @cached_property
+    def facet_bitsets(self) -> dict[int, int]:
+        """For each vertex, the bitset of the facets that contain it (bit b for
+        the b-th facet), built on first use and kept with the complex.
+
+        Each vertex marks its facets with ``1`` in a ``bytearray`` row of
+        ``0`` digits, read as one base-2 int at the end (the row reversed, so
+        that the b-th digit is bit b), so the build is linear in the facets
+        times their size; or-ing each bit into an int would copy the growing
+        int at every bit.
+        """
+        zeros = b"0" * len(self.facets)
+        rows = {v: bytearray(zeros) for v in self.vertices}
+        for bit, facet in enumerate(self.facets):
+            for v in facet:
+                rows[v][bit] = 49  # ord("1")
+        return {v: int(row[::-1], 2) for v, row in rows.items()}
+
 
 def subword_complex(
     system: CoxeterSystem, word: Word, target: Element | None = None
@@ -433,44 +453,26 @@ def f_vector(complex_: SubwordComplex) -> tuple[int, ...]:
     )
 
 
-def _facet_bitsets(complex_: SubwordComplex) -> dict[int, int]:
-    """For each vertex, the bitset of the facets that contain it (bit b for
-    the b-th facet).
-
-    Each vertex collects its bits in a ``bytearray``, read as one
-    little-endian int at the end, so the build is linear in the facets times
-    their size; or-ing each bit into an int would copy the growing int at
-    every bit.
-    """
-    facets = complex_.facets
-    rows = {v: bytearray((len(facets) + 7) // 8) for v in complex_.vertices}
-    for bit, facet in enumerate(facets):
-        byte, value = bit >> 3, 1 << (bit & 7)
-        for v in facet:
-            rows[v][byte] |= value
-    return {v: int.from_bytes(row, "little") for v, row in rows.items()}
-
-
 def all_faces(
     complex_: SubwordComplex, max_size: int | None = None
 ) -> frozenset[frozenset[int]]:
     """Every face with at most ``max_size`` positions (default: all faces).
 
-    Each vertex gets a bitset of the facets that contain it
-    (``_facet_bitsets``), and faces grow level by level: a face extended by
-    a larger vertex v is still a face exactly when some facet contains both,
-    that is, when the face's facet bitset meets that of v.  Each face is
-    built once, and every face built counts against ``MAX_FACES``:
-    ``ResourceLimitError`` is raised once more than ``MAX_FACES`` faces of
-    size <= ``max_size`` are built.  ``minimal_nonfaces`` asks only for the
-    faces one below its own cap.
+    Faces grow level by level on the complex's facet bitsets
+    (``SubwordComplex.facet_bitsets``): a face extended by a larger vertex v
+    is still a face exactly when some facet contains both, that is, when
+    the face's facet bitset meets that of v.  Each face is built once, and
+    every face built counts against ``MAX_FACES``: ``ResourceLimitError`` is
+    raised once more than ``MAX_FACES`` faces of size <= ``max_size`` are
+    built.  ``minimal_nonfaces`` asks only for the faces one below its own
+    cap.
     """
     facets, vertices = complex_.facets, complex_.vertices
     if max_size is None:
         max_size = complex_.facet_size()
     if not facets or max_size < 0:
         return frozenset()
-    bitsets = _facet_bitsets(complex_)
+    bitsets = complex_.facet_bitsets
     containing = [bitsets[v] for v in vertices]
     # a face is (positions, index of the next vertex it may take, facet bitset)
     level = [((), 0, (1 << len(facets)) - 1)]
@@ -491,7 +493,12 @@ def all_faces(
         faces.extend(face for face, _, _ in grown)
         level = grown
     level.clear()  # free the facet bitsets of the last level before the copy
-    return frozenset(map(frozenset, faces))
+
+    def copied():  # free each tuple once copied, so the copies reuse its memory
+        while faces:
+            yield frozenset(faces.pop())
+
+    return frozenset(copied())
 
 
 def reduced_euler_characteristic(complex_: SubwordComplex) -> int:
@@ -502,30 +509,52 @@ def reduced_euler_characteristic(complex_: SubwordComplex) -> int:
 def minimal_nonfaces(complex_: SubwordComplex, max_size: int) -> tuple[Facet, ...]:
     """Inclusion-minimal non-faces of size <= max_size over the vertex set.
 
-    Candidates are faces of size < max_size extended by one larger vertex; a
-    candidate is a minimal non-face when it is not a face but dropping any
-    one of its positions leaves a face.  Only the faces of size < max_size
-    are built, by ``all_faces``, and only they count against ``MAX_FACES``.
-    A candidate below the cap is looked up among them; one at the cap,
-    F + {v}, is a face exactly when the AND of the facet bitsets of F meets
-    that of v, so no face of size max_size is built.  At the full cap, one
-    more than the facet size and the CLI default, no face has max_size
-    positions anyway, so every face is built and counts against the budget.
+    Only the faces of size < max_size are built, by ``all_faces``, and only
+    they count against ``MAX_FACES``.  Every vertex is a face, so a minimal
+    non-face has two largest vertices a < b, and the rest P lies below a;
+    dropping a or b leaves the faces P+a and P+b, which share all but their
+    last vertex.  So the candidates are the joins P+a+b of such sibling
+    faces.  A join below the cap is a non-face when it is not among the
+    faces; one at the cap when the AND of the facet bitsets of P, a and b is
+    empty, so no face of size max_size is built.  A non-face is minimal when
+    dropping any one vertex of P leaves a face.
+
+    The siblings are walked depth first as groups (P, [a, ...]) with a
+    increasing, starting from the single vertices: the joins P+a+b of a
+    group that are faces form the group of P+a.  So each face below the cap
+    is reached once, in sorted form, and only the groups on the stack are
+    kept besides the faces themselves.  At the full cap, one more than the
+    facet size and the CLI default, no face has max_size positions anyway,
+    so every face is built and counts against the budget.
     """
     faces = all_faces(complex_, max_size - 1)
-    vertices = complex_.vertices
-    bitsets = _facet_bitsets(complex_)
+    bitsets = complex_.facet_bitsets
     everywhere = (1 << len(complex_.facets)) - 1
     out: list[Facet] = []
-    for face in faces:
-        larger = vertices[bisect_right(vertices, max(face, default=0)):]
-        if len(face) == max_size - 1:  # keep the candidates that no facet contains
+    stack = [((), complex_.vertices)] if max_size >= 2 else []  # (P, [a, ...])
+    while stack:
+        prefix, last = stack.pop()
+        at_cap = len(prefix) + 2 == max_size
+        if at_cap:
             mask = everywhere
-            for u in face:
+            for u in prefix:
                 mask &= bitsets[u]
-            larger = [v for v in larger if not mask & bitsets[v]]
-        for v in larger:
-            candidate = face | {v}
-            if candidate not in faces and all(candidate - {u} in faces for u in face):
-                out.append(tuple(sorted(candidate)))
+        drops = [prefix[:j] + prefix[j + 1:] for j in range(len(prefix))]
+        for i, a in enumerate(last):
+            face = prefix + (a,)
+            if at_cap:
+                with_a = mask & bitsets[a]
+                missing = [b for b in last[i + 1:] if not with_a & bitsets[b]]
+            else:
+                children, missing = [], []
+                for b in last[i + 1:]:
+                    if frozenset(face + (b,)) in faces:
+                        children.append(b)
+                    else:
+                        missing.append(b)
+                if len(children) > 1:  # a face with one child joins nothing
+                    stack.append((face, children))
+            for b in missing:
+                if all(frozenset(rest + (a, b)) in faces for rest in drops):
+                    out.append(face + (b,))
     return tuple(sorted(out))

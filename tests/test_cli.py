@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import re
@@ -20,7 +21,7 @@ from subwordlab.experiments import (
     run_nonface_experiment,
     run_sin_experiment,
 )
-from subwordlab.coxeter import ResourceLimitError, longest_element
+from subwordlab.coxeter import CoxeterError, ResourceLimitError, longest_element
 from subwordlab.subword import flip_graph, subword_complex
 from helpers import naive_complex_max_face_sizes, system
 
@@ -77,6 +78,24 @@ def test_maximality_experiment():
     # deterministic under a fixed seed
     again = run_maximality_experiment(seed=0, samples=50)
     assert again.rows == report.rows
+
+
+def test_maximality_experiment_needs_a_sample():
+    with pytest.raises(CoxeterError, match="samples must be at least 1, got 0"):
+        run_maximality_experiment(seed=0, samples=0)
+
+
+def test_conjecture_sweep_rejects_a_sample_count_below_one(capsys):
+    path = Path(__file__).parents[1] / "scripts" / "conjecture_sweep.py"
+    spec = importlib.util.spec_from_file_location("conjecture_sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    with pytest.raises(SystemExit) as exit_:
+        sweep.main(["--samples", "-3"])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--samples must be at least 1, got -3" in captured.err
 
 
 def test_sin_experiment():

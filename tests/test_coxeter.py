@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -212,6 +213,30 @@ def test_known_degree_tables():
     assert system("I2(5)").degrees == (2, 5)
     assert system("I2(5)").number_of_positive_roots == 5
     assert system("H3").number_of_positive_roots == 15
+
+
+def test_root_budget_admits_a_system_at_the_limit():
+    # I2(m) has m positive roots
+    s = CoxeterSystem(f"I2({coxeter.MAX_ROOTS})")
+    assert s.number_of_positive_roots == coxeter.MAX_ROOTS
+    assert longest_element(s).length() == coxeter.MAX_ROOTS
+
+
+@pytest.mark.parametrize(
+    "name, roots", [(f"I2({coxeter.MAX_ROOTS + 1})", coxeter.MAX_ROOTS + 1), ("A300", 45150)]
+)
+def test_root_budget_refuses_a_system_over_the_limit_up_front(monkeypatch, name, roots):
+    def fail(*args):
+        raise AssertionError("the roots were built")
+
+    monkeypatch.setattr(coxeter, "_closure_roots", fail)
+    monkeypatch.setattr(coxeter, "_dihedral_root_data", fail)
+    with pytest.raises(
+        ResourceLimitError,
+        match=rf"{re.escape(name)} has {roots} positive roots, more than the limit"
+        rf" of {coxeter.MAX_ROOTS}",
+    ):
+        CoxeterSystem(name)
 
 
 def test_b2_positive_roots_match_closure():

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from math import comb
 
 import pytest
@@ -794,3 +795,40 @@ def test_face_bitsets_over_several_bytes(name):
     for cap in range(0, k + 3):
         assert all_faces(complex_, cap) == {f for f in faces if len(f) <= cap}
         assert minimal_nonfaces(complex_, cap) == brute_minimal_nonfaces(complex_, cap)
+
+
+@pytest.mark.parametrize(
+    "name, k, expected",
+    [("B4", 2, (400, (3,))), ("F4", 2, (1568, (3,))), ("H3", 3, (1764, (4,))),
+     ("A3", 4, (66, (5,)))],
+)
+def test_multi_cluster_nonfaces_have_k_plus_one_positions(name, k, expected):
+    # (count, sizes) of the minimal non-faces of size <= k + 1 on the word
+    # c^k w0(c) with c = s1...sn; CLS identify them in type A with the
+    # (k+1)-crossings of a multi-triangulation
+    s = system(name)
+    word = multi_cluster_word(s, tuple(range(1, s.rank + 1)), k)
+    found = minimal_nonfaces(subword_complex(s, word, longest_element(s)), k + 1)
+    assert (len(found), tuple(sorted({len(x) for x in found}))) == expected
+
+
+class _CountedFacets(tuple):
+    """A facet tuple that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def test_minimal_nonfaces_build_the_facet_bitsets_once():
+    # one pass over the facets builds every vertex bitset, and the complex
+    # keeps them: all_faces and the candidates at the cap share them
+    _, built = hexagon()
+    complex_ = replace(built, facets=_CountedFacets(built.facets))
+    assert minimal_nonfaces(complex_, 3) == minimal_nonfaces(built, 3)
+    assert complex_.facets.passes == 1
+    assert minimal_nonfaces(complex_, 2) == minimal_nonfaces(built, 2)
+    assert len(all_faces(complex_)) == 13
+    assert complex_.facets.passes == 1
