@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_k=True, with_word=False):
+    def add_common(p, with_k=True, with_word=False, with_json=True):
         p.add_argument("--type", help="group descriptor, e.g. A3, B4, H3, I2(7)")
         p.add_argument("--cox", help="Coxeter word, e.g. s1,s3,s2,s4")
         if with_k:
@@ -269,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--word", help="explicit word instead of the multi-cluster word")
             p.add_argument("--pi", choices=["auto", "w0"], default="auto",
                            help="target element for explicit words (auto = Demazure product)")
-        p.add_argument("--json", action="store_true")
+        if with_json:
+            p.add_argument("--json", action="store_true")
 
     p_sort = sub.add_parser("sort", help="sorting word of the longest element")
     add_common(p_sort, with_k=False)
@@ -282,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_complex.set_defaults(func=_cmd_complex)
 
     p_flip = sub.add_parser("flipgraph", help="flip graph as DOT, optional diameter")
-    add_common(p_flip, with_word=True)
+    add_common(p_flip, with_word=True, with_json=False)  # DOT only
     p_flip.add_argument("--dot", help="output DOT file ('-' for stdout)")
     p_flip.add_argument("--diameter", action="store_true")
     p_flip.set_defaults(func=_cmd_flipgraph)

@@ -97,20 +97,37 @@ def parse_descriptor(text: str) -> GroupDescriptor:
     if not match:
         raise CoxeterError(f"cannot parse group descriptor {text!r}")
     family = match.group(1).upper()
-    rank = int(match.group(2))
-    order = match.group(3)
+    try:
+        rank = int(match.group(2))
+        order = None if match.group(3) is None else int(match.group(3))
+    except ValueError:  # more digits than int() reads from a string (4300 by default)
+        raise CoxeterError(
+            f"group descriptor {family}... has a number too long to read"
+        ) from None
     if family == "C":
         family = "B"  # identical Coxeter system
     if family == "I":
         if rank != 2 or order is None:
             raise CoxeterError("dihedral descriptors are written I2(m) with m >= 3")
-        descriptor = GroupDescriptor("I", 2, int(order))
+        descriptor = GroupDescriptor("I", 2, order)
     else:
         if order is not None:
             raise CoxeterError(f"only I2 takes a parenthesised order: {text!r}")
         descriptor = GroupDescriptor(family, rank)
+    _check_rank(descriptor)
     _type_data(descriptor)
     return descriptor
+
+
+def _check_rank(d: GroupDescriptor) -> None:
+    """Refuse a rank over ``MAX_ROOTS`` in a family of unbounded rank before
+    ``_type_data`` builds lists as long as the rank: every type has at least
+    as many positive roots as its rank."""
+    if d.family in ("A", "B", "D") and d.rank > MAX_ROOTS:
+        raise ResourceLimitError(
+            f"{d.name()} has at least {d.rank} positive roots, more than the limit"
+            f" of {MAX_ROOTS}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +350,7 @@ class CoxeterSystem:
     def __init__(self, descriptor: GroupDescriptor | str):
         if isinstance(descriptor, str):
             descriptor = parse_descriptor(descriptor)
+        _check_rank(descriptor)
         edges, self.degrees = _type_data(descriptor)
         self.number_of_positive_roots = N = sum(d - 1 for d in self.degrees)
         if N > MAX_ROOTS:

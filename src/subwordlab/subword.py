@@ -26,9 +26,11 @@ at each facet's positions, so ``h_vector`` and ``f_vector`` walk nothing.
 Each complex keeps one bitset per vertex of the facets that contain it
 (``SubwordComplex.facet_bitsets``), built on first use.  ``all_faces``
 builds the faces up to a size cap from them, under the ``MAX_FACES``
-budget.  ``minimal_nonfaces`` builds the faces only up to one below its cap
-and joins each two faces that differ in their last vertex only; a join at
-the cap is tested on the facet bitsets, so no face of that size is built.
+budget, as sorted position tuples like the facets.  ``minimal_nonfaces``
+builds the faces only up to one below its cap and joins each two faces that
+differ in their last vertex only; one AND of facet bitsets, carried along
+the walk, decides whether a join is a face, so no face of the cap size is
+built.
 """
 
 from __future__ import annotations
@@ -455,8 +457,9 @@ def f_vector(complex_: SubwordComplex) -> tuple[int, ...]:
 
 def all_faces(
     complex_: SubwordComplex, max_size: int | None = None
-) -> frozenset[frozenset[int]]:
-    """Every face with at most ``max_size`` positions (default: all faces).
+) -> frozenset[Facet]:
+    """Every face with at most ``max_size`` positions (default: all faces), as
+    sorted position tuples like the facets.
 
     Faces grow level by level on the complex's facet bitsets
     (``SubwordComplex.facet_bitsets``): a face extended by a larger vertex v
@@ -492,13 +495,7 @@ def all_faces(
                 )
         faces.extend(face for face, _, _ in grown)
         level = grown
-    level.clear()  # free the facet bitsets of the last level before the copy
-
-    def copied():  # free each tuple once copied, so the copies reuse its memory
-        while faces:
-            yield frozenset(faces.pop())
-
-    return frozenset(copied())
+    return frozenset(faces)
 
 
 def reduced_euler_characteristic(complex_: SubwordComplex) -> int:
@@ -514,47 +511,35 @@ def minimal_nonfaces(complex_: SubwordComplex, max_size: int) -> tuple[Facet, ..
     non-face has two largest vertices a < b, and the rest P lies below a;
     dropping a or b leaves the faces P+a and P+b, which share all but their
     last vertex.  So the candidates are the joins P+a+b of such sibling
-    faces.  A join below the cap is a non-face when it is not among the
-    faces; one at the cap when the AND of the facet bitsets of P, a and b is
-    empty, so no face of size max_size is built.  A non-face is minimal when
-    dropping any one vertex of P leaves a face.
+    faces.  A join is a face exactly when some facet contains it, that is,
+    when the AND of the facet bitsets of P, a and b is nonzero; that one
+    test decides every join, at the cap and below it.  A non-face is
+    minimal when dropping any one vertex of P leaves a face.
 
-    The siblings are walked depth first as groups (P, [a, ...]) with a
-    increasing, starting from the single vertices: the joins P+a+b of a
-    group that are faces form the group of P+a.  So each face below the cap
-    is reached once, in sorted form, and only the groups on the stack are
-    kept besides the faces themselves.  At the full cap, one more than the
-    facet size and the CLI default, no face has max_size positions anyway,
-    so every face is built and counts against the budget.
+    The siblings are walked depth first as groups (P, the AND of the facet
+    bitsets of P, [a, ...]) with a increasing, starting from the single
+    vertices: below the cap, the joins P+a+b of a group that are faces form
+    the group of P+a.  At the full cap, one more than the facet size and
+    the CLI default, no face has max_size positions anyway, so every face
+    is built and counts against the budget.
     """
     faces = all_faces(complex_, max_size - 1)
     bitsets = complex_.facet_bitsets
     everywhere = (1 << len(complex_.facets)) - 1
     out: list[Facet] = []
-    stack = [((), complex_.vertices)] if max_size >= 2 else []  # (P, [a, ...])
+    stack = [((), everywhere, complex_.vertices)] if max_size >= 2 else []
     while stack:
-        prefix, last = stack.pop()
-        at_cap = len(prefix) + 2 == max_size
-        if at_cap:
-            mask = everywhere
-            for u in prefix:
-                mask &= bitsets[u]
+        prefix, mask, last = stack.pop()
+        below_cap = len(prefix) + 2 < max_size
         drops = [prefix[:j] + prefix[j + 1:] for j in range(len(prefix))]
         for i, a in enumerate(last):
-            face = prefix + (a,)
-            if at_cap:
-                with_a = mask & bitsets[a]
-                missing = [b for b in last[i + 1:] if not with_a & bitsets[b]]
-            else:
-                children, missing = [], []
-                for b in last[i + 1:]:
-                    if frozenset(face + (b,)) in faces:
-                        children.append(b)
-                    else:
-                        missing.append(b)
-                if len(children) > 1:  # a face with one child joins nothing
-                    stack.append((face, children))
-            for b in missing:
-                if all(frozenset(rest + (a, b)) in faces for rest in drops):
+            face, with_a = prefix + (a,), mask & bitsets[a]
+            children = []
+            for b in last[i + 1:]:
+                if with_a & bitsets[b]:
+                    children.append(b)
+                elif all(rest + (a, b) in faces for rest in drops):
                     out.append(face + (b,))
+            if below_cap and len(children) > 1:  # a face with one child joins nothing
+                stack.append((face, with_a, children))
     return tuple(sorted(out))

@@ -219,9 +219,9 @@ def naive_complex_max_face_sizes(sys: CoxeterSystem, cox, k: int) -> tuple:
 
 
 def brute_all_faces(complex_) -> frozenset:
-    """Every subset of every facet, as frozensets."""
+    """Every subset of every facet, as sorted position tuples."""
     return frozenset(
-        frozenset(sub)
+        sub
         for facet in complex_.facets
         for size in range(len(facet) + 1)
         for sub in combinations(facet, size)
@@ -245,8 +245,8 @@ def brute_minimal_nonfaces(complex_, max_size: int) -> tuple:
     out = []
     for size in range(1, max_size + 1):
         for candidate in combinations(complex_.vertices, size):
-            group = frozenset(candidate)
-            if group not in faces and all(group - {v} in faces for v in candidate):
+            drops = (candidate[:j] + candidate[j + 1:] for j in range(size))
+            if candidate not in faces and all(drop in faces for drop in drops):
                 out.append(candidate)
     return tuple(sorted(out))
 

@@ -491,6 +491,25 @@ def test_cli_error_handling(capsys):
 
 
 @pytest.mark.parametrize(
+    "descriptor", ["A" + "9" * 5000, "I2(" + "7" * 5000 + ")"], ids=["A", "I2"]
+)
+def test_cli_descriptor_with_a_number_too_long_to_read(capsys, descriptor):
+    # int() reads at most 4300 digits from a string by default
+    assert main(["sort", "--type", descriptor]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_cli_flipgraph_takes_no_json_flag(capsys):
+    # the flip graph is printed as DOT only
+    with pytest.raises(SystemExit) as exit_:
+        main(["flipgraph", "--type", "A2", "--json"])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
     "command", [("sort",), ("complex", "facets"), ("theta",), ("flipgraph",)]
 )
 def test_cli_rejects_reducible_dihedral_type(capsys, command):

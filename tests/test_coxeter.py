@@ -239,6 +239,30 @@ def test_root_budget_refuses_a_system_over_the_limit_up_front(monkeypatch, name,
         CoxeterSystem(name)
 
 
+@pytest.mark.parametrize("name", ["A1000000", "B1001", "D1001"])
+def test_rank_budget_refuses_before_the_type_data(monkeypatch, name):
+    # every type has at least as many positive roots as its rank, so a rank
+    # over the limit is refused before the rank-long type data is built
+    def fail(*args):
+        raise AssertionError("the type data were built")
+
+    monkeypatch.setattr(coxeter, "_type_data", fail)
+    message = (
+        rf"{name} has at least {name[1:]} positive roots, more than the limit"
+        rf" of {coxeter.MAX_ROOTS}"
+    )
+    with pytest.raises(ResourceLimitError, match=message):
+        parse_descriptor(name)
+    with pytest.raises(ResourceLimitError, match=message):
+        CoxeterSystem(GroupDescriptor(name[0], int(name[1:])))
+
+
+@pytest.mark.parametrize("name", ["E9", "Q9", "E1001", "H1001"])
+def test_rank_budget_keeps_the_error_for_illegal_types(name):
+    with pytest.raises(CoxeterError, match=rf"no finite irreducible type {name}$"):
+        CoxeterSystem(name)
+
+
 def test_b2_positive_roots_match_closure():
     roots = set(system("B2").positive_roots)
     assert roots == {(1, 0), (0, 1), (1, 1), (1, 2)}

@@ -664,6 +664,14 @@ def test_all_faces_counts_match_f_vector():
     assert len(faces) == sum(f_vector(complex_))
 
 
+def test_all_faces_are_sorted_position_tuples():
+    # the convention of the facets and the minimal non-faces
+    _, complex_ = hexagon()
+    faces = all_faces(complex_)
+    assert all(type(face) is tuple and list(face) == sorted(face) for face in faces)
+    assert () in faces and set(complex_.facets) <= faces
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.sampled_from(
@@ -809,6 +817,19 @@ def test_multi_cluster_nonfaces_have_k_plus_one_positions(name, k, expected):
     s = system(name)
     word = multi_cluster_word(s, tuple(range(1, s.rank + 1)), k)
     found = minimal_nonfaces(subword_complex(s, word, longest_element(s)), k + 1)
+    assert (len(found), tuple(sorted({len(x) for x in found}))) == expected
+
+
+@pytest.mark.parametrize(
+    "name, k, expected", [("B3", 2, (100, (3,))), ("A3", 3, (45, (4,)))]
+)
+def test_multi_cluster_nonfaces_at_the_full_cap(name, k, expected):
+    # (count, sizes) at one more than the facet size, the CLI and verify
+    # default, where every face is built
+    s = system(name)
+    word = multi_cluster_word(s, tuple(range(1, s.rank + 1)), k)
+    complex_ = subword_complex(s, word, longest_element(s))
+    found = minimal_nonfaces(complex_, complex_.facet_size() + 1)
     assert (len(found), tuple(sorted({len(x) for x in found}))) == expected
 
 
