@@ -22,7 +22,6 @@ from .coxeter import (
     reduced_word,
 )
 from .multicluster import (
-    CspPolynomial,
     almost_positive_roots,
     c_compatible,
     csp_polynomial,
@@ -64,7 +63,6 @@ from .subword import (
     facet_count,
     flip,
     flip_graph,
-    h_vector,
     is_face,
     link,
     minimal_nonfaces,

@@ -18,7 +18,6 @@ from .coxeter import (
     CoxeterSystem,
     ResourceLimitError,
     Word,
-    demazure_product,
     format_word,
     longest_element,
     parse_descriptor,
@@ -73,15 +72,18 @@ def _coxeter_word_from(args, system: CoxeterSystem) -> Word:
     return parse_word(args.cox) if args.cox else _lex_coxeter_word(system)
 
 
-def _complex_from(args, system: CoxeterSystem):
-    if args.word:
-        word = parse_word(args.word)
-        if args.pi == "w0":
-            target = longest_element(system)
-        else:
-            target = demazure_product(system, word)
-        return subword_complex(system, word, target)
-    return multi_cluster_complex(system, _coxeter_word_from(args, system), args.k)
+def _complex_from(args):
+    """The complex on ``--word``, even empty, else the multi-cluster one."""
+    if args.word is not None:
+        for flag, value in (("--cox", args.cox), ("-k", args.k)):
+            if value is not None:
+                raise CoxeterError(f"{flag} does not apply with --word")
+    args.k = 1 if args.k is None else args.k
+    system = _system_from(args)
+    if args.word is None:
+        return multi_cluster_complex(system, _coxeter_word_from(args, system), args.k)
+    target = longest_element(system) if args.pi == "w0" else None  # None: Demazure
+    return subword_complex(system, parse_word(args.word), target)
 
 
 def _braced(positions) -> str:
@@ -115,8 +117,7 @@ def _cmd_complex(args) -> _Output:
             raise CoxeterError("--max-size only applies to complex nonfaces")
         if args.max_size < 1:
             raise CoxeterError(f"--max-size must be at least 1, got {args.max_size}")
-    system = _system_from(args)
-    complex_ = _complex_from(args, system)
+    complex_ = _complex_from(args)
     results = {"word": format_word(complex_.word)}
     if args.action == "facets":
         results["facets"] = [list(facet) for facet in complex_.facets]
@@ -152,8 +153,7 @@ def _write_dot(dot: str, path) -> None:
 
 
 def _cmd_flipgraph(args) -> int:
-    system = _system_from(args)
-    complex_ = _complex_from(args, system)
+    complex_ = _complex_from(args)
     graph = flip_graph(complex_)
     _write_dot(flip_graph_dot(graph), args.dot)
     if args.diameter:
@@ -264,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--type", help="group descriptor, e.g. A3, B4, H3, I2(7)")
         p.add_argument("--cox", help="Coxeter word, e.g. s1,s3,s2,s4")
         if with_k:
-            p.add_argument("-k", type=int, default=1, help="number of prefix copies")
+            p.add_argument("-k", type=int, default=None if with_word else 1,
+                           help="number of prefix copies (default 1)")
         if with_word:
             p.add_argument("--word", help="explicit word instead of the multi-cluster word")
             p.add_argument("--pi", choices=["auto", "w0"], default="auto",

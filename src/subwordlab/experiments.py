@@ -18,7 +18,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .coxeter import (
-    CoxeterError,
     CoxeterSystem,
     Word,
     commutation_position_map,
@@ -101,12 +100,14 @@ CSP_INSTANCES: tuple[tuple[str, int], ...] = (
     ("I2(5)", 1), ("I2(5)", 2),
 )
 
-MAXIMALITY_EXHAUSTIVE: tuple[tuple[str, int], ...] = (
-    ("A2", 1), ("A2", 2), ("B2", 1), ("B2", 2), ("I2(6)", 1),
-)
+MAXIMALITY_SAMPLES = 200
 
-MAXIMALITY_SAMPLED: tuple[tuple[str, int], ...] = (
-    ("I2(5)", 1), ("A3", 1),
+MAXIMALITY_INSTANCES: tuple[tuple[str, int, str], ...] = (
+    ("A2", 1, "exhaustive"), ("A2", 2, "exhaustive"),
+    ("B2", 1, "exhaustive"), ("B2", 2, "exhaustive"),
+    ("I2(6)", 1, "exhaustive"),
+    ("I2(5)", 1, f"sample[{MAXIMALITY_SAMPLES}]"),
+    ("A3", 1, f"sample[{MAXIMALITY_SAMPLES}]"),
 )
 
 SIN_INSTANCES: tuple[tuple[str, int], ...] = (
@@ -211,23 +212,16 @@ def run_csp_experiment(instances=CSP_INSTANCES) -> ExperimentReport:
 
 
 def run_maximality_experiment(
-    exhaustive=MAXIMALITY_EXHAUSTIVE,
-    sampled=MAXIMALITY_SAMPLED,
-    seed: int = 0,
-    samples: int = 200,
+    instances=MAXIMALITY_INSTANCES, seed: int = 0
 ) -> ExperimentReport:
     """Hunt for same-length words beating the multi-cluster facet count.
 
-    Exhaustive instances search every word of that length and also record
-    whether every word attaining the maximum has the strong
-    intervening-neighbors property; sampled ones draw ``samples`` words from
-    one ``Random(seed)``; ``CoxeterError`` when ``samples`` is below 1,
-    which would leave the sampled rows with no word tried.
+    Each instance is (type, k, mode).  Exhaustive ones search every word of
+    that length and also record whether every word attaining the maximum
+    has the strong intervening-neighbors property; sampled ones each draw
+    ``MAXIMALITY_SAMPLES`` words from the one ``Random(seed)`` of the run.
     """
-    if samples < 1:
-        raise CoxeterError(f"samples must be at least 1, got {samples}")
     rng = random.Random(seed)
-    sample_mode = f"sample[{samples}]"
 
     def rows_of(system, k, mode):
         complex_ = multi_cluster_complex(system, _lex_coxeter_word(system), k)
@@ -238,7 +232,7 @@ def run_maximality_experiment(
         else:
             words = (
                 tuple(rng.randint(1, system.rank) for _ in range(size))
-                for _ in range(samples)
+                for _ in range(MAXIMALITY_SAMPLES)
             )
         best = 0
         winners_all_sin = True
@@ -262,9 +256,7 @@ def run_maximality_experiment(
             row["max_only_at_sin_words"] = winners_all_sin and best == reference
         yield row, True
 
-    instances = [(name, k, "exhaustive") for name, k in exhaustive]
-    instances += [(name, k, sample_mode) for name, k in sampled]
-    parameters = {"seed": seed, "samples": samples}
+    parameters = {"seed": seed, "samples": MAXIMALITY_SAMPLES}
     return _run("maximality", instances, rows_of, verdict=REPORT_ONLY, parameters=parameters)
 
 

@@ -13,7 +13,6 @@ roots of unity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
@@ -98,8 +97,7 @@ def multi_cluster_complex(system: CoxeterSystem, cox: Word, k: int) -> SubwordCo
 
 def negative_simple(system: CoxeterSystem, s: int) -> SignedRoot:
     """The almost positive root -alpha_s."""
-    if not 1 <= s <= system.rank:
-        raise CoxeterError(f"generator s{s} out of range")
+    check_word(system, (s,))
     return SignedRoot(s - 1, -1)
 
 
@@ -410,23 +408,6 @@ def facet_count_formula(system: CoxeterSystem, k: int) -> Fraction:
     return value
 
 
-@dataclass(frozen=True)
-class CspPolynomial:
-    """q-analogue of the count formula; ``coefficients`` is None when the
-    quotient of q-integer products is not a polynomial over the integers."""
-
-    coefficients: tuple[int, ...] | None
-
-    @property
-    def defined(self) -> bool:
-        return self.coefficients is not None
-
-    def value_at_one(self) -> int:
-        if self.coefficients is None:
-            raise CoxeterError("the q-analogue is not a polynomial")
-        return sum(self.coefficients)
-
-
 def _q_integer(m: int) -> list[int]:
     return [1] * m
 
@@ -457,7 +438,10 @@ def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     return quotient, num
 
 
-def csp_polynomial(system: CoxeterSystem, k: int) -> CspPolynomial:
+def csp_polynomial(system: CoxeterSystem, k: int) -> tuple[int, ...] | None:
+    """Coefficients (constant term first) of the q-analogue of the count
+    formula, or None when the quotient of q-integer products is not a
+    polynomial over the integers.  At q = 1 it sums to the facet count."""
     numerator = [1]
     denominator = [1]
     h = system.coxeter_number
@@ -466,9 +450,7 @@ def csp_polynomial(system: CoxeterSystem, k: int) -> CspPolynomial:
             numerator = _poly_mul(numerator, _q_integer(d + h + 2 * j))
             denominator = _poly_mul(denominator, _q_integer(d + 2 * j))
     quotient, remainder = _poly_divmod(numerator, denominator)
-    if remainder:
-        return CspPolynomial(None)
-    return CspPolynomial(tuple(quotient))
+    return None if remainder else tuple(quotient)
 
 
 def _cyclotomic(e: int) -> list[int]:
@@ -497,14 +479,14 @@ def csp_fixed_point_table(
     """
     order = 2 * k + system.coxeter_number
     poly = csp_polynomial(system, k)
-    if not poly.defined:
+    if poly is None:
         raise CoxeterError("the q-analogue is not a polynomial")
     lengths = [len(orbit) for orbit in theta_orbits_on_facets(system, cox, k)]
     rows = []
     for d in range(order):
         fixed = sum(length for length in lengths if d % length == 0)
         e = order // gcd(d, order)
-        _, remainder = _poly_divmod(poly.coefficients, _cyclotomic(e))
+        _, remainder = _poly_divmod(poly, _cyclotomic(e))
         if len(remainder) > 1:
             raise CoxeterError(
                 f"the q-analogue is not an integer at a root of unity of order {e}"

@@ -22,7 +22,8 @@ under a budget of |W| <= ``MAX_FACES`` states.
 
 Face counts never materialise the faces: the kernel counts the h-vector of
 the lexicographic shelling while it enumerates, from the signs of the roots
-at each facet's positions, so ``h_vector`` and ``f_vector`` walk nothing.
+at each facet's positions and keeps it as ``SubwordComplex.h``, so
+``f_vector`` walks nothing.
 Each complex keeps one bitset per vertex of the facets that contain it
 (``SubwordComplex.facet_bitsets``), built on first use.  ``all_faces``
 builds the faces up to a size cap from them, under the ``MAX_FACES``
@@ -320,7 +321,9 @@ def facet_count(system: CoxeterSystem, word: Word, target: Element) -> int:
 @dataclass(frozen=True)
 class SubwordComplex:
     """A word, a target element, and the (eagerly enumerated) facet list
-    with the h-vector counted by the same search."""
+    with the h-vector counted by the same search: ``h`` is (h_0, ..., h_d)
+    of the lexicographic shelling of the facets (see ``_facet_search``), ()
+    when there are none."""
 
     system: CoxeterSystem
     word: Word
@@ -435,18 +438,12 @@ def reduce_to_w0(system: CoxeterSystem, word: Word, target: Element) -> Word:
     return tuple(word) + completion
 
 
-def h_vector(complex_: SubwordComplex) -> tuple[int, ...]:
-    """(h_0, ..., h_d) from the lexicographic shelling of the facets, as
-    counted by the facet search (see ``_facet_search``); () when empty."""
-    return complex_.h
-
-
 def f_vector(complex_: SubwordComplex) -> tuple[int, ...]:
-    """Face counts (f_-1, f_0, ..., f_dim) from the h-vector.
+    """Face counts (f_-1, f_0, ..., f_dim) from the h-vector ``complex_.h``.
 
     f_{j-1} = sum over i <= j of C(d - i, j - i) h_i, with d the facet size.
     """
-    h = h_vector(complex_)
+    h = complex_.h
     if not h:
         return (0,)
     d = len(h) - 1

@@ -266,13 +266,14 @@ def brute_diagonals_cross(m: int, d1, d2) -> bool:
 
 
 def float_csp_values(poly, order: int) -> list:
-    """The polynomial at exp(2 pi i d / order) for 0 <= d < order, each
-    rounded after checking it lies within 1e-9 of an integer."""
+    """The polynomial with coefficients ``poly`` (constant term first) at
+    exp(2 pi i d / order) for 0 <= d < order, each rounded after checking it
+    lies within 1e-9 of an integer."""
     values = []
     for d in range(order):
         q = cmath.exp(2j * cmath.pi * d / order)
         value = 0
-        for c in reversed(poly.coefficients):
+        for c in reversed(poly):
             value = value * q + c
         rounded = round(value.real)
         assert abs(value - rounded) < 1e-9, (d, value)

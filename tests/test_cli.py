@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import os
 import re
@@ -21,7 +20,7 @@ from subwordlab.experiments import (
     run_nonface_experiment,
     run_sin_experiment,
 )
-from subwordlab.coxeter import CoxeterError, ResourceLimitError, longest_element
+from subwordlab.coxeter import ResourceLimitError, longest_element
 from subwordlab.subword import flip_graph, subword_complex
 from helpers import naive_complex_max_face_sizes, system
 
@@ -69,33 +68,15 @@ def test_csp_experiment_matches():
 
 
 def test_maximality_experiment():
-    report = run_maximality_experiment(seed=0, samples=50)
+    report = run_maximality_experiment(seed=0)
     assert report.verdict == "report-only"
     assert all(row["counterexample"] is None for row in report.rows)
     exhaustive = [row for row in report.rows if row["mode"] == "exhaustive"]
     assert exhaustive and all(row["max_only_at_sin_words"] for row in exhaustive)
     assert all(row["max_found"] == row["reference"] for row in exhaustive)
     # deterministic under a fixed seed
-    again = run_maximality_experiment(seed=0, samples=50)
+    again = run_maximality_experiment(seed=0)
     assert again.rows == report.rows
-
-
-def test_maximality_experiment_needs_a_sample():
-    with pytest.raises(CoxeterError, match="samples must be at least 1, got 0"):
-        run_maximality_experiment(seed=0, samples=0)
-
-
-def test_conjecture_sweep_rejects_a_sample_count_below_one(capsys):
-    path = Path(__file__).parents[1] / "scripts" / "conjecture_sweep.py"
-    spec = importlib.util.spec_from_file_location("conjecture_sweep", path)
-    sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweep)
-    with pytest.raises(SystemExit) as exit_:
-        sweep.main(["--samples", "-3"])
-    assert exit_.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--samples must be at least 1, got -3" in captured.err
 
 
 def test_sin_experiment():
@@ -151,7 +132,7 @@ def test_word_searches_check_their_budget_up_front(monkeypatch):
         ResourceLimitError,
         match="B2 has 256 words of length 8, more than the limit of 255",
     ):
-        run_maximality_experiment(exhaustive=(("B2", 2),), sampled=())
+        run_maximality_experiment((("B2", 2, "exhaustive"),))
     assert run_sin_experiment((("B2", 6),)).verdict == "pass"
     monkeypatch.setattr(coxeter, "MAX_WORDS", 63)
     with pytest.raises(ResourceLimitError, match="B2 has 64 words of length 6"):
@@ -302,6 +283,28 @@ def test_cli_nonfaces_rejects_max_size_below_one(capsys, cap):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"--max-size must be at least 1, got {cap}" in captured.err
+
+
+@pytest.mark.parametrize("pi, count", [("auto", 1), ("w0", 0)])
+def test_cli_empty_word_is_a_word(capsys, pi, count):
+    # the empty word, not the multi-cluster word of A2 (5 facets)
+    code, out = run_cli(
+        capsys, "complex", "facets", "--type", "A2", "--word", "", "--pi", pi, "--json"
+    )
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["word"] == "" and results["count"] == count
+    assert results["facets"] == [[]] * count
+
+
+@pytest.mark.parametrize("command", [["complex", "facets"], ["flipgraph"]], ids=" ".join)
+@pytest.mark.parametrize("extra", [["--cox", "s2,s1"], ["-k", "5"], ["-k", "1"]], ids=" ".join)
+def test_cli_word_excludes_cox_and_k(capsys, command, extra):
+    code = main([*command, "--type", "A2", "--word", "s1,s2", *extra])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {extra[0]} does not apply with --word\n"
 
 
 @pytest.mark.parametrize("action", ["facets", "fvector"])

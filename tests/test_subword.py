@@ -26,7 +26,6 @@ from subwordlab.subword import (
     flip,
     flip_graph,
     flip_graph_dot,
-    h_vector,
     is_face,
     link,
     minimal_nonfaces,
@@ -707,7 +706,7 @@ def test_face_counts_match_subset_oracles(name, kind, data):
     assert (target == top) == (kind == "sphere")
 
     assert f_vector(complex_) == brute_f_vector(complex_)
-    assert sum(h_vector(complex_)) == len(complex_.facets)
+    assert sum(complex_.h) == len(complex_.facets)
     faces = brute_all_faces(complex_)
     assert all_faces(complex_) == faces
     for cap in range(0, max(complex_.facet_size(), 0) + 3):
@@ -720,7 +719,7 @@ def test_face_counts_match_subset_oracles(name, kind, data):
 def test_h_vector_of_a_sphere_is_palindromic(name, data):
     s = system(name)
     word = tuple(data.draw(st.lists(st.integers(1, s.rank), min_size=1, max_size=10)))
-    h = h_vector(subword_complex(s, word))
+    h = subword_complex(s, word).h
     assert h == h[::-1]
 
 
@@ -751,7 +750,7 @@ def test_h_vector_of_type_a_cluster_complex_is_narayana(n):
     s = system(f"A{n}")
     cox = enumerate_coxeter_words(s)[0]
     complex_ = subword_complex(s, multi_cluster_word(s, cox, 1), longest_element(s))
-    h = h_vector(complex_)
+    h = complex_.h
     assert h == tuple(comb(n + 1, i + 1) * comb(n + 1, i) // (n + 1) for i in range(n + 1))
     assert sum(h) == len(complex_.facets) == catalan(n + 1)
 
@@ -760,7 +759,7 @@ def test_h_vector_of_an_empty_complex():
     b2 = system("B2")
     complex_ = subword_complex(b2, (1, 2), longest_element(b2))
     assert complex_.facets == ()
-    assert h_vector(complex_) == ()
+    assert complex_.h == ()
     assert f_vector(complex_) == (0,)
 
 
