@@ -58,9 +58,9 @@ from .sorting import (
 )
 from .subword import (
     SubwordComplex,
-    enumerate_facets,
     f_vector,
     facet_count,
+    facet_counts,
     flip,
     flip_graph,
     is_face,

@@ -78,6 +78,9 @@ def _complex_from(args):
         for flag, value in (("--cox", args.cox), ("-k", args.k)):
             if value is not None:
                 raise CoxeterError(f"{flag} does not apply with --word")
+        args.pi = args.pi or "auto"
+    elif args.pi is not None:
+        raise CoxeterError("--pi only applies with --word")
     args.k = 1 if args.k is None else args.k
     system = _system_from(args)
     if args.word is None:
@@ -268,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="number of prefix copies (default 1)")
         if with_word:
             p.add_argument("--word", help="explicit word instead of the multi-cluster word")
-            p.add_argument("--pi", choices=["auto", "w0"], default="auto",
-                           help="target element for explicit words (auto = Demazure product)")
+            p.add_argument("--pi", choices=["auto", "w0"],
+                           help="target element for --word (default auto = Demazure product)")
         if with_json:
             p.add_argument("--json", action="store_true")
 

@@ -24,6 +24,7 @@ from .coxeter import (
     enumerate_coxeter_words,
     equal_up_to_commutations,
     iter_all_words,
+    longest_element,
 )
 from .multicluster import (
     count_formula_is_theorem,
@@ -37,9 +38,9 @@ from .sorting import has_sin_property, rotate_word
 from .subword import (
     FlipGraph,
     SubwordComplex,
-    enumerate_facets,
     f_vector,
     facet_count,
+    facet_counts,
     minimal_nonfaces,
 )
 
@@ -220,25 +221,36 @@ def run_maximality_experiment(
     that length and also record whether every word attaining the maximum
     has the strong intervening-neighbors property; sampled ones each draw
     ``MAXIMALITY_SAMPLES`` words from the one ``Random(seed)`` of the run.
+
+    No facet is listed: every count, the multi-cluster reference included,
+    comes from ``facet_counts``, which refuses a group of more than
+    ``MAX_FACES`` elements before anything is multiplied.  A row's words,
+    every word of ``iter_all_words`` or the draws in draw order, go through
+    one ``facet_counts`` call, so the group elements it numbers and the
+    moves it stores serve them all.
     """
     rng = random.Random(seed)
 
     def rows_of(system, k, mode):
-        complex_ = multi_cluster_complex(system, _lex_coxeter_word(system), k)
-        reference, size, target = len(complex_.facets), len(complex_.word), complex_.target
+        target = longest_element(system)
+        size = k * system.rank + system.number_of_positive_roots
         every_word = mode == "exhaustive"
         if every_word:
-            words = iter_all_words(system, size)
+            words = list(iter_all_words(system, size))
         else:
-            words = (
+            words = [
                 tuple(rng.randint(1, system.rank) for _ in range(size))
                 for _ in range(MAXIMALITY_SAMPLES)
-            )
+            ]
+        # multi_cluster_word multiplies: it comes after facet_counts checked |W|
+        counts = facet_counts(system, words, target)
+        reference = facet_count(
+            system, multi_cluster_word(system, _lex_coxeter_word(system), k), target
+        )
         best = 0
         winners_all_sin = True
         counterexample = None
-        for word in words:
-            count = len(enumerate_facets(system, word, target))
+        for word, count in zip(words, counts):
             if count > best:
                 best = count
                 winners_all_sin = True

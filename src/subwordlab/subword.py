@@ -5,10 +5,10 @@ sets whose complement in Q still contains a reduced word for pi.  Positions
 are 1-based throughout, facets are sorted position tuples, and the facet
 list is sorted lexicographically so all outputs are deterministic.
 
-Facets come from one kernel under the ``MAX_FACES`` budget, shared by
-``enumerate_facets`` and ``subword_complex``: a reverse search over
-increasing flips from the greedy facet, whose parent rule is the canonical
-spanning tree of the increasing flip graph (Pilaud-Stump, arXiv:1210.1435),
+Facets come from one kernel under the ``MAX_FACES`` budget, behind
+``subword_complex``: a reverse search over increasing flips from the greedy
+facet, whose parent rule is the canonical spanning tree of the increasing
+flip graph (Pilaud-Stump, arXiv:1210.1435),
 so no facet is found twice and no dead end is explored.  It carries each
 facet's root table as a sequence of signed-root codes with the facet
 positions blanked, and the roots at the facet positions as a second one;
@@ -16,9 +16,13 @@ one root reflection per flip updates both.  A facet's children are found
 by a fixed number of C-level calls (``translate``, ``find``), not by a
 Python loop over its positions, and a child with no children of its own
 is counted without being pushed.  ``flip`` and ``root_table`` stay the
-public single-facet calls; ``facet_count`` counts the facets
-independently, by a sweep over group elements with no root table or flip,
-under a budget of |W| <= ``MAX_FACES`` states.
+public single-facet calls.
+
+``facet_counts`` counts the facets on a sequence of words without finding
+them, by a sweep over group elements with no root table or flip, under a
+budget of |W| <= ``MAX_FACES`` states checked before it starts.  Elements
+are numbered as they are reached and their moves stored for the words
+that follow; ``facet_count`` is the one-word case.
 
 Face counts never materialise the faces: the kernel counts the h-vector of
 the lexicographic shelling while it enumerates, from the signs of the roots
@@ -37,6 +41,7 @@ built.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb, prod
@@ -84,13 +89,6 @@ def is_face(system: CoxeterSystem, word: Word, target: Element, positions) -> bo
     rest = _complement(word, _check_positions(word, positions))
     completed = reduce_to_w0(system, rest, target)
     return demazure_product(system, completed) == longest_element(system)
-
-
-def enumerate_facets(
-    system: CoxeterSystem, word: Word, target: Element
-) -> tuple[Facet, ...]:
-    """All facets, sorted, by the search of ``_facet_search``."""
-    return _facet_search(system, word, target)[0]
 
 
 def _facet_search(
@@ -292,30 +290,76 @@ def flip(
 
 
 def facet_count(system: CoxeterSystem, word: Word, target: Element) -> int:
-    """The number of facets, by a sweep over group elements.
+    """The number of facets: ``facet_counts`` on the one word."""
+    return next(facet_counts(system, (word,), target))
+
+
+def facet_counts(
+    system: CoxeterSystem, words: Iterable[Word], target: Element
+) -> Iterator[int]:
+    """The number of facets on each word, in input order, by a sweep over
+    group elements.
 
     Facets are the complements of the reduced subwords for target
-    (Knutson-Miller).  Keyed by the image of u, the sweep counts the ways
-    the complement letters so far spell a reduced word for u: at a letter s
-    each count stays (s joins the facet), and the count of a u with ascent s
-    also moves on to u*s (s joins the complement).  Its at most |W| =
-    prod(degrees) states are checked against ``MAX_FACES`` before it starts.
+    (Knutson-Miller).  The sweep keeps a count table that says, for each
+    group element u, how many ways the complement letters so far spell a
+    reduced word for u: at a letter s each count stays (s joins the facet),
+    and the count of a u with ascent s also moves on to u*s (s joins the
+    complement).  A u with ascent s is never some u'*s with descent s, so
+    one table is updated in place.  Its at most |W| = prod(degrees) states
+    are checked against ``MAX_FACES`` when this is called, before anything
+    is multiplied; each word is checked with ``check_word`` before it is
+    swept.
+
+    Group elements are numbered as the sweep first reaches them, and each
+    move u -> u*s is stored once it is known, so a letter step is a list
+    lookup; the numbers and moves carry over from word to word, and each
+    word is swept in a fresh table.
     """
-    check_word(system, word)
     order = prod(system.degrees)
     if order > MAX_FACES:
         raise ResourceLimitError(
             f"{system.descriptor.name()} has {order} elements, more than the limit"
             f" of {MAX_FACES} states for counting facets"
         )
+    return _sweep(system, words, target.image)
+
+
+def _sweep(system: CoxeterSystem, words: Iterable[Word], goal) -> Iterator[int]:
+    """``facet_counts`` past its budget check; ``goal`` is the target's image."""
+    right_multiply = system.right_multiply
     top = system.codes[system.number_of_positive_roots]  # codes above it are negative
-    counts = {system.identity.image: 1}
-    for s in word:
-        for u, count in list(counts.items()):  # u*s has descent s: it moves no further
-            if u[s:s + 1] <= top:
-                v = system.right_multiply(u, s)
-                counts[v] = counts.get(v, 0) + count
-    return counts.get(target.image, 0)
+    images = [system.identity.image]  # by element number; the identity is 0
+    numbers = {images[0]: 0}
+    # moves[s - 1][u]: the number of u*s when s is an ascent of u, 0 when it
+    # is a descent (the identity is no u*s with ascent s), -1 until first needed
+    moves = [[-1] for _ in range(system.rank)]
+
+    def move(u: int, s: int) -> int:
+        image, v = images[u], 0
+        if image[s:s + 1] <= top:
+            image = right_multiply(image, s)
+            v = numbers.get(image)
+            if v is None:
+                v = numbers[image] = len(images)
+                images.append(image)
+                for row in moves:
+                    row.append(-1)
+        moves[s - 1][u] = v
+        return v
+
+    for word in words:
+        check_word(system, word)
+        table = {0: 1}
+        for s in word:
+            row = moves[s - 1]
+            for u in list(table):  # a u with ascent s is no u'*s: its count holds
+                v = row[u]
+                if v < 0:
+                    v = move(u, s)
+                if v:
+                    table[v] = table.get(v, 0) + table[u]
+        yield table.get(numbers.get(goal), 0)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,6 @@ from subwordlab.multicluster import (
 from subwordlab.quivers import check_mesh_relation
 from subwordlab.sorting import sorting_word, sorting_word_w0
 from subwordlab.subword import (
-    enumerate_facets,
     f_vector,
     flip,
     flip_graph,
@@ -147,7 +146,7 @@ def test_criterion_05_facet_counts():
     for name, k, cox, expected in COUNT_CASES:
         s = system(name)
         word = multi_cluster_word(s, cox, k)
-        facets = enumerate_facets(s, word, longest_element(s))
+        facets = subword_complex(s, word, longest_element(s)).facets
         bfs = flip_closure(s, word, longest_element(s), facets[0])
         assert len(facets) == expected, (name, k)
         assert bfs == facets
@@ -174,7 +173,7 @@ def test_criterion_06_independence_of_the_coxeter_word():
 def test_criterion_07_reflection_criterion():
     b2 = system("B2")
     word = multi_cluster_word(b2, (1, 2), 1)
-    facets = set(enumerate_facets(b2, word, longest_element(b2)))
+    facets = set(subword_complex(b2, word, longest_element(b2)).facets)
     checked = 0
     for pair in combinations(range(1, 7), 2):
         assert is_facet_by_reflections(b2, (1, 2), 1, pair) == (pair in facets)
@@ -185,7 +184,7 @@ def test_criterion_07_reflection_criterion():
         cox = enumerate_coxeter_words(s)[0]
         for k in (1, 2):
             word = multi_cluster_word(s, cox, k)
-            for facet in enumerate_facets(s, word, longest_element(s)):
+            for facet in subword_complex(s, word, longest_element(s)).facets:
                 assert is_facet_by_reflections(s, cox, k, facet)
     report(7, "reflection products agree with the facet test")
 
@@ -219,9 +218,9 @@ def test_criterion_09_type_b_bijection():
     b3 = system("B3")
     word = multi_cluster_word(b3, (1, 2, 3), 2)
     assert is_face(b3, word, longest_element(b3), (3, 5, 7, 9, 13, 15))
-    assert (3, 5, 7, 9, 13, 15) in enumerate_facets(
+    assert (3, 5, 7, 9, 13, 15) in subword_complex(
         b3, word, longest_element(b3)
-    )
+    ).facets
     report(9, "symmetric-pair table values and the stated facet")
 
 
@@ -235,9 +234,9 @@ def test_criterion_10_cyclic_action():
     assert tuple(sorted(perm[p - 1] for p in orbit[-1])) == orbit[0]
     assert len(set(orbit)) == 7
     facets = set(
-        enumerate_facets(
+        subword_complex(
             a4, multi_cluster_word(a4, (1, 3, 2, 4), 1), longest_element(a4)
-        )
+        ).facets
     )
     assert set(orbit) <= facets
     for name in ["A2", "A3", "A4", "B2", "B3", "D4", "H3", "I2(5)", "I2(6)", "I2(7)", "I2(8)"]:
@@ -323,9 +322,9 @@ def test_criterion_15_rank_two_gale():
         s = system(f"I2({m})")
         for k in range(1, 4):
             word = multi_cluster_word(s, (1, 2), k)
-            assert gale_facets_rank2(m, k) == enumerate_facets(
+            assert gale_facets_rank2(m, k) == subword_complex(
                 s, word, longest_element(s)
-            )
+            ).facets
     report(15, "Gale evenness equals facet enumeration for m in 3..7, k in 1..3")
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import subwordlab
-from subwordlab import cli, coxeter, experiments, subword
+from subwordlab import cli, coxeter, experiments, multicluster, subword
 from subwordlab.cli import main
 from subwordlab.experiments import (
     flip_graph_diameter,
@@ -20,7 +20,7 @@ from subwordlab.experiments import (
     run_nonface_experiment,
     run_sin_experiment,
 )
-from subwordlab.coxeter import ResourceLimitError, longest_element
+from subwordlab.coxeter import CoxeterSystem, ResourceLimitError, longest_element
 from subwordlab.subword import flip_graph, subword_complex
 from helpers import naive_complex_max_face_sizes, system
 
@@ -77,6 +77,38 @@ def test_maximality_experiment():
     # deterministic under a fixed seed
     again = run_maximality_experiment(seed=0)
     assert again.rows == report.rows
+
+
+def test_maximality_lists_no_facets(monkeypatch):
+    rows = run_maximality_experiment(seed=0).rows
+
+    def refuse(*args):
+        raise AssertionError("a facet list was built")
+
+    monkeypatch.setattr(subword, "_facet_search", refuse)
+    monkeypatch.setattr(subword, "subword_complex", refuse)
+    monkeypatch.setattr(multicluster, "subword_complex", refuse)
+    assert run_maximality_experiment(seed=0).rows == rows
+
+
+@pytest.mark.parametrize(
+    "name, k, mode, limit, order",
+    [("A3", 1, "exhaustive", 23, 24), ("E7", 1, "sample[200]", 10**6, 2903040)],
+)
+def test_maximality_checks_the_group_order_up_front(monkeypatch, name, k, mode, limit, order):
+    s = CoxeterSystem(name)
+
+    def no_sweep(image, t):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(s, "right_multiply", no_sweep)
+    monkeypatch.setattr(experiments, "CoxeterSystem", lambda type_: s)
+    monkeypatch.setattr(subword, "MAX_FACES", limit)
+    with pytest.raises(
+        ResourceLimitError,
+        match=rf"^{name} has {order} elements, more than the limit of {limit} states",
+    ):
+        run_maximality_experiment(((name, k, mode),))
 
 
 def test_sin_experiment():
@@ -305,6 +337,35 @@ def test_cli_word_excludes_cox_and_k(capsys, command, extra):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {extra[0]} does not apply with --word\n"
+
+
+@pytest.mark.parametrize("command", [["complex", "facets"], ["flipgraph"]], ids=" ".join)
+@pytest.mark.parametrize("pi", ["auto", "w0"])
+def test_cli_pi_needs_a_word(capsys, command, pi):
+    # the multi-cluster complex always has target w0
+    code = main([*command, "--type", "A2", "--pi", pi])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --pi only applies with --word\n"
+
+
+@pytest.mark.parametrize(
+    "argv, pi, count",
+    [
+        # the Demazure product of s1,s2 is s1 s2, below w0
+        (["--word", "s1,s2"], "auto", 1),
+        (["--word", "s1,s2", "--pi", "auto"], "auto", 1),
+        (["--word", "s1,s2", "--pi", "w0"], "w0", 0),
+        ([], None, 5),
+    ],
+)
+def test_cli_pi_defaults(capsys, argv, pi, count):
+    code, out = run_cli(capsys, "complex", "facets", "--type", "A2", *argv, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["params"]["pi"] == pi
+    assert payload["results"]["count"] == count
 
 
 @pytest.mark.parametrize("action", ["facets", "fvector"])

@@ -44,7 +44,7 @@ from subwordlab.multicluster import (
     type_b_bijection,
 )
 from subwordlab.sorting import sorting_word_w0
-from subwordlab.subword import enumerate_facets, subword_complex
+from subwordlab.subword import subword_complex
 from helpers import (
     CODE_EDGE_TYPES,
     SMALL_TYPES,
@@ -295,9 +295,9 @@ def test_reflection_facet_criterion_b2():
     assert is_facet_by_reflections(b2, (1, 2), 1, (1, 2))
     assert not is_facet_by_reflections(b2, (1, 2), 1, (1, 3))
     facets = set(
-        enumerate_facets(
+        subword_complex(
             b2, multi_cluster_word(b2, (1, 2), 1), longest_element(b2)
-        )
+        ).facets
     )
     for pair in combinations(range(1, 7), 2):
         assert is_facet_by_reflections(b2, (1, 2), 1, pair) == (pair in facets)
@@ -306,7 +306,7 @@ def test_reflection_facet_criterion_b2():
 def test_reflection_facet_criterion_b2_k2_all_subsets():
     b2 = system("B2")
     word = multi_cluster_word(b2, (1, 2), 2)
-    facets = set(enumerate_facets(b2, word, longest_element(b2)))
+    facets = set(subword_complex(b2, word, longest_element(b2)).facets)
     for subset in combinations(range(1, len(word) + 1), 4):
         assert is_facet_by_reflections(b2, (1, 2), 2, subset) == (subset in facets)
 
@@ -316,7 +316,7 @@ def test_reflection_criterion_matches_facets():
         s = system(name)
         cox = enumerate_coxeter_words(s)[0]
         word = multi_cluster_word(s, cox, k)
-        for facet in enumerate_facets(s, word, longest_element(s)):
+        for facet in subword_complex(s, word, longest_element(s)).facets:
             assert is_facet_by_reflections(s, cox, k, facet)
 
 
@@ -347,9 +347,9 @@ def test_a4_theta_facet_orbit():
     ]
     assert tuple(sorted(perm[p - 1] for p in orbit[-1])) == orbit[0]
     facets = set(
-        enumerate_facets(
+        subword_complex(
             a4, multi_cluster_word(a4, (1, 3, 2, 4), 1), longest_element(a4)
-        )
+        ).facets
     )
     assert set(orbit) <= facets
 
@@ -575,7 +575,7 @@ def test_type_b_bijection_full_table():
 def test_type_b_facet_example():
     b3 = system("B3")
     word = multi_cluster_word(b3, (1, 2, 3), 2)
-    facets = set(enumerate_facets(b3, word, longest_element(b3)))
+    facets = set(subword_complex(b3, word, longest_element(b3)).facets)
     assert (3, 5, 7, 9, 13, 15) in facets
 
 
@@ -656,7 +656,7 @@ def test_gale_matches_enumeration():
             s = system(f"I2({m})")
             word = multi_cluster_word(s, (1, 2), k)
             assert (
-                enumerate_facets(s, word, longest_element(s))
+                subword_complex(s, word, longest_element(s)).facets
                 == gale_facets_rank2(m, k)
             )
 
@@ -678,7 +678,7 @@ def test_a3_k2_count_against_catalan_determinant():
     assert facet_count_formula(system("A3"), 2) == determinant
     a3 = system("A3")
     word = multi_cluster_word(a3, (1, 2, 3), 2)
-    assert len(enumerate_facets(a3, word, longest_element(a3))) == determinant
+    assert len(subword_complex(a3, word, longest_element(a3)).facets) == determinant
 
 
 def test_e7_cluster_complex_facet_count():

@@ -20,9 +20,9 @@ from subwordlab import subword
 from subwordlab.multicluster import multi_cluster_word
 from subwordlab.subword import (
     all_faces,
-    enumerate_facets,
     f_vector,
     facet_count,
+    facet_counts,
     flip,
     flip_graph,
     flip_graph_dot,
@@ -128,7 +128,7 @@ def test_enumerators_agree_on_random_spherical_words(name, data):
     s = system(name)
     word = tuple(data.draw(st.lists(st.integers(1, s.rank), min_size=1, max_size=8)))
     target = demazure_product(s, word)
-    facets = enumerate_facets(s, word, target)
+    facets = subword_complex(s, word, target).facets
     assert facets, "a spherical complex always has at least one facet"
     assert flip_closure(s, word, target, facets[0]) == facets
     for facet in facets:
@@ -143,14 +143,14 @@ def test_raw_image_kernels_match_element_oracles(name, data):
     s = system(name)
     word = tuple(data.draw(st.lists(st.integers(1, s.rank), min_size=1, max_size=10)))
     spherical = demazure_product(s, word)
-    facets = enumerate_facets(s, word, spherical)
+    facets = subword_complex(s, word, spherical).facets
     assert facets == brute_facets(s, word, spherical)
     for facet in facets:
         assert root_table(s, word, facet) == brute_root_table(s, word, facet)
     # any target, including ones with no facets at all
     letters = data.draw(st.lists(st.integers(1, s.rank), max_size=6))
     target = element_from_word(s, tuple(letters))
-    assert enumerate_facets(s, word, target) == brute_facets(s, word, target)
+    assert subword_complex(s, word, target).facets == brute_facets(s, word, target)
 
 
 def draw_complex(data, names, max_letters=8):
@@ -189,7 +189,7 @@ def test_enumerate_facets_matches_the_oracle(data):
     # I2(140) and A16 have N = 140 and 136: signed-root codes pass 255
     names = SMALL_TYPES + ["F4", "I2(5)", "I2(7)", "I2(140)", "A16"]
     s, word, target, kind = draw_complex(data, names, max_letters=10)
-    facets = enumerate_facets(s, word, target)
+    facets = subword_complex(s, word, target).facets
     assert facets == brute_facets(s, word, target)
     assert bool(facets) == (kind != "empty")
     assert (demazure_product(s, word) == target) == (kind == "sphere")
@@ -200,7 +200,7 @@ def test_enumerate_facets_matches_the_oracle(data):
 def test_enumerate_facets_at_the_last_byte_code(data):
     # I2(127) has codes up to 254, in bytes; I2(128) has code 256, in str
     s, word, target, kind = draw_complex(data, ["I2(127)", "I2(128)"], max_letters=10)
-    facets = enumerate_facets(s, word, target)
+    facets = subword_complex(s, word, target).facets
     assert facets == brute_facets(s, word, target)
     assert bool(facets) == (kind != "empty")
 
@@ -232,6 +232,44 @@ def test_facet_count_checks_the_group_order_up_front(monkeypatch, name, order):
         facet_count(s, (1, 2, 1), w0)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_facet_counts_match_the_oracle_on_batches(data):
+    # one target per batch; the drawn word has the drawn kind, the others any
+    s, word, target, kind = draw_complex(
+        data, SMALL_TYPES + ["I2(127)", "I2(128)"], max_letters=8
+    )
+    others = data.draw(st.lists(st.lists(st.integers(1, s.rank), max_size=8), max_size=6))
+    others = [tuple(other) for other in others]
+    cut = data.draw(st.integers(0, len(word)))
+    at = data.draw(st.integers(0, len(others)))
+    # a prefix right before its word, a duplicate and the empty word
+    batch = others[:at] + [word[:cut], word] + others[at:] + [(), word]
+    counts = list(facet_counts(s, batch, target))
+    assert counts == [len(brute_facets(s, other, target)) for other in batch]
+    assert (counts[-1] > 0) == (kind != "empty")
+    assert list(facet_counts(s, batch[::-1], target)) == counts[::-1]
+
+
+def test_facet_counts_checks_the_group_order_when_called(monkeypatch):
+    e7 = system("E7")
+
+    def no_sweep(image, t):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(e7, "right_multiply", no_sweep)
+    with pytest.raises(ResourceLimitError, match=r"^E7 has 2903040 elements"):
+        facet_counts(e7, [(1, 2, 1), (1, 2)], longest_element(e7))  # not even iterated
+
+
+def test_facet_counts_checks_each_word_before_sweeping_it():
+    a2 = system("A2")
+    counts = facet_counts(a2, [(1, 2, 1), (1, 3)], longest_element(a2))
+    assert next(counts) == 1
+    with pytest.raises(CoxeterError, match=r"generator s3 out of range for A2"):
+        next(counts)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_bfs_matches_the_oracle_on_spheres_and_balls(data):
@@ -254,14 +292,14 @@ def test_enumerate_facets_rejects_letters_outside_the_system():
     a2 = system("A2")
     for word in [(1, 3), (0, 1)]:
         with pytest.raises(CoxeterError, match=r"out of range for A2"):
-            enumerate_facets(a2, word, longest_element(a2))
+            subword_complex(a2, word, longest_element(a2))
 
 
 def test_facet_budget(monkeypatch):
     # s1^140 has one facet per left-out position; words have no length cap
     a1 = system("A1")
     word = (1,) * 140
-    facets = enumerate_facets(a1, word, longest_element(a1))
+    facets = subword_complex(a1, word, longest_element(a1)).facets
     assert facets == tuple(
         tuple(p for p in range(1, 141) if p != q) for q in range(140, 0, -1)
     )
@@ -270,7 +308,7 @@ def test_facet_budget(monkeypatch):
         ResourceLimitError,
         match=r"^more than 139 facets: the limit was passed on a word of 140 letters$",
     ):
-        enumerate_facets(a1, word, longest_element(a1))
+        subword_complex(a1, word, longest_element(a1))
 
 
 def test_facet_budget_counts_the_leaves(monkeypatch):
@@ -279,13 +317,13 @@ def test_facet_budget_counts_the_leaves(monkeypatch):
     a3 = system("A3")
     word = multi_cluster_word(a3, enumerate_coxeter_words(a3)[0], 2)
     monkeypatch.setattr(subword, "MAX_FACES", 84)
-    assert len(enumerate_facets(a3, word, longest_element(a3))) == 84
+    assert len(subword_complex(a3, word, longest_element(a3)).facets) == 84
     monkeypatch.setattr(subword, "MAX_FACES", 83)
     with pytest.raises(
         ResourceLimitError,
         match=r"^more than 83 facets: the limit was passed on a word of 12 letters$",
     ):
-        enumerate_facets(a3, word, longest_element(a3))
+        subword_complex(a3, word, longest_element(a3))
 
 
 def test_bfs_on_single_facet_complex():
@@ -317,7 +355,7 @@ def test_leftmost_letter_gets_its_simple_root():
     a3 = system("A3")
     word = (2, 1, 3, 2, 1, 3, 2)
     target = demazure_product(a3, word)
-    for facet in enumerate_facets(a3, word, target):
+    for facet in subword_complex(a3, word, target).facets:
         table = root_table(a3, word, facet)
         assert table[0] == SignedRoot(word[0] - 1, 1)
 
@@ -326,7 +364,7 @@ def test_root_function_recovers_inversion_set():
     for name, word in [("A2", PENTAGON), ("B2", HEXAGON), ("A3", (1, 2, 3, 1, 2, 3, 1, 2, 1))]:
         s = system(name)
         target = longest_element(s)
-        for facet in enumerate_facets(s, word, target):
+        for facet in subword_complex(s, word, target).facets:
             table = root_table(s, word, facet)
             outside = [table[p - 1].root for p in range(1, len(word) + 1) if p not in facet]
             assert frozenset(outside) == inversion_set(target)
@@ -368,7 +406,7 @@ def test_hexagon_flips_from_mixed_facet():
 def test_flip_is_an_involution():
     for name, word in [("A2", PENTAGON), ("B2", HEXAGON)]:
         s = system(name)
-        for facet in enumerate_facets(s, word, longest_element(s)):
+        for facet in subword_complex(s, word, longest_element(s)).facets:
             for q in facet:
                 other, landing = flip(s, word, facet, q)
                 back, restored = flip(s, word, other, landing)
@@ -380,7 +418,7 @@ def test_flip_error_names_the_position_and_the_failure():
     # s1 s2 s1, but no outside position carries the root alpha_2 of q = 2
     a2 = system("A2")
     word = (1, 2, 1)
-    assert (1, 2) in enumerate_facets(a2, word, element_from_word(a2, (1,)))
+    assert (1, 2) in subword_complex(a2, word, element_from_word(a2, (1,))).facets
     with pytest.raises(
         CoxeterError,
         match=r"^cannot flip position 2: no position outside the facet carries its root",
@@ -399,7 +437,7 @@ def test_flip_sign_orientation():
     # the shared root keeps its sign iff the landing letter is to the right
     for name, word in [("B2", HEXAGON), ("A3", (1, 2, 3, 1, 2, 3, 1, 2, 1))]:
         s = system(name)
-        for facet in enumerate_facets(s, word, longest_element(s)):
+        for facet in subword_complex(s, word, longest_element(s)).facets:
             table = root_table(s, word, facet)
             for q in facet:
                 _, landing = flip(s, word, facet, q)
@@ -413,7 +451,7 @@ def test_flip_root_update_rule():
     word = (1, 2, 3, 1, 2, 3, 1, 2, 1)
     s = system("A3")
     target = longest_element(s)
-    for facet in enumerate_facets(s, word, target):
+    for facet in subword_complex(s, word, target).facets:
         table = root_table(s, word, facet)
         for q in facet:
             other, landing = flip(s, word, facet, q)
@@ -546,8 +584,8 @@ def test_reduce_to_w0():
     target = element_from_word(a2, word)
     extended = reduce_to_w0(a2, word, target)
     assert extended == (1, 2, 1)
-    before = enumerate_facets(a2, word, target)
-    after = enumerate_facets(a2, extended, longest_element(a2))
+    before = subword_complex(a2, word, target).facets
+    after = subword_complex(a2, extended, longest_element(a2)).facets
     assert before == after == ((),)
 
 
@@ -556,8 +594,8 @@ def test_reduce_to_w0_keeps_the_facets_that_avoid_the_completion():
     word, target = (1, 2, 1), element_from_word(a2, (1,))
     extended = reduce_to_w0(a2, word, target)
     assert extended == (1, 2, 1, 2, 1)
-    assert enumerate_facets(a2, word, target) == ((1, 2), (2, 3))
-    assert len(enumerate_facets(a2, extended, longest_element(a2))) == 5
+    assert subword_complex(a2, word, target).facets == ((1, 2), (2, 3))
+    assert len(subword_complex(a2, extended, longest_element(a2)).facets) == 5
 
 
 @settings(max_examples=80, deadline=None)
@@ -578,9 +616,9 @@ def test_reduce_to_w0_preserves_facets():
     word = (1, 2, 3, 2, 1)
     target = demazure_product(a3, word)
     extended = reduce_to_w0(a3, word, target)
-    assert enumerate_facets(a3, word, target) == enumerate_facets(
+    assert subword_complex(a3, word, target).facets == subword_complex(
         a3, extended, longest_element(a3)
-    )
+    ).facets
 
 
 def test_rotation_isomorphism_on_facets():
@@ -591,12 +629,12 @@ def test_rotation_isomorphism_on_facets():
         s = system(name)
         target = longest_element(s)
         rotated = rotate_word(s, word)
-        facets = enumerate_facets(s, word, target)
+        facets = subword_complex(s, word, target).facets
         image = sorted(
             tuple(sorted(len(word) if p == 1 else p - 1 for p in facet))
             for facet in facets
         )
-        assert tuple(image) == enumerate_facets(s, rotated, target)
+        assert tuple(image) == subword_complex(s, rotated, target).facets
 
 
 def test_commutation_isomorphism_on_facets():
@@ -605,11 +643,11 @@ def test_commutation_isomorphism_on_facets():
     swapped = (3, 1, 2, 1, 3, 2, 1, 3, 2)  # swap commuting letters at 1, 2
     target = longest_element(a3)
     swap = {1: 2, 2: 1}
-    facets = enumerate_facets(a3, word, target)
+    facets = subword_complex(a3, word, target).facets
     image = sorted(
         tuple(sorted(swap.get(p, p) for p in facet)) for facet in facets
     )
-    assert tuple(image) == enumerate_facets(a3, swapped, target)
+    assert tuple(image) == subword_complex(a3, swapped, target).facets
 
 
 # ---------------------------------------------------------------------------
