@@ -27,13 +27,11 @@ from .multicluster import (
     csp_polynomial,
     facet_count_formula,
     gale_facets_rank2,
-    is_facet_by_reflections,
     lr_labels,
     multi_cluster_complex,
     multi_cluster_word,
     negative_simple,
     recognize_multi_cluster_word,
-    reflection_sequence,
     sigma_involution,
     theta_orbits_on_facets,
     theta_permutation,

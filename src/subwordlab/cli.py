@@ -81,9 +81,9 @@ def _complex_from(args):
         args.pi = args.pi or "auto"
     elif args.pi is not None:
         raise CoxeterError("--pi only applies with --word")
-    args.k = 1 if args.k is None else args.k
     system = _system_from(args)
     if args.word is None:
+        args.k = 1 if args.k is None else args.k
         return multi_cluster_complex(system, _coxeter_word_from(args, system), args.k)
     target = longest_element(system) if args.pi == "w0" else None  # None: Demazure
     return subword_complex(system, parse_word(args.word), target)
@@ -135,8 +135,8 @@ def _cmd_complex(args) -> _Output:
         lines = [f"f-vector: {fv}", f"reduced Euler characteristic: {euler}"]
     else:  # nonfaces
         cap = args.max_size
-        if cap is None:
-            cap = complex_.facet_size() + 1
+        if cap is None:  # at least 1: an empty complex has facet size below 0
+            cap = max(1, complex_.facet_size() + 1)
         found = minimal_nonfaces(complex_, cap)
         results["max_size"] = cap
         results["minimal_nonfaces"] = [list(x) for x in found]

@@ -538,17 +538,6 @@ def inversion_set(w: Element) -> frozenset[int]:
     return frozenset(i for i in range(N) if inverse[i + 1:i + 2] > top)
 
 
-def element_order(w: Element) -> int:
-    power = w
-    order = 1
-    while not power.is_identity():
-        power = power * w
-        order += 1
-        if order > 2 * w.system.number_of_positive_roots ** 2:
-            raise CoxeterError("runaway order computation")
-    return order
-
-
 # ---------------------------------------------------------------------------
 # Coxeter words
 

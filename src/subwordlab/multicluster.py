@@ -4,11 +4,10 @@ Every multi-cluster word c^k w0(c) is built by ``multi_cluster_word`` and
 every multi-cluster complex by ``multi_cluster_complex``.  Covers the
 recognition of multi-cluster words up to commutations, the
 almost-positive-root labeling of the letters of c * w0(c), the induced
-compatibility relation, the reflection-product facet criterion, the
-next-occurrence cyclic action, the polygon bijections in types A and B (one
-rotated-seed construction), Gale-evenness facets in rank two, and the
-q-analogue of the facet-count product formula with its exact values at
-roots of unity.
+compatibility relation, the next-occurrence cyclic action, the polygon
+bijections in types A and B (one rotated-seed construction), Gale-evenness
+facets in rank two, and the q-analogue of the facet-count product formula
+with its exact values at roots of unity.
 """
 
 from __future__ import annotations
@@ -20,13 +19,11 @@ from math import comb, gcd, lcm
 from .coxeter import (
     CoxeterError,
     CoxeterSystem,
-    Element,
     ResourceLimitError,
     SignedRoot,
     Word,
     check_coxeter_word,
     check_word,
-    element_from_word,
     equal_up_to_commutations,
     longest_element,
     occurrence_indices,
@@ -156,38 +153,6 @@ def sigma_involution(
         # Only alpha_s is sent negative, landing on -alpha_s.
         return SignedRoot(image.root, -1)
     return image
-
-
-# ---------------------------------------------------------------------------
-# Reflection criterion for facets
-
-def reflection_sequence(system: CoxeterSystem, word: Word) -> tuple[Element, ...]:
-    """Reflections t_i = q_1...q_{i-1} q_i q_{i-1}...q_1 along a word: t_i is
-    the reflection in r(empty facet, i), so one root walk gives them all."""
-    reflections = system.reflections
-    return tuple(
-        Element(system, reflections[r.root]) for r in root_table(system, word, ())
-    )
-
-
-def is_facet_by_reflections(
-    system: CoxeterSystem, cox: Word, k: int, positions
-) -> bool:
-    """Facet test: the reflections at the chosen positions, multiplied in
-    decreasing position order, must equal c^k."""
-    word = multi_cluster_word(system, cox, k)
-    chosen = tuple(sorted(positions))
-    if len(chosen) != k * system.rank:
-        raise CoxeterError(f"a facet candidate needs exactly {k * system.rank} positions")
-    if len(set(chosen)) != len(chosen) or chosen and (
-        chosen[0] < 1 or chosen[-1] > len(word)
-    ):
-        raise CoxeterError("bad position set")
-    reflections = reflection_sequence(system, word)
-    product = system.identity
-    for p in reversed(chosen):
-        product = product * reflections[p - 1]
-    return product == element_from_word(system, tuple(cox) * k)  # c^k
 
 
 # ---------------------------------------------------------------------------

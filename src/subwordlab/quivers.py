@@ -140,8 +140,10 @@ def beta_labels(system: CoxeterSystem, word: Word) -> tuple[SignedRoot, ...]:
 
 
 def check_mesh_relation(system: CoxeterSystem, word: Word) -> bool:
-    """Between consecutive occurrences of a generator s, the two labels sum
-    to the neighbor labels weighted by the negated Cartan entries.
+    """At every site, two consecutive occurrences left < right of a generator
+    s, the column sum beta_left + beta_right + sum_q a_{s,t_q} beta_q over the
+    positions left < q < right vanishes, where beta is the signed root vector
+    of a label, t_q the letter at q and a the Cartan matrix.
 
     Sites wrapping past the doubled word read the root table over the
     twice-doubled word, on no facet: a literal copy of the labels would
@@ -154,43 +156,24 @@ def check_mesh_relation(system: CoxeterSystem, word: Word) -> bool:
     doubled = tuple(word) + psi_word(system, word)
     period = len(doubled)
     extended = doubled + doubled
-    vectors = [
-        _signed_vector(system, label) for label in root_table(system, extended, ())
-    ]
-    cartan = system.cartan
+    labels = root_table(system, extended, ())
+    roots = system.positive_roots
+    zero = (0,) * system.rank
     for s in range(1, system.rank + 1):
+        row = system.cartan[s - 1]
         occurrences = [p for p, x in enumerate(extended) if x == s]
         for left, right in zip(occurrences, occurrences[1:]):
             if left >= period:
                 break
-            total = _vector_add(vectors[left], vectors[right])
-            acc = None
-            for q in range(left + 1, right):
-                entry = cartan[s - 1][extended[q] - 1]
-                if entry == 0:
-                    continue
-                term = _vector_scale(-entry, vectors[q])
-                acc = term if acc is None else _vector_add(acc, term)
-            if acc is None:
-                acc = tuple(0 for _ in range(system.rank))
-            if not _vector_close(system, total, acc):
+            column = [(1, left), (1, right)]
+            column += [(row[extended[q] - 1], q) for q in range(left + 1, right)]
+            total = tuple(
+                sum(a * labels[p].sign * roots[labels[p].root][i] for a, p in column)
+                for i in range(system.rank)
+            )
+            if not _vector_close(system, total, zero):
                 return False
     return True
-
-
-def _signed_vector(system: CoxeterSystem, label: SignedRoot):
-    vec = system.positive_roots[label.root]
-    if label.sign > 0:
-        return tuple(vec)
-    return tuple(-c for c in vec)
-
-
-def _vector_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _vector_scale(scalar, vec):
-    return tuple(scalar * x for x in vec)
 
 
 def _vector_close(system: CoxeterSystem, a, b) -> bool:

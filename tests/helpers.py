@@ -5,13 +5,14 @@ breadth-first search over the group, face tests by brute-force subword
 search, commutation classes by breadth-first search over adjacent swaps,
 facets and root tables by ``Element`` products instead of the code
 sequences of the kernel, facets also as the closure of a seed facet under
-the public ``flip``, f-vectors and minimal non-faces by materialising
-every subset of every facet instead of the h-vector and the facet-bitset
-growth, diagonal crossings by cyclic interleaving, cyclic-sieving values by
-complex floating-point evaluation instead of cyclotomic remainders, counts
-by closed formulas from outside the package, the next-occurrence action by
-rescanning the word, the pairwise-compatibility complex by scanning every
-root set.
+the public ``flip``, facets of multi-cluster complexes by reflection
+products, element orders by repeated multiplication, f-vectors and minimal
+non-faces by materialising every subset of every facet instead of the
+h-vector and the facet-bitset growth, diagonal crossings by cyclic
+interleaving, cyclic-sieving values by complex floating-point evaluation
+instead of cyclotomic remainders, counts by closed formulas from outside the
+package, the next-occurrence action by rescanning the word, the
+pairwise-compatibility complex by scanning every root set.
 """
 
 from __future__ import annotations
@@ -24,13 +25,16 @@ from math import comb
 
 from subwordlab import subword
 from subwordlab.coxeter import (
+    CoxeterError,
     CoxeterSystem,
     Element,
     ResourceLimitError,
+    Word,
+    element_from_word,
     enumerate_coxeter_words,
 )
-from subwordlab.multicluster import almost_positive_roots, c_compatible
-from subwordlab.subword import flip, is_face, reduce_to_w0
+from subwordlab.multicluster import almost_positive_roots, c_compatible, multi_cluster_word
+from subwordlab.subword import flip, is_face, reduce_to_w0, root_table
 
 
 @lru_cache(maxsize=None)
@@ -110,6 +114,47 @@ def brute_facets(sys: CoxeterSystem, word, target: Element) -> tuple:
 
     walk(0, sys.identity, 0)
     return tuple(sorted(facets))
+
+
+def reflection_sequence(system: CoxeterSystem, word: Word) -> tuple[Element, ...]:
+    """Reflections t_i = q_1...q_{i-1} q_i q_{i-1}...q_1 along a word: t_i is
+    the reflection in r(empty facet, i), so one root walk gives them all."""
+    reflections = system.reflections
+    return tuple(
+        Element(system, reflections[r.root]) for r in root_table(system, word, ())
+    )
+
+
+def is_facet_by_reflections(
+    system: CoxeterSystem, cox: Word, k: int, positions
+) -> bool:
+    """Facet test: the reflections at the chosen positions, multiplied in
+    decreasing position order, must equal c^k."""
+    word = multi_cluster_word(system, cox, k)
+    chosen = tuple(sorted(positions))
+    if len(chosen) != k * system.rank:
+        raise CoxeterError(f"a facet candidate needs exactly {k * system.rank} positions")
+    if len(set(chosen)) != len(chosen) or chosen and (
+        chosen[0] < 1 or chosen[-1] > len(word)
+    ):
+        raise CoxeterError("bad position set")
+    reflections = reflection_sequence(system, word)
+    product = system.identity
+    for p in reversed(chosen):
+        product = product * reflections[p - 1]
+    return product == element_from_word(system, tuple(cox) * k)  # c^k
+
+
+def element_order(w: Element) -> int:
+    """The order of w by repeated multiplication."""
+    power = w
+    order = 1
+    while not power.is_identity():
+        power = power * w
+        order += 1
+        if order > 2 * w.system.number_of_positive_roots ** 2:
+            raise CoxeterError("runaway order computation")
+    return order
 
 
 def flip_closure(sys: CoxeterSystem, word, target: Element, seed) -> tuple:

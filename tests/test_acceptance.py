@@ -25,7 +25,6 @@ from subwordlab.multicluster import (
     contains_pairwise_crossing,
     gale_facets_rank2,
     facet_count_formula,
-    is_facet_by_reflections,
     lr_labels,
     multi_cluster_word,
     permutation_order,
@@ -46,7 +45,7 @@ from subwordlab.subword import (
     root_table,
     subword_complex,
 )
-from helpers import flip_closure, system
+from helpers import flip_closure, is_facet_by_reflections, system
 
 PENTAGON_WORD = (2, 1, 2, 1, 2)
 HEXAGON_WORD = (1, 2, 1, 2, 1, 2)

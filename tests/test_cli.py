@@ -365,7 +365,20 @@ def test_cli_pi_defaults(capsys, argv, pi, count):
     assert code == 0
     payload = json.loads(out)
     assert payload["params"]["pi"] == pi
+    # -k does not apply with --word, so the word path echoes null, as for --cox
+    assert payload["params"]["k"] == (1 if pi is None else None)
     assert payload["results"]["count"] == count
+
+
+def test_cli_nonfaces_default_cap_on_an_empty_complex(capsys):
+    # w0 of A3 has length 6, longer than the word s1: no facets, facet size -5
+    code, out = run_cli(
+        capsys, "complex", "nonfaces", "--type", "A3", "--word", "s1", "--pi", "w0", "--json"
+    )
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["max_size"] == 1
+    assert results["minimal_nonfaces"] == [] and results["sizes"] == []
 
 
 @pytest.mark.parametrize("action", ["facets", "fvector"])

@@ -14,7 +14,6 @@ from subwordlab.coxeter import (
     commutation_position_map,
     demazure_product,
     element_from_word,
-    element_order,
     enumerate_coxeter_words,
     equal_up_to_commutations,
     format_word,
@@ -28,7 +27,13 @@ from subwordlab.coxeter import (
     psi_word,
     reduced_word,
 )
-from helpers import brute_min_word_length, commutation_class, group_by_bfs, system
+from helpers import (
+    brute_min_word_length,
+    commutation_class,
+    element_order,
+    group_by_bfs,
+    system,
+)
 
 ALL_TYPES = [
     "A1", "A2", "A3", "A4", "B2", "B3", "B4", "D3", "D4", "D5",

@@ -13,7 +13,6 @@ from subwordlab.coxeter import (
     ResourceLimitError,
     SignedRoot,
     element_from_word,
-    element_order,
     enumerate_coxeter_words,
     longest_element,
 )
@@ -28,14 +27,12 @@ from subwordlab.multicluster import (
     diagonals_cross,
     facet_count_formula,
     gale_facets_rank2,
-    is_facet_by_reflections,
     lr_labels,
     lr_position,
     multi_cluster_complex,
     multi_cluster_word,
     negative_simple,
     permutation_order,
-    reflection_sequence,
     sigma_involution,
     theta_order_formula,
     theta_orbits_on_facets,
@@ -53,7 +50,9 @@ from helpers import (
     brute_theta,
     catalan,
     float_csp_values,
+    is_facet_by_reflections,
     oracle_coxeter_words,
+    reflection_sequence,
     system,
 )
 

@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+from subwordlab import quivers
 from subwordlab.coxeter import (
     CoxeterError,
     SignedRoot,
@@ -196,6 +197,24 @@ def test_mesh_relation_multi_cluster_words(name, k):
     s = system(name)
     for cox in enumerate_coxeter_words(s):
         assert check_mesh_relation(s, multi_cluster_word(s, cox, k))
+
+
+@pytest.mark.parametrize("name, exact", [("B3", True), ("I2(7)", False)])
+def test_mesh_relation_fails_on_a_negated_label(monkeypatch, name, exact):
+    # position 1 is the left end of a site, so -beta_1 moves its sum by
+    # 2 beta_1; I2(7) takes the within-1e-9 comparison
+    s = system(name)
+    assert s.exact is exact
+    word = multi_cluster_word(s, enumerate_coxeter_words(s)[0], 1)
+    assert check_mesh_relation(s, word)
+    real = quivers.root_table
+
+    def negate_first(system, word, facet):
+        labels = real(system, word, facet)
+        return (SignedRoot(labels[0].root, -labels[0].sign),) + labels[1:]
+
+    monkeypatch.setattr(quivers, "root_table", negate_first)
+    assert not check_mesh_relation(s, word)
 
 
 @pytest.mark.parametrize(
