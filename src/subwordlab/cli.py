@@ -69,7 +69,7 @@ def _system_from(args) -> CoxeterSystem:
 
 
 def _coxeter_word_from(args, system: CoxeterSystem) -> Word:
-    return parse_word(args.cox) if args.cox else _lex_coxeter_word(system)
+    return _lex_coxeter_word(system) if args.cox is None else parse_word(args.cox)
 
 
 def _complex_from(args):

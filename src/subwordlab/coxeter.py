@@ -589,7 +589,9 @@ def enumerate_coxeter_words(system: CoxeterSystem) -> tuple[Word, ...]:
 def check_coxeter_word(system: CoxeterSystem, word: Word) -> None:
     check_word(system, word)
     if sorted(word) != list(range(1, system.rank + 1)):
-        raise CoxeterError(f"{format_word(word)} is not a word for a Coxeter element")
+        raise CoxeterError(
+            f"{format_word(word) or 'the empty word'} is not a word for a Coxeter element"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -642,12 +644,17 @@ def commutation_position_map(
 
     Entry p-1 holds the position in ``other`` of the letter at position p of
     ``word``; letters are matched by their (layer, generator) pair, which is
-    injective because a layer never repeats a generator.
+    injective because a layer never repeats a generator.  The words are
+    equal up to commutations iff they have the same pairs (the sorted pairs
+    are ``commutation_layers``), so one layering of each decides that too.
     """
-    if not equal_up_to_commutations(system, word, other):
-        raise CoxeterError("words are not equal up to commutations")
+    check_word(system, word)
+    check_word(system, other)
+    keys = _layer_keys(system, word)
     target = {key: p + 1 for p, key in enumerate(_layer_keys(system, other))}
-    return tuple(target[key] for key in _layer_keys(system, word))
+    if target.keys() != set(keys):
+        raise CoxeterError("words are not equal up to commutations")
+    return tuple(target[key] for key in keys)
 
 
 def iter_all_words(system: CoxeterSystem, length_: int) -> Iterator[Word]:

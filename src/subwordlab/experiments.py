@@ -18,11 +18,12 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .coxeter import (
+    CoxeterError,
     CoxeterSystem,
     Word,
+    commutation_layers,
     commutation_position_map,
     enumerate_coxeter_words,
-    equal_up_to_commutations,
     iter_all_words,
     longest_element,
 )
@@ -278,22 +279,20 @@ def run_sin_experiment(instances=SIN_INSTANCES) -> ExperimentReport:
 
     def rows_of(system, size):
         big_n = system.number_of_positive_roots
-        references = []
+        references = set()
         if size >= big_n and (size - big_n) % system.rank == 0:
             k = (size - big_n) // system.rank
-            references = [
-                multi_cluster_word(system, cox, k) for cox in enumerate_coxeter_words(system)
-            ]
+            references = {
+                commutation_layers(system, multi_cluster_word(system, cox, k))
+                for cox in enumerate_coxeter_words(system)
+            }
         mismatches = 0
         sin_count = 0
         for word in iter_all_words(system, size):
             sin = has_sin_property(system, word)
-            canonical = any(
-                equal_up_to_commutations(system, word, ref) for ref in references
-            )
             if sin:
                 sin_count += 1
-            if sin != canonical:
+            if sin != (commutation_layers(system, word) in references):
                 mismatches += 1
         row = {
             "words": system.rank ** size,
@@ -318,15 +317,29 @@ def run_mesh_experiment(instances=MESH_INSTANCES) -> ExperimentReport:
 
 def run_independence_experiment(instances=INDEPENDENCE_INSTANCES) -> ExperimentReport:
     """Facet counts and f-vectors across all Coxeter words, plus the explicit
-    rotation bijection from each word to its initial-letter conjugate."""
+    rotation bijection from each word to its initial-letter conjugate.
+
+    The complex depends on the Coxeter word only up to commutations (CLS),
+    so one complex is built per commutation class, keyed by
+    ``commutation_layers``, and each rotation lands on the complex of the
+    conjugate's class instead of a rebuild on the conjugate word itself.
+    """
 
     def rows_of(system, k):
-        words = enumerate_coxeter_words(system)
-        data = [(cox, multi_cluster_complex(system, cox, k)) for cox in words]
-        counts = {len(c.facets) for _, c in data}
-        fvecs = {f_vector(c) for _, c in data}
+        words = enumerate_coxeter_words(system)  # one per commutation class
+        classes = [commutation_layers(system, cox) for cox in words]
+        complexes = {
+            key: multi_cluster_complex(system, cox, k) for key, cox in zip(classes, words)
+        }
+        counts = {len(c.facets) for c in complexes.values()}
+        fvecs = {f_vector(c) for c in complexes.values()}
         rotation_ok = all(
-            _rotation_step_bijection(system, cox, k, complex_) for cox, complex_ in data
+            _rotation_step_bijection(
+                system,
+                complexes[key],
+                complexes[commutation_layers(system, cox[1:] + cox[:1])],
+            )
+            for key, cox in zip(classes, words)
         )
         row = {
             "words": len(words),
@@ -340,28 +353,24 @@ def run_independence_experiment(instances=INDEPENDENCE_INSTANCES) -> ExperimentR
 
 
 def _rotation_step_bijection(
-    system: CoxeterSystem, cox: Word, k: int, complex_: SubwordComplex
+    system: CoxeterSystem, complex_: SubwordComplex, conjugate: SubwordComplex
 ) -> bool:
-    """Rotating along the initial letter maps the facets of the multi-cluster
-    complex of ``cox`` onto those of the conjugated Coxeter word, under the
-    position shift."""
-    word = complex_.word
-    rotated = rotate_word(system, word)
-    conjugate = multi_cluster_complex(system, cox[1:] + (cox[0],), k)
-    if not equal_up_to_commutations(system, rotated, conjugate.word):
+    """Rotating along the initial letter maps the facets of a multi-cluster
+    complex onto those of ``conjugate``, the complex of a word in the class
+    of the conjugated Coxeter word: position 1 goes to the end, every other
+    position p to p - 1, and then across the commutations to the conjugate's
+    word."""
+    rotated = rotate_word(system, complex_.word)
+    try:
+        relabel = commutation_position_map(system, rotated, conjugate.word)
+    except CoxeterError:  # the rotated word is not in the conjugate's class
         return False
-    relabel = commutation_position_map(system, rotated, conjugate.word)
-    r = len(word)
-
-    def shift(p: int) -> int:
-        return r if p == 1 else p - 1
-
+    image = (0, relabel[-1]) + relabel[:-1]  # image[p] for 1-based p
     target_facets = set(conjugate.facets)
-    for facet in complex_.facets:
-        image = tuple(sorted(relabel[shift(p) - 1] for p in facet))
-        if image not in target_facets:
-            return False
-    return True
+    return all(
+        tuple(sorted(map(image.__getitem__, facet))) in target_facets
+        for facet in complex_.facets
+    )
 
 
 def flip_graph_diameter(graph: FlipGraph) -> int:

@@ -447,14 +447,17 @@ def csp_fixed_point_table(
     if poly is None:
         raise CoxeterError("the q-analogue is not a polynomial")
     lengths = [len(orbit) for orbit in theta_orbits_on_facets(system, cox, k)]
+    values = {}  # the value depends on d only through e
     rows = []
-    for d in range(order):
+    for d in range(order):  # d in order: an error names the e of the first failing d
         fixed = sum(length for length in lengths if d % length == 0)
         e = order // gcd(d, order)
-        _, remainder = _poly_divmod(poly, _cyclotomic(e))
-        if len(remainder) > 1:
-            raise CoxeterError(
-                f"the q-analogue is not an integer at a root of unity of order {e}"
-            )
-        rows.append((fixed, remainder[0] if remainder else 0))
+        if e not in values:
+            _, remainder = _poly_divmod(poly, _cyclotomic(e))
+            if len(remainder) > 1:
+                raise CoxeterError(
+                    f"the q-analogue is not an integer at a root of unity of order {e}"
+                )
+            values[e] = remainder[0] if remainder else 0
+        rows.append((fixed, values[e]))
     return tuple(rows)

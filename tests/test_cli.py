@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -128,6 +129,33 @@ def test_independence_experiment():
     assert by_key[("A3", 1)]["facets"] == [14]
     assert by_key[("B3", 2)]["facets"] == [175]
     assert by_key[("D4", 1)]["words"] == 8
+
+
+def test_independence_builds_one_complex_per_commutation_class(monkeypatch):
+    # D4 has 8 classes of Coxeter words; every conjugate falls in one of them
+    built = []
+    build = experiments.multi_cluster_complex
+
+    def counted(s, cox, k):
+        built.append(cox)
+        return build(s, cox, k)
+
+    monkeypatch.setattr(experiments, "multi_cluster_complex", counted)
+    d4 = (("D4", 1),)
+    report = run_independence_experiment(d4)
+    assert report.verdict == "pass"
+    assert len(built) == 8
+
+    def one_facet_dropped(s, cox, k):
+        complex_ = build(s, cox, k)
+        if cox != built[-1]:
+            return complex_
+        return dataclasses.replace(complex_, facets=complex_.facets[1:])
+
+    monkeypatch.setattr(experiments, "multi_cluster_complex", one_facet_dropped)
+    report = run_independence_experiment(d4)
+    assert report.verdict == "fail"
+    assert report.rows[0]["rotation_bijection"] is False
 
 
 def test_flip_graph_diameters():
@@ -327,6 +355,27 @@ def test_cli_empty_word_is_a_word(capsys, pi, count):
     results = json.loads(out)["results"]
     assert results["word"] == "" and results["count"] == count
     assert results["facets"] == [[]] * count
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["sort", "--type", "A3"],
+        ["complex", "facets", "--type", "A3"],
+        ["flipgraph", "--type", "A3"],
+        ["theta", "--type", "A3"],
+        ["bijection", "typea", "--m", "6"],
+        ["quiver", "ar", "--type", "A3"],
+    ],
+    ids=" ".join,
+)
+def test_cli_empty_cox_is_not_the_default_word(capsys, command):
+    # an empty --cox is the empty word, not s1,...,sn, and that is no Coxeter word
+    code = main([*command, "--cox", ""])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the empty word is not a word for a Coxeter element\n"
 
 
 @pytest.mark.parametrize("command", [["complex", "facets"], ["flipgraph"]], ids=" ".join)

@@ -590,6 +590,15 @@ def test_commutation_layers_match_bfs_class(name, data):
     assert equal_up_to_commutations(s, word, other)
     scrambled = tuple(data.draw(st.permutations(list(word))))
     assert equal_up_to_commutations(s, word, scrambled) == (scrambled in cls)
+    # the position map makes the same decision, and carries letters onto letters
+    mapping = commutation_position_map(s, word, other)
+    assert [other[q - 1] for q in mapping] == list(word)
+    assert sorted(mapping) == list(range(1, len(word) + 1))
+    if scrambled not in cls:
+        with pytest.raises(CoxeterError, match="not equal up to commutations"):
+            commutation_position_map(s, word, scrambled)
+    with pytest.raises(CoxeterError, match="not equal up to commutations"):
+        commutation_position_map(s, word, word + word[:1])
 
 
 def test_commutation_position_map_is_bijection():

@@ -2,7 +2,7 @@ import gc
 import weakref
 
 import pytest
-from itertools import combinations
+from itertools import combinations, permutations
 
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +12,8 @@ from subwordlab.coxeter import (
     CoxeterSystem,
     ResourceLimitError,
     SignedRoot,
+    commutation_layers,
+    commutation_position_map,
     element_from_word,
     enumerate_coxeter_words,
     longest_element,
@@ -83,6 +85,24 @@ def test_multi_cluster_complex_is_the_subword_complex_of_its_word(name, cox, k):
     word = cox * k + sorting_word_w0(s, cox).word
     expected = subword_complex(s, word, longest_element(s))
     assert multi_cluster_complex(s, cox, k) == expected
+
+
+@pytest.mark.parametrize("name, k", [("A3", 1), ("A3", 2), ("B3", 1), ("B3", 2), ("D4", 1)])
+def test_multi_cluster_complex_depends_on_the_coxeter_word_up_to_commutations(name, k):
+    # every ordering of the generators, canonical or not, gives the complex
+    # of its class's canonical word, relabelled across the commutations
+    s = system(name)
+    canonical = {
+        commutation_layers(s, cox): multi_cluster_complex(s, cox, k)
+        for cox in enumerate_coxeter_words(s)
+    }
+    for cox in permutations(range(1, s.rank + 1)):
+        complex_ = multi_cluster_complex(s, cox, k)
+        reference = canonical[commutation_layers(s, cox)]
+        relabel = commutation_position_map(s, complex_.word, reference.word)
+        relabelled = {tuple(sorted(relabel[p - 1] for p in facet)) for facet in complex_.facets}
+        assert len(relabelled) == len(complex_.facets)
+        assert relabelled == set(reference.facets)
 
 
 def test_b2_lr_labels():
@@ -797,10 +817,13 @@ def test_csp_fixed_counts_match_a_direct_count(name, k):
 
 
 def test_csp_value_off_the_integers_raises(monkeypatch):
-    # q itself is not an integer at a root of unity of order 4
+    # q itself is not an integer at a primitive root of unity of order > 2;
+    # on A3 (2k + h = 6) d = 1 has order 6 and comes before d = 2, of order 3
     monkeypatch.setattr(multicluster, "csp_polynomial", lambda s, k: (0, 1))
-    with pytest.raises(
-        CoxeterError,
-        match="the q-analogue is not an integer at a root of unity of order 4",
-    ):
-        csp_fixed_point_table(system("A1"), (1,), 1)
+    for name, order in [("A1", 4), ("A3", 6)]:
+        s = system(name)
+        with pytest.raises(
+            CoxeterError,
+            match=f"the q-analogue is not an integer at a root of unity of order {order}$",
+        ):
+            csp_fixed_point_table(s, tuple(range(1, s.rank + 1)), 1)
