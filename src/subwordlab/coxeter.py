@@ -297,8 +297,20 @@ class Element:
         return self.image == self.system.identity.image
 
     def apply(self, root: int, sign: int = 1) -> SignedRoot:
+        """w applied to sign * beta_root; raises ``CoxeterError`` unless root
+        indexes a positive root and sign is 1 or -1."""
         system = self.system
-        code = root + 1 if sign > 0 else 2 * system.number_of_positive_roots - root
+        N = system.number_of_positive_roots
+        if not 0 <= root < N:
+            raise CoxeterError(
+                f"root index {root} out of range for {system.descriptor.name()},"
+                f" which has {N} positive roots"
+            )
+        if sign != 1 and sign != -1:
+            raise CoxeterError(
+                f"root sign {sign} is not 1 or -1 for {system.descriptor.name()}"
+            )
+        code = root + 1 if sign > 0 else 2 * N - root
         return system.signed_roots[ord(self.image[code:code + 1])]
 
     def has_right_descent(self, s: int) -> bool:

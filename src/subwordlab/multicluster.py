@@ -142,13 +142,13 @@ def sigma_involution(
 ) -> SignedRoot:
     """Involution on almost positive roots: fix -alpha_t for t != s, else apply s."""
     check_word(system, (s,))
+    image = system.generators[s - 1].apply(*root)  # checks the index and the sign
     if root.sign < 0:
         if root.root >= system.rank:
             raise CoxeterError("negated roots must be simple")
         if root.root != s - 1:
             return root
         return SignedRoot(root.root, 1)
-    image = system.generators[s - 1].apply(root.root)
     if image.sign < 0:
         # Only alpha_s is sent negative, landing on -alpha_s.
         return SignedRoot(image.root, -1)

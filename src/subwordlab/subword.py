@@ -19,10 +19,13 @@ is counted without being pushed.  ``flip`` and ``root_table`` stay the
 public single-facet calls.
 
 ``facet_counts`` counts the facets on a sequence of words without finding
-them, by a sweep over group elements with no root table or flip, under a
-budget of |W| <= ``MAX_FACES`` states checked before it starts.  Elements
-are numbered as they are reached and their moves stored for the words
-that follow; ``facet_count`` is the one-word case.
+them, with no root table or flip, under a budget of |W| <= ``MAX_FACES``
+states checked before it starts.  Each word is split in half: the head is
+swept forwards from the identity, the tail backwards from the target, and
+the two tables of counts per group element meet in the middle.  Elements
+are numbered as they are reached, their moves stored both ways, and the
+half tables kept under their half-words, for the words that follow;
+``facet_count`` is the one-word case.
 
 Face counts never materialise the faces: the kernel counts the h-vector of
 the lexicographic shelling while it enumerates, from the signs of the roots
@@ -297,24 +300,32 @@ def facet_count(system: CoxeterSystem, word: Word, target: Element) -> int:
 def facet_counts(
     system: CoxeterSystem, words: Iterable[Word], target: Element
 ) -> Iterator[int]:
-    """The number of facets on each word, in input order, by a sweep over
-    group elements.
+    """The number of facets on each word, in input order, by two half sweeps
+    over group elements that meet in the middle.
 
     Facets are the complements of the reduced subwords for target
-    (Knutson-Miller).  The sweep keeps a count table that says, for each
-    group element u, how many ways the complement letters so far spell a
-    reduced word for u: at a letter s each count stays (s joins the facet),
-    and the count of a u with ascent s also moves on to u*s (s joins the
-    complement).  A u with ascent s is never some u'*s with descent s, so
-    one table is updated in place.  Its at most |W| = prod(degrees) states
-    are checked against ``MAX_FACES`` when this is called, before anything
-    is multiplied; each word is checked with ``check_word`` before it is
-    swept.
+    (Knutson-Miller), and a reduced subword of Q = H T is a reduced word for
+    some u inside the head H followed by an ascending continuation from u to
+    target inside the tail T.  Each word is split at h = len(Q) // 2.  The
+    head is swept forwards from the identity: F(u) counts the ways the
+    complement letters so far spell a reduced word for u; at a letter s each
+    count stays (s joins the facet), and the count of a u with ascent s also
+    moves on to u*s (s joins the complement).  The tail is swept backwards
+    from target: G(u) counts the ascending continuations from u to target;
+    reading the tail right to left, at a letter s the count of a v with
+    descent s also moves on to v*s.  A u with ascent s is never some u'*s
+    with descent s, and the other way round, so each table is updated in
+    place.  The count is the sum of F(u) * G(u).  Each table holds at most
+    |W| = prod(degrees) states, checked against ``MAX_FACES`` when this is
+    called, before anything is multiplied; each word is checked with
+    ``check_word`` before any table is looked up.
 
-    Group elements are numbered as the sweep first reaches them, and each
-    move u -> u*s is stored once it is known, so a letter step is a list
-    lookup; the numbers and moves carry over from word to word, and each
-    word is swept in a fresh table.
+    Group elements are numbered as a sweep first reaches them, and each move
+    u -> u*s is stored with its inverse once it is known, so a letter step
+    is a list lookup.  The numbers, the moves and the half tables carry over
+    from word to word: a half table is kept under its half-word, for every
+    later word with that head or tail, as long as the kept tables hold at
+    most ``MAX_FACES`` counts in all.
     """
     order = prod(system.degrees)
     if order > MAX_FACES:
@@ -331,35 +342,76 @@ def _sweep(system: CoxeterSystem, words: Iterable[Word], goal) -> Iterator[int]:
     top = system.codes[system.number_of_positive_roots]  # codes above it are negative
     images = [system.identity.image]  # by element number; the identity is 0
     numbers = {images[0]: 0}
-    # moves[s - 1][u]: the number of u*s when s is an ascent of u, 0 when it
-    # is a descent (the identity is no u*s with ascent s), -1 until first needed
-    moves = [[-1] for _ in range(system.rank)]
+    # moves[s - 1][u]: the number v of u*s when s is an ascent of u, ~v when
+    # it is a descent, None until first needed.  The identity is no u*s with
+    # ascent s, so v > 0 marks an ascent and a negative entry a descent.
+    moves = [[None] for _ in range(system.rank)]
 
-    def move(u: int, s: int) -> int:
-        image, v = images[u], 0
-        if image[s:s + 1] <= top:
-            image = right_multiply(image, s)
-            v = numbers.get(image)
-            if v is None:
-                v = numbers[image] = len(images)
-                images.append(image)
-                for row in moves:
-                    row.append(-1)
-        moves[s - 1][u] = v
+    def number(image) -> int:
+        v = numbers.get(image)
+        if v is None:
+            v = numbers[image] = len(images)
+            images.append(image)
+            for row in moves:
+                row.append(None)
         return v
 
-    for word in words:
-        check_word(system, word)
+    def move(u: int, s: int) -> int:
+        image = images[u]
+        v = number(right_multiply(image, s))
+        row = moves[s - 1]
+        if image[s:s + 1] <= top:
+            row[u], row[v] = v, ~u
+        else:
+            row[u], row[v] = ~v, u
+        return row[u]
+
+    def head_table(letters) -> dict[int, int]:
         table = {0: 1}
-        for s in word:
+        for s in letters:
             row = moves[s - 1]
             for u in list(table):  # a u with ascent s is no u'*s: its count holds
                 v = row[u]
-                if v < 0:
+                if v is None:
                     v = move(u, s)
-                if v:
+                if v > 0:
                     table[v] = table.get(v, 0) + table[u]
-        yield table.get(numbers.get(goal), 0)
+        return table
+
+    def tail_table(letters) -> dict[int, int]:
+        table = {number(goal): 1}
+        for s in reversed(letters):
+            row = moves[s - 1]
+            for v in list(table):  # a v with descent s is no v'*s: its count holds
+                u = row[v]
+                if u is None:
+                    u = move(v, s)
+                if u < 0:
+                    u = ~u
+                    table[u] = table.get(u, 0) + table[v]
+        return table
+
+    heads: dict[Word, dict[int, int]] = {}
+    tails: dict[Word, dict[int, int]] = {}
+    room = MAX_FACES  # counts the kept tables may still hold
+
+    def keep(tables, half, table):
+        nonlocal room
+        if len(table) <= room:
+            tables[half] = table
+            room -= len(table)
+        return table
+
+    for word in words:
+        check_word(system, word)
+        word = tuple(word)
+        h = len(word) // 2
+        head, tail = word[:h], word[h:]
+        up = heads.get(head) or keep(heads, head, head_table(head))
+        down = tails.get(tail) or keep(tails, tail, tail_table(tail))
+        if len(up) > len(down):
+            up, down = down, up
+        yield sum([count * down.get(u, 0) for u, count in up.items()])
 
 
 @dataclass(frozen=True)

@@ -430,6 +430,20 @@ def test_right_multiply_is_the_generator_product(name, data):
     assert w.apply(root, -1) == SignedRoot(image.root, -image.sign)
 
 
+def test_apply_rejects_out_of_range_roots_and_signs():
+    a2 = system("A2")  # three positive roots, indices 0, 1, 2
+    assert a2.identity.apply(2) == SignedRoot(2, 1)
+    assert a2.identity.apply(2, -1) == SignedRoot(2, -1)
+    for root, sign in ((3, 1), (-1, 1), (5, -1), (3, -1)):
+        with pytest.raises(
+            CoxeterError, match=rf"^root index {root} out of range for A2, which has 3"
+        ):
+            a2.identity.apply(root, sign)
+    for sign in (5, 0, -2):
+        with pytest.raises(CoxeterError, match=rf"^root sign {sign} is not 1 or -1 for A2"):
+            a2.generators[0].apply(0, sign)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(["A1", "B3", "D4", "E8", "F4", "G2", "H4"]), st.data())
 def test_apply_matches_reflected_root_coordinates(name, data):

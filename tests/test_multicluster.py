@@ -247,6 +247,18 @@ def test_sigma_involution_rejects_out_of_range_generators():
                 sigma_involution(a3, s, root)
 
 
+def test_sigma_involution_rejects_roots_outside_the_almost_positive_ones():
+    a2 = system("A2")
+    for root in (SignedRoot(3, 1), SignedRoot(-1, 1), SignedRoot(-1, -1), SignedRoot(3, -1)):
+        with pytest.raises(CoxeterError, match=rf"^root index {root.root} out of range for A2"):
+            sigma_involution(a2, 1, root)
+    for root in (SignedRoot(0, 5), SignedRoot(0, -5), SignedRoot(1, 0)):
+        with pytest.raises(CoxeterError, match=rf"^root sign {root.sign} is not 1 or -1"):
+            sigma_involution(a2, 1, root)
+    with pytest.raises(CoxeterError, match="negated roots must be simple"):
+        sigma_involution(a2, 1, SignedRoot(2, -1))  # root 2 is not simple
+
+
 @pytest.mark.parametrize("s", [0, 4])
 def test_negative_simple_rejects_out_of_range_generators(s):
     with pytest.raises(CoxeterError) as error:

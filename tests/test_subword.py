@@ -12,6 +12,7 @@ from subwordlab.coxeter import (
     element_from_word,
     enumerate_coxeter_words,
     inversion_set,
+    iter_all_words,
     longest_element,
     psi,
     reduced_word,
@@ -239,16 +240,48 @@ def test_facet_counts_match_the_oracle_on_batches(data):
     s, word, target, kind = draw_complex(
         data, SMALL_TYPES + ["I2(127)", "I2(128)"], max_letters=8
     )
-    others = data.draw(st.lists(st.lists(st.integers(1, s.rank), max_size=8), max_size=6))
+    letters = st.integers(1, s.rank)
+    others = data.draw(st.lists(st.lists(letters, max_size=8), max_size=6))
     others = [tuple(other) for other in others]
+    shorts = data.draw(st.lists(st.lists(letters, max_size=3), max_size=4))
+    # a word of length 2h or 2h + 1 splits after its first h letters, so
+    # head + tail[:h] shares its head with head + tail, and [1] + head + tail
+    # its tail
+    h = data.draw(st.integers(0, 4))
+    head = data.draw(st.lists(letters, min_size=h, max_size=h))
+    tail = data.draw(st.lists(letters, min_size=h + 1, max_size=h + 1))
+    halves = [head + tail, head + tail[:h], [1] + head + tail]
     cut = data.draw(st.integers(0, len(word)))
     at = data.draw(st.integers(0, len(others)))
-    # a prefix right before its word, a duplicate and the empty word
-    batch = others[:at] + [word[:cut], word] + others[at:] + [(), word]
+    # a prefix right before its word, a duplicate and the empty word; lists
+    # as well as tuples
+    batch = others[:at] + [list(word[:cut]), word] + others[at:] + shorts + halves
+    batch += [(), word]
     counts = list(facet_counts(s, batch, target))
-    assert counts == [len(brute_facets(s, other, target)) for other in batch]
+    assert counts == [len(brute_facets(s, tuple(other), target)) for other in batch]
     assert (counts[-1] > 0) == (kind != "empty")
     assert list(facet_counts(s, batch[::-1], target)) == counts[::-1]
+
+
+def test_facet_counts_keep_at_most_max_faces_counts(monkeypatch):
+    # |W(A3)| = 24 passes the up-front check, and leaves room for a few half
+    # tables of the words of length 6, split 3 + 3
+    monkeypatch.setattr(subword, "MAX_FACES", 24)
+    a3 = system("A3")
+    w0 = longest_element(a3)
+    words = list(iter_all_words(a3, 6))
+    singles = [facet_count(a3, word, w0) for word in words]
+    for batch, expected in ((words, singles), (words[::-1], singles[::-1])):
+        counts = facet_counts(a3, batch, w0)
+        got, most = [], 0
+        for _ in batch:
+            got.append(next(counts))
+            scope = counts.gi_frame.f_locals  # the sweep between two words
+            kept = [*scope["heads"].values(), *scope["tails"].values()]
+            most = max(most, sum(map(len, kept)))
+        assert got == expected
+        assert 0 < most <= 24
+        assert next(counts, None) is None
 
 
 def test_facet_counts_checks_the_group_order_when_called(monkeypatch):
