@@ -212,12 +212,15 @@ def _cmd_bijection(args) -> _Output:
 
 
 def _cmd_quiver(args) -> int:
+    if args.copies is not None and args.flavor != "repetition":
+        raise CoxeterError("--copies only applies to quiver repetition")
     system = _system_from(args)
     cox = _coxeter_word_from(args, system)
     if args.flavor == "ar":
         quiver = ar_quiver(system, cox)
     else:
-        quiver = repetition_window(system, cox, args.copies).quiver
+        copies = 2 if args.copies is None else args.copies
+        quiver = repetition_window(system, cox, copies).quiver
     _write_dot(export_dot(quiver, name=args.flavor), args.dot)
     return 0
 
@@ -310,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_quiver.add_argument("flavor", choices=["ar", "repetition"])
     p_quiver.add_argument("--type", help="group descriptor")
     p_quiver.add_argument("--cox", help="Coxeter word")
-    p_quiver.add_argument("--copies", type=int, default=2)
+    p_quiver.add_argument("--copies", type=int,
+                          help="blocks of quiver repetition (default 2)")
     p_quiver.add_argument("--dot", help="output DOT file ('-' for stdout)")
     p_quiver.set_defaults(func=_cmd_quiver)
 

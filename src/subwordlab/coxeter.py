@@ -282,6 +282,7 @@ class Element:
         return f"<{self.system.descriptor.name()} element {word}>"
 
     def __mul__(self, other: "Element") -> "Element":
+        check_element(self.system, other)
         return Element(self.system, other.image.translate(self.image))
 
     def inverse(self) -> "Element":
@@ -415,14 +416,8 @@ class CoxeterSystem:
         self.reflections = _root_reflections(simple_images, self.encode_codes)
         self.generators = tuple(Element(self, table) for table in self.reflections[:n])
         self.identity = Element(self, self.encode_codes(range(len(self.reflections[0]))))
-        top = self.codes[N]
-        w = self.identity.image
-        for _ in range(N):  # climb by the first ascent
-            for s in range(1, n + 1):
-                if w[s:s + 1] <= top:
-                    w = self.right_multiply(w, s)
-                    break
-        self._w0 = Element(self, w)
+        # each pass of s1...sn below w0 meets an ascent, so N passes reach w0
+        self._w0 = demazure_product(self, tuple(range(1, n + 1)) * N)
         if self._w0.length() != N:
             raise CoxeterError("failed to reach the longest element")
         # w0(alpha_s) = -alpha_psi(s), and -alpha_t has code 2N + 1 - t
@@ -482,6 +477,16 @@ def check_word(system: CoxeterSystem, word: Word) -> None:
     if word and not (1 <= min(word) and max(word) <= system.rank):  # C-level scans
         s = next(s for s in word if not 1 <= s <= system.rank)
         raise CoxeterError(f"generator s{s} out of range for {system.descriptor.name()}")
+
+
+def check_element(system: CoxeterSystem, w: Element) -> None:
+    """Refuse an element of another type; two builds of one type share their
+    tables, so their elements mix."""
+    if w.system is not system and w.system.descriptor != system.descriptor:
+        raise CoxeterError(
+            f"an element of {w.system.descriptor.name()} is not an element of"
+            f" {system.descriptor.name()}"
+        )
 
 
 def element_from_word(system: CoxeterSystem, word: Word) -> Element:

@@ -228,7 +228,9 @@ def run_maximality_experiment(
     ``MAX_FACES`` elements before anything is multiplied.  A row's words,
     every word of ``iter_all_words`` or the draws in draw order, go through
     one ``facet_counts`` call, so the group elements it numbers and the
-    moves it stores serve them all.
+    moves it stores serve them all.  The maximum, the first counterexample
+    and the SIN verdict are read off that list of counts, so SIN is tested
+    only at words attaining a maximum equal to the reference.
     """
     rng = random.Random(seed)
 
@@ -244,29 +246,26 @@ def run_maximality_experiment(
                 for _ in range(MAXIMALITY_SAMPLES)
             ]
         # multi_cluster_word multiplies: it comes after facet_counts checked |W|
-        counts = facet_counts(system, words, target)
+        counts = list(facet_counts(system, words, target))
         reference = facet_count(
             system, multi_cluster_word(system, _lex_coxeter_word(system), k), target
         )
-        best = 0
-        winners_all_sin = True
-        counterexample = None
-        for word, count in zip(words, counts):
-            if count > best:
-                best = count
-                winners_all_sin = True
-            if every_word and count == best > 0 and not has_sin_property(system, word):
-                winners_all_sin = False
-            if count > reference and counterexample is None:
-                counterexample = list(word)
+        best = max(counts)
         row = {
             "mode": mode,
             "reference": reference,
             "max_found": best,
-            "counterexample": counterexample,
+            "counterexample": next(
+                (list(word) for word, count in zip(words, counts) if count > reference),
+                None,
+            ),
         }
         if every_word:
-            row["max_only_at_sin_words"] = winners_all_sin and best == reference
+            row["max_only_at_sin_words"] = best == reference and all(
+                has_sin_property(system, word)
+                for word, count in zip(words, counts)
+                if count == best
+            )
         yield row, True
 
     parameters = {"seed": seed, "samples": MAXIMALITY_SAMPLES}

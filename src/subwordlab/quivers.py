@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .coxeter import (
     CoxeterError,
     CoxeterSystem,
+    ResourceLimitError,
     SignedRoot,
     Word,
     check_coxeter_word,
@@ -21,6 +22,7 @@ from .coxeter import (
     occurrence_indices,
     psi_word,
 )
+from . import subword
 from .sorting import has_sin_property, sorting_word_w0
 from .subword import root_table
 
@@ -47,18 +49,19 @@ def knitting_quiver(system: CoxeterSystem, word: Word, origin: int = 1) -> Quive
     """Knit a word: arrows join consecutive occurrences of graph neighbors.
 
     The j-th occurrence of generator s becomes vertex (origin + j - 1, s).
+    One pass keeps the latest position of each letter: at a position p with
+    letter s, each neighbor t whose latest occurrence comes after the latest
+    s gives the arrow from that t to p.
     """
     check_word(system, word)
     labels = tuple((origin + j - 1, s) for s, j in zip(word, occurrence_indices(word)))
+    latest = [-1] * (system.rank + 1)  # -1: not seen yet, below every position
     arrows = []
-    for s in range(1, system.rank + 1):
+    for p, s in enumerate(word):
         for t in system.neighbors[s - 1]:
-            if t < s:
-                continue
-            chain = [p for p, x in enumerate(word) if x in (s, t)]
-            for a, b in zip(chain, chain[1:]):
-                if word[a] != word[b]:
-                    arrows.append((labels[a], labels[b]))
+            if latest[t] > latest[s]:
+                arrows.append((labels[latest[t]], labels[p]))
+        latest[s] = p
     return Quiver(labels, tuple(sorted(arrows)))
 
 
@@ -83,7 +86,6 @@ class RepetitionWindow:
     ):
         self.quiver = quiver
         self.blocks = blocks
-        self._vertex_set = set(quiver.vertices)
         self._block_position = {
             vertex: (b, j)
             for b, block in enumerate(blocks)
@@ -94,7 +96,7 @@ class RepetitionWindow:
         """Translate: (i, s) -> (i - 1, s) when still inside the window."""
         i, s = vertex
         image = (i - 1, s)
-        return image if image in self._vertex_set else None
+        return image if image in self._block_position else None
 
     def shift(self, vertex: Vertex) -> Vertex | None:
         """The same block position one block to the right, if present."""
@@ -111,10 +113,19 @@ def repetition_window(
 
     ``origin`` sets the occurrence index given to the first occurrence of
     each generator, which lets callers center the window wherever they like.
+    Each block has N vertices, N the number of positive roots, and more than
+    ``MAX_FACES`` vertices in all raise ``ResourceLimitError`` before any
+    block is built.
     """
     check_coxeter_word(system, cox)
     if copies < 1:
         raise CoxeterError("need at least one block")
+    vertices = copies * system.number_of_positive_roots
+    if vertices > subword.MAX_FACES:
+        raise ResourceLimitError(
+            f"{system.descriptor.name()} with {copies} copies has {vertices} vertices,"
+            f" more than the limit of {subword.MAX_FACES}"
+        )
     base = sorting_word_w0(system, cox).word
     words = [base if b % 2 == 0 else psi_word(system, base) for b in range(copies)]
     full = tuple(s for w in words for s in w)

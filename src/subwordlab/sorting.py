@@ -18,6 +18,7 @@ from .coxeter import (
     Element,
     Word,
     check_coxeter_word,
+    check_element,
     check_word,
     demazure_product,
     longest_element,
@@ -46,6 +47,7 @@ def _sorting_blocks(system: CoxeterSystem, cox: Word, w: Element) -> tuple[Word,
     descent of the unchanged rest, and each pass takes at least one letter.
     """
     check_coxeter_word(system, cox)
+    check_element(system, w)
     identity = system.identity.image
     top = system.codes[system.number_of_positive_roots]
     blocks = []
@@ -86,20 +88,16 @@ def has_sin_property(system: CoxeterSystem, word: Word) -> bool:
 
     Requires the Demazure product to be the longest element and, within the
     doubled word w + psi(w), strict alternation of every non-commuting
-    generator pair.
+    generator pair.  One pass over the doubled word keeps the latest
+    position of each letter: a repeated letter s fails when some neighbor
+    of s has not occurred since the previous s.
     """
     check_word(system, word)
     if demazure_product(system, word) != longest_element(system):
         return False
-    doubled = word + psi_word(system, word)
-    for s in range(1, system.rank + 1):
-        for t in system.neighbors[s - 1]:
-            if t < s:
-                continue
-            previous = 0
-            for x in doubled:
-                if x == s or x == t:
-                    if x == previous:
-                        return False
-                    previous = x
+    latest = [-1] * (system.rank + 1)  # -1: not seen yet, below every position
+    for p, s in enumerate(word + psi_word(system, word)):
+        if any(latest[t] < latest[s] for t in system.neighbors[s - 1]):
+            return False
+        latest[s] = p
     return True

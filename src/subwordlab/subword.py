@@ -56,6 +56,7 @@ from .coxeter import (
     ResourceLimitError,
     SignedRoot,
     Word,
+    check_element,
     check_word,
     demazure_product,
     longest_element,
@@ -327,6 +328,7 @@ def facet_counts(
     later word with that head or tail, as long as the kept tables hold at
     most ``MAX_FACES`` counts in all.
     """
+    check_element(system, target)
     order = prod(system.degrees)
     if order > MAX_FACES:
         raise ResourceLimitError(
@@ -456,6 +458,7 @@ def subword_complex(
     """Build the complex; with no target, the Demazure product is used (sphere)."""
     if target is None:
         target = demazure_product(system, word)
+    check_element(system, target)
     facets, h = _facet_search(system, word, target)
     vertices = tuple(sorted(set().union(*facets)))
     return SubwordComplex(system, word, target, facets, vertices, h)
@@ -530,6 +533,7 @@ def reduce_to_w0(system: CoxeterSystem, word: Word, target: Element) -> Word:
     with word s1 s2 s1 and target s1 there are 2 facets, and 5 after the
     extension.
     """
+    check_element(system, target)
     completion = reduced_word(target.inverse() * longest_element(system))
     return tuple(word) + completion
 

@@ -12,7 +12,9 @@ h-vector and the facet-bitset growth, diagonal crossings by cyclic
 interleaving, cyclic-sieving values by complex floating-point evaluation
 instead of cyclotomic remainders, counts by closed formulas from outside the
 package, the next-occurrence action by rescanning the word, the
-pairwise-compatibility complex by scanning every root set.
+pairwise-compatibility complex by scanning every root set, the SIN
+alternation and the knitted arrows by one scan of the word per
+Coxeter-graph edge.
 """
 
 from __future__ import annotations
@@ -30,8 +32,11 @@ from subwordlab.coxeter import (
     Element,
     ResourceLimitError,
     Word,
+    demazure_product,
     element_from_word,
     enumerate_coxeter_words,
+    longest_element,
+    psi_word,
 )
 from subwordlab.multicluster import almost_positive_roots, c_compatible, multi_cluster_word
 from subwordlab.subword import flip, is_face, reduce_to_w0, root_table
@@ -221,6 +226,44 @@ def brute_theta(sys: CoxeterSystem, word) -> tuple:
             partner = sys.psi_table[s - 1]
             out.append(next(q for q, x in enumerate(word, start=1) if x == partner))
     return tuple(out)
+
+
+# Types for draws against the one-scan-per-edge oracles: every family but E,
+# the exact and the float dihedral roots, and a branch node (D4).
+SCAN_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "D4", "F4", "G2", "H3", "I2(7)"]
+
+
+def _edges(sys: CoxeterSystem) -> list:
+    return [(s, t) for s in range(1, sys.rank + 1) for t in sys.neighbors[s - 1] if s < t]
+
+
+def brute_sin_property(sys: CoxeterSystem, word) -> bool:
+    """Strong intervening-neighbors test by one scan of the doubled word
+    w + psi(w) per Coxeter-graph edge: the Demazure product must be w0, and
+    the two letters of every edge must strictly alternate."""
+    if demazure_product(sys, word) != longest_element(sys):
+        return False
+    doubled = tuple(word) + psi_word(sys, word)
+    for edge in _edges(sys):
+        chain = [x for x in doubled if x in edge]
+        if any(a == b for a, b in zip(chain, chain[1:])):
+            return False
+    return True
+
+
+def brute_knitting_arrows(sys: CoxeterSystem, word, origin: int = 1) -> tuple:
+    """The sorted arrows of the knitted quiver by one scan of the word per
+    Coxeter-graph edge: consecutive occurrences of the two letters of an
+    edge give an arrow when they differ.  The j-th occurrence of s is the
+    vertex (origin + j - 1, s), counted by rescanning the prefix."""
+    labels = [(origin + word[:p + 1].count(s) - 1, s) for p, s in enumerate(word)]
+    arrows = []
+    for edge in _edges(sys):
+        chain = [p for p, x in enumerate(word) if x in edge]
+        arrows += [
+            (labels[a], labels[b]) for a, b in zip(chain, chain[1:]) if word[a] != word[b]
+        ]
+    return tuple(sorted(arrows))
 
 
 def naive_complex_max_face_sizes(sys: CoxeterSystem, cox, k: int) -> tuple:

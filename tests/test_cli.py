@@ -545,6 +545,30 @@ def test_cli_quiver_repetition_stdout(capsys):
     assert out.startswith("digraph repetition {")
 
 
+@pytest.mark.parametrize("copies", ["7", "2"])
+def test_cli_copies_only_applies_to_repetition(capsys, copies):
+    assert main(["quiver", "ar", "--type", "A2", "--copies", copies, "--dot", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --copies only applies to quiver repetition\n"
+
+
+@pytest.mark.parametrize(
+    "copies, error",
+    [
+        ("0", "need at least one block"),
+        ("1000000000", "A2 with 1000000000 copies has 3000000000 vertices, more than"
+                       " the limit of 1000000"),
+    ],
+    ids=["zero", "over budget"],
+)
+def test_cli_repetition_refuses_copies_out_of_range(capsys, copies, error):
+    assert main(["quiver", "repetition", "--type", "A2", "--copies", copies]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+
+
 def test_cli_verify_exit_code_and_schema(capsys):
     code, out = run_cli(capsys, "verify", "counts", "--json")
     assert code == 0
@@ -614,6 +638,13 @@ def test_cli_verify_filter_matching_no_rows_is_an_error(capsys, argv, named):
 def test_cli_error_handling(capsys):
     code = main(["sort", "--type", "Q9"])
     assert code == 2
+
+
+def test_cli_type_is_required(capsys):
+    assert main(["sort"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --type is required\n"
 
 
 @pytest.mark.parametrize(

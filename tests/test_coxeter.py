@@ -27,6 +27,10 @@ from subwordlab.coxeter import (
     psi_word,
     reduced_word,
 )
+from subwordlab.multicluster import lr_position, multi_cluster_word
+from subwordlab.quivers import check_mesh_relation, repetition_window
+from subwordlab.sorting import rotate_word, sorting_word
+from subwordlab.subword import facet_counts, flip, is_face, reduce_to_w0, subword_complex
 from helpers import (
     brute_min_word_length,
     commutation_class,
@@ -583,8 +587,9 @@ def test_equal_up_to_commutations_examples():
     a3, a2 = system("A3"), system("A2")
     assert equal_up_to_commutations(a3, (1, 3, 2), (3, 1, 2))
     assert not equal_up_to_commutations(a2, (1, 2), (2, 1))
+    assert not equal_up_to_commutations(a2, (1, 2), (1, 2, 1))  # unequal lengths
     # a sorting word is not commutation-equal to its nontrivial rotations
-    from subwordlab.sorting import rotate_word, sorting_word_w0
+    from subwordlab.sorting import sorting_word_w0
 
     a4 = system("A4")
     word = sorting_word_w0(a4, (1, 3, 2, 4)).word
@@ -622,3 +627,64 @@ def test_commutation_position_map_is_bijection():
     assert sorted(mapping) == [1, 2, 3, 4, 5]
     for p, q in enumerate(mapping, start=1):
         assert word[p - 1] == other[q - 1]
+
+
+# ---------------------------------------------------------------------------
+# Refusals
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a2, w: longest_element(a2) * w,
+        lambda a2, w: sorting_word(a2, (1, 2), w),
+        lambda a2, w: is_face(a2, (1, 2, 1), w, ()),
+        lambda a2, w: subword_complex(a2, (1, 2, 1), w),
+        lambda a2, w: facet_counts(a2, [(1, 2, 1)], w),
+        lambda a2, w: reduce_to_w0(a2, (1, 2, 1), w),
+    ],
+    ids=["mul", "sorting_word", "is_face", "subword_complex", "facet_counts", "reduce_to_w0"],
+)
+def test_an_element_of_another_type_is_refused(call):
+    with pytest.raises(CoxeterError) as caught:
+        call(system("A2"), longest_element(system("A3")))
+    assert str(caught.value) == "an element of A3 is not an element of A2"
+
+
+def test_elements_of_two_builds_of_one_type_mix():
+    a2, w0 = CoxeterSystem("A2"), longest_element(CoxeterSystem("A2"))
+    assert longest_element(a2) * w0 == a2.identity
+    assert sorting_word(a2, (1, 2), w0) == (1, 2, 1)
+    assert next(facet_counts(a2, [(1, 2, 1, 2, 1)], w0)) == 5
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda a2: is_face(a2, (1, 2, 1), a2.identity, (2, 2)), "duplicate positions"),
+        (lambda a2: is_face(a2, (1, 2, 1), a2.identity, (0,)), "position out of range"),
+        (lambda a2: flip(a2, (1, 2, 1, 2, 1), (1, 2), 3), "position 3 is not in the facet"),
+        (
+            lambda a2: lr_position(a2, (1, 2), SignedRoot(5, 1)),
+            "SignedRoot(root=5, sign=1) is not an almost positive root label",
+        ),
+        (lambda a2: rotate_word(a2, ()), "cannot rotate the empty word"),
+        (
+            lambda a2: check_mesh_relation(a2, (1, 2)),
+            "the mesh relation needs the strong intervening-neighbors property",
+        ),
+        (lambda a2: repetition_window(a2, (1, 2), 0), "need at least one block"),
+        (
+            lambda a2: multi_cluster_word(a2, (1, 2), -1),
+            "the number of copies must be nonnegative",
+        ),
+        (lambda a2: parse_descriptor("A3(5)"), "only I2 takes a parenthesised order: 'A3(5)'"),
+    ],
+    ids=[
+        "duplicate", "position 0", "flip", "lr_position", "rotate", "mesh", "window",
+        "copies", "descriptor",
+    ],
+)
+def test_refusals_name_the_fault(call, message):
+    with pytest.raises(CoxeterError) as caught:
+        call(system("A2"))
+    assert str(caught.value) == message

@@ -1,10 +1,12 @@
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from subwordlab import quivers
+from subwordlab import quivers, subword
 from subwordlab.coxeter import (
     CoxeterError,
+    ResourceLimitError,
     SignedRoot,
     enumerate_coxeter_words,
     psi_word,
@@ -22,6 +24,8 @@ from subwordlab.quivers import (
 from subwordlab.sorting import sorting_word_w0
 from helpers import (
     CODE_EDGE_TYPES,
+    SCAN_TYPES,
+    brute_knitting_arrows,
     brute_root_table,
     commutation_class,
     linear_extension_words,
@@ -112,6 +116,26 @@ def test_window_first_block_is_the_translation_quiver():
     base = ar_quiver(s, A4_COX)
     assert block == set(base.vertices)
     assert restricted == set(base.arrows)
+
+
+def test_repetition_window_checks_its_budget_up_front(monkeypatch):
+    # A2 has 3 positive roots, so 3 copies are 9 vertices, over a limit of 8
+    a2 = system("A2")
+    monkeypatch.setattr(subword, "MAX_FACES", 8)
+    assert len(repetition_window(a2, (1, 2), 2).quiver.vertices) == 6
+    monkeypatch.setattr(quivers, "sorting_word_w0", lambda *args: pytest.fail("built"))
+    with pytest.raises(ResourceLimitError) as caught:
+        repetition_window(a2, (1, 2), 3)
+    assert str(caught.value) == "A2 with 3 copies has 9 vertices, more than the limit of 8"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SCAN_TYPES), st.data())
+def test_knitting_matches_the_per_edge_oracle(name, data):
+    s = system(name)
+    word = tuple(data.draw(st.lists(st.integers(1, s.rank), max_size=40)))
+    origin = data.draw(st.integers(-3, 3))
+    assert knitting_quiver(s, word, origin).arrows == brute_knitting_arrows(s, word, origin)
 
 
 def test_linear_extensions_are_the_commutation_class():

@@ -11,14 +11,20 @@ from subwordlab.coxeter import (
     psi,
     psi_word,
 )
-from subwordlab.multicluster import recognize_multi_cluster_word
+from subwordlab.multicluster import multi_cluster_word, recognize_multi_cluster_word
 from subwordlab.sorting import (
     has_sin_property,
     rotate_word,
     sorting_word,
     sorting_word_w0,
 )
-from helpers import group_by_bfs, system, word_has_suffix_up_to_commutations
+from helpers import (
+    SCAN_TYPES,
+    brute_sin_property,
+    group_by_bfs,
+    system,
+    word_has_suffix_up_to_commutations,
+)
 
 
 def test_sorting_word_of_identity_is_empty():
@@ -142,8 +148,6 @@ def test_rotate_word():
 def test_rotating_multi_cluster_word_reaches_conjugate():
     # dropping the initial letter s and appending psi(s) lands, up to
     # commutations, on the multi-cluster word of the conjugated Coxeter word
-    from subwordlab.multicluster import multi_cluster_word
-
     for name, k in [("A3", 1), ("A4", 1), ("B3", 2), ("D4", 1)]:
         s = system(name)
         for cox in enumerate_coxeter_words(s):
@@ -185,6 +189,34 @@ def test_sin_property_examples():
     assert has_sin_property(b2, (1, 2, 1, 2, 1, 2))
     assert not has_sin_property(a2, (1, 2, 1, 1))
     assert not has_sin_property(a2, (1, 2))
+
+
+@st.composite
+def sin_candidates(draw):
+    """A type and a word: a multi-cluster word, which has the property, after
+    a few edits that each swap two adjacent letters or double a letter, or a
+    word of random letters."""
+    s = system(draw(st.sampled_from(SCAN_TYPES)))
+    if draw(st.booleans()):
+        cox = draw(st.sampled_from(enumerate_coxeter_words(s)))
+        word = list(multi_cluster_word(s, cox, draw(st.integers(0, 2))))
+        for _ in range(draw(st.integers(0, 3))):
+            i = draw(st.integers(0, len(word) - 1))
+            if draw(st.booleans()):
+                word.insert(i, word[i])
+            elif i + 1 < len(word):
+                word[i], word[i + 1] = word[i + 1], word[i]
+    else:
+        size = 3 * s.number_of_positive_roots
+        word = draw(st.lists(st.integers(1, s.rank), max_size=size))
+    return s, tuple(word)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sin_candidates())
+def test_sin_property_matches_the_per_edge_oracle(candidate):
+    s, word = candidate
+    assert has_sin_property(s, word) == brute_sin_property(s, word)
 
 
 def test_recognize_examples():
