@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 from typing import Iterator, NamedTuple
 
 from .ring import GoldenInt
@@ -52,7 +52,8 @@ Word = tuple  # of 1-based generator indices
 
 MAX_WORDS = 10**6
 # A system with N positive roots keeps N reflection tables of 2N + 1 codes:
-# on a 2-core VM A44 (N = 990) builds in 0.6 s, A150 (N = 11325) in 98 s.
+# on a 2-core VM A44 (N = 990) builds in 0.4 s, A150 (N = 11325) in 64 s
+# with a 568 MiB peak, nearly all of it in str.translate on the tables.
 MAX_ROOTS = 1000
 
 
@@ -196,30 +197,37 @@ def _closure_roots(n: int, cartan, expected: int):
     s_{t+1}(beta_i), recorded as the BFS reflects each root.  Raises if the
     closure does not have exactly ``expected`` elements, which would mean
     broken Cartan conventions.
-    """
-    def reflect(vec, t):
-        coef = sum(vec[s] * cartan[s][t] for s in range(n) if vec[s])
-        out = list(vec)
-        out[t] = vec[t] - coef
-        return tuple(out)
 
-    simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    roots = list(simples)
+    Each root carries its pairings <beta, alpha_u^vee>, the Cartan rows for
+    the simple roots.  With c = <beta, alpha_t^vee>, s_t(beta) is beta - c
+    alpha_t: beta itself when c = 0 (no lookup), and otherwise a root that
+    differs from beta in coordinate t only, whose pairings are those of
+    beta minus c times row t of the Cartan matrix.
+    """
+    roots = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    pairings = list(cartan)  # of the simple roots: the Cartan rows
     index = {root: i for i, root in enumerate(roots)}
     images: list[list[int]] = [[] for _ in range(n)]
     head = 0
     while head < len(roots):
-        vec = roots[head]
-        for t in range(n):
-            if head == t:
+        vec, pairing = roots[head], pairings[head]
+        code = head + 1
+        for t, coef in enumerate(pairing):
+            if not coef:
+                images[t].append(code)
+            elif t == head:
                 # s_t(alpha_t) = -alpha_t; every other image stays positive
                 images[t].append(2 * expected - t)
-                continue
-            image = reflect(vec, t)
-            if image not in index:
-                index[image] = len(roots)
-                roots.append(image)
-            images[t].append(index[image] + 1)
+            else:
+                image = list(vec)
+                image[t] -= coef
+                image = tuple(image)
+                j = index.get(image)
+                if j is None:
+                    j = index[image] = len(roots)
+                    roots.append(image)
+                    pairings.append([p - coef * a for p, a in zip(pairing, cartan[t])])
+                images[t].append(j + 1)
         head += 1
         if len(roots) > expected:
             raise CoxeterError("root closure exceeded the expected count; Cartan conventions are broken")
@@ -327,25 +335,24 @@ def _encode_str(codes) -> str:
     return "".join(map(chr, codes))
 
 
-def _root_reflections(simple_images, encode) -> tuple:
+def _root_reflections(simple_images, encode, identity) -> tuple:
     """The reflection t_beta in every positive root, as translate tables.
 
     Table i maps code c to code c' when t_{beta_i} sends the signed root of
     code c to that of code c'.  ``simple_images[t][i]`` is the code of
     s_{t+1}(beta_i); the tables of the simple reflections complete these
     with the negated roots (code 2N + 1 - c is the negation of code c) and
-    the fixed codes 0 and past 2N.  Then t_{s(beta)} = s t_beta s for each
-    positive s(beta), which is two translations of the table of s.
+    the fixed codes 0 and past 2N, each table joined from slices of the
+    identity table and of the encoded images.  Then t_{s(beta)} = s t_beta s
+    for each positive s(beta), which is two translations of the table of s.
     """
     N = len(simple_images[0])
     codes = 2 * N + 1
+    negate = encode(range(codes, 0, -1)) + identity[codes:]  # code c to 2N + 1 - c
     simple = []
     for images in simple_images:
-        table = list(range(max(codes, 256)))
-        for j, c in enumerate(images, start=1):
-            table[j] = c
-            table[codes - j] = codes - c
-        simple.append(encode(table))
+        image = encode(images)
+        simple.append(identity[:1] + image + image[::-1].translate(negate) + identity[codes:])
     out: list = simple + [None] * (N - len(simple))
     order = list(range(len(simple)))
     for i in order:  # grows breadth first from the simple roots
@@ -385,8 +392,8 @@ class CoxeterSystem:
             a_st, a_ts = _cartan_pair(m)
             cartan[s - 1][t - 1] = a_st
             cartan[t - 1][s - 1] = a_ts
-        self.coxeter_matrix = tuple(tuple(row) for row in matrix)
-        self.cartan = tuple(tuple(row) for row in cartan)
+        self.coxeter_matrix = tuple(map(tuple, matrix))
+        self.cartan = tuple(map(tuple, cartan))
         self.neighbors = tuple(
             tuple(t + 1 for t in range(n) if t != s and matrix[s][t] >= 3)
             for s in range(n)
@@ -408,14 +415,14 @@ class CoxeterSystem:
 
         self.signed_roots = (
             (None,)
-            + tuple(SignedRoot(i, 1) for i in range(N))
-            + tuple(SignedRoot(i, -1) for i in reversed(range(N)))
+            + tuple(map(SignedRoot, range(N), repeat(1)))
+            + tuple(map(SignedRoot, reversed(range(N)), repeat(-1)))
         )
-        self.encode_codes = bytes if 2 * N + 1 <= 256 else _encode_str
-        self.codes = tuple(self.encode_codes((c,)) for c in range(2 * N + 1))
-        self.reflections = _root_reflections(simple_images, self.encode_codes)
+        self.encode_codes = encode = bytes if 2 * N + 1 <= 256 else _encode_str
+        self.codes = tuple(map(encode, zip(range(2 * N + 1))))
+        self.identity = Element(self, encode(range(max(2 * N + 1, 256))))
+        self.reflections = _root_reflections(simple_images, encode, self.identity.image)
         self.generators = tuple(Element(self, table) for table in self.reflections[:n])
-        self.identity = Element(self, self.encode_codes(range(len(self.reflections[0]))))
         # each pass of s1...sn below w0 meets an ascent, so N passes reach w0
         self._w0 = demazure_product(self, tuple(range(1, n + 1)) * N)
         if self._w0.length() != N:
@@ -648,7 +655,10 @@ def commutation_layers(system: CoxeterSystem, word: Word) -> tuple[tuple[int, ..
 
 
 def equal_up_to_commutations(system: CoxeterSystem, word: Word, other: Word) -> bool:
-    """True iff the words are linked by swaps of adjacent commuting letters."""
+    """True iff the words are linked by swaps of adjacent commuting letters;
+    both words are checked first, whatever their lengths."""
+    check_word(system, word)
+    check_word(system, other)
     if len(word) != len(other):
         return False
     return commutation_layers(system, word) == commutation_layers(system, other)

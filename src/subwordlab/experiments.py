@@ -221,7 +221,8 @@ def run_maximality_experiment(
     Each instance is (type, k, mode).  Exhaustive ones search every word of
     that length and also record whether every word attaining the maximum
     has the strong intervening-neighbors property; sampled ones each draw
-    ``MAXIMALITY_SAMPLES`` words from the one ``Random(seed)`` of the run.
+    ``MAXIMALITY_SAMPLES`` words from the one ``Random(seed)`` of the run,
+    each word by one ``choices`` call.
 
     No facet is listed: every count, the multi-cluster reference included,
     comes from ``facet_counts``, which refuses a group of more than
@@ -241,9 +242,9 @@ def run_maximality_experiment(
         if every_word:
             words = list(iter_all_words(system, size))
         else:
+            letters = range(1, system.rank + 1)
             words = [
-                tuple(rng.randint(1, system.rank) for _ in range(size))
-                for _ in range(MAXIMALITY_SAMPLES)
+                tuple(rng.choices(letters, k=size)) for _ in range(MAXIMALITY_SAMPLES)
             ]
         # multi_cluster_word multiplies: it comes after facet_counts checked |W|
         counts = list(facet_counts(system, words, target))

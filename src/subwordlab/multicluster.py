@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 
 from .coxeter import (
     CoxeterError,
@@ -364,13 +364,11 @@ def gale_facets_rank2(m: int, k: int) -> tuple[Facet, ...]:
 # Counting formula and its q-analogue
 
 def facet_count_formula(system: CoxeterSystem, k: int) -> Fraction:
-    """Product over degrees: (d_i + h + 2j) / (d_i + 2j) for 0 <= j < k."""
-    value = Fraction(1)
+    """Product over degrees: (d_i + h + 2j) / (d_i + 2j) for 0 <= j < k, as
+    one fraction of two integer products."""
     h = system.coxeter_number
-    for j in range(k):
-        for d in system.degrees:
-            value *= Fraction(d + h + 2 * j, d + 2 * j)
-    return value
+    bottoms = [d + 2 * j for j in range(k) for d in system.degrees]
+    return Fraction(prod(b + h for b in bottoms), prod(bottoms))
 
 
 def _q_integer(m: int) -> list[int]:

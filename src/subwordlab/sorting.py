@@ -96,7 +96,7 @@ def has_sin_property(system: CoxeterSystem, word: Word) -> bool:
     if demazure_product(system, word) != longest_element(system):
         return False
     latest = [-1] * (system.rank + 1)  # -1: not seen yet, below every position
-    for p, s in enumerate(word + psi_word(system, word)):
+    for p, s in enumerate(tuple(word) + psi_word(system, word)):
         if any(latest[t] < latest[s] for t in system.neighbors[s - 1]):
             return False
         latest[s] = p

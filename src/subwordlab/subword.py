@@ -138,8 +138,9 @@ def _facet_search(
     table right of q' alone, so a child none of whose roots occur there in
     its parent's table, one deleting ``translate``, is a leaf: it is
     counted but never pushed, and its ``outer`` is never built.  Raises
-    ``ResourceLimitError`` once more than ``MAX_FACES`` facets are found,
-    checked after each facet's children are found.
+    ``ResourceLimitError``, naming the type and the word length, once more
+    than ``MAX_FACES`` facets are found, checked after each facet's children
+    are found.
 
     The h-vector (h_0, ..., h_d), d the facet size, comes from the same
     signs.  Facets in lexicographic order form a shelling (Knutson-Miller),
@@ -215,7 +216,7 @@ def _facet_search(
         if len(facets) > MAX_FACES:
             raise ResourceLimitError(
                 f"more than {MAX_FACES} facets: the limit was passed"
-                f" on a word of {r} letters"
+                f" on a word of {r} letters in {system.descriptor.name()}"
             )
     facets.sort()
     return tuple(facets), tuple(h)
@@ -611,32 +612,40 @@ def minimal_nonfaces(complex_: SubwordComplex, max_size: int) -> tuple[Facet, ..
     faces.  A join is a face exactly when some facet contains it, that is,
     when the AND of the facet bitsets of P, a and b is nonzero; that one
     test decides every join, at the cap and below it.  A non-face is
-    minimal when dropping any one vertex of P leaves a face.
+    minimal when dropping any one vertex of P leaves a face, checked
+    against the faces of ``all_faces`` one dropped vertex at a time until
+    one is missing.
 
-    The siblings are walked depth first as groups (P, the AND of the facet
-    bitsets of P, [a, ...]) with a increasing, starting from the single
-    vertices: below the cap, the joins P+a+b of a group that are faces form
-    the group of P+a.  At the full cap, one more than the facet size and
-    the CLI default, no face has max_size positions anyway, so every face
-    is built and counts against the budget.
+    The siblings are walked depth first as groups (P, [(a, bitset), ...])
+    with a increasing, starting from the single vertices, where each bitset
+    is that of the face P+a, the AND of the facet bitsets of its vertices.
+    The join P+a+b is then a face exactly when the bitsets of a and b meet,
+    and that AND is the bitset of P+a+b.  Below the cap, the joins P+a+b of
+    a group that are faces form the group of P+a, with those ANDs as their
+    bitsets.  At the full cap, one more than the facet size and the CLI
+    default, no face has max_size positions anyway, so every face is built
+    and counts against the budget.
     """
     faces = all_faces(complex_, max_size - 1)
     bitsets = complex_.facet_bitsets
-    everywhere = (1 << len(complex_.facets)) - 1
     out: list[Facet] = []
-    stack = [((), everywhere, complex_.vertices)] if max_size >= 2 else []
+    stack = [((), [(v, bitsets[v]) for v in complex_.vertices])] if max_size >= 2 else []
     while stack:
-        prefix, mask, last = stack.pop()
+        prefix, group = stack.pop()
         below_cap = len(prefix) + 2 < max_size
         drops = [prefix[:j] + prefix[j + 1:] for j in range(len(prefix))]
-        for i, a in enumerate(last):
-            face, with_a = prefix + (a,), mask & bitsets[a]
+        for i, (a, with_a) in enumerate(group):
             children = []
-            for b in last[i + 1:]:
-                if with_a & bitsets[b]:
-                    children.append(b)
-                elif all(rest + (a, b) in faces for rest in drops):
-                    out.append(face + (b,))
+            for b, with_b in group[i + 1:]:
+                both = with_a & with_b
+                if both:
+                    children.append((b, both))
+                else:
+                    for rest in drops:
+                        if rest + (a, b) not in faces:
+                            break
+                    else:
+                        out.append(prefix + (a, b))
             if below_cap and len(children) > 1:  # a face with one child joins nothing
-                stack.append((face, with_a, children))
+                stack.append((prefix + (a,), children))
     return tuple(sorted(out))

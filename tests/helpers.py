@@ -14,7 +14,9 @@ instead of cyclotomic remainders, counts by closed formulas from outside the
 package, the next-occurrence action by rescanning the word, the
 pairwise-compatibility complex by scanning every root set, the SIN
 alternation and the knitted arrows by one scan of the word per
-Coxeter-graph edge.
+Coxeter-graph edge, root closures by a dot product per reflection instead
+of carried pairings, and reflection tables by composing code lists entry by
+entry instead of joining slices and translating.
 """
 
 from __future__ import annotations
@@ -194,6 +196,63 @@ def brute_root_table(sys: CoxeterSystem, word, facet) -> tuple:
         if p not in facet:
             prefix = prefix * sys.generators[s - 1]
     return tuple(out)
+
+
+def brute_closure_roots(n: int, cartan, expected: int):
+    """The positive roots and simple-reflection images by a breadth-first
+    closure that reflects each root with a fresh dot product against the
+    Cartan columns, instead of the pairings the library carries: (roots,
+    images), images[t][i] the code of s_{t+1}(beta_i)."""
+
+    def reflect(vec, t):
+        coef = sum(vec[s] * cartan[s][t] for s in range(n) if vec[s])
+        out = list(vec)
+        out[t] = vec[t] - coef
+        return tuple(out)
+
+    roots = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    index = {root: i for i, root in enumerate(roots)}
+    images = [[] for _ in range(n)]
+    head = 0
+    while head < len(roots):
+        for t in range(n):
+            if head == t:
+                images[t].append(2 * expected - t)
+                continue
+            image = reflect(roots[head], t)
+            if image not in index:
+                index[image] = len(roots)
+                roots.append(image)
+            images[t].append(index[image] + 1)
+        head += 1
+        assert len(roots) <= expected
+    assert len(roots) == expected
+    return tuple(roots), images
+
+
+def brute_reflection_tables(simple_images, encode) -> tuple:
+    """Every root reflection as a list of codes, composed entry by entry
+    instead of joined from slices and translated: the simple tables set
+    each image and its negation (code 2N + 1 - c) in a list, and
+    t_{s(beta)} = s t_beta s."""
+    N = len(simple_images[0])
+    codes = 2 * N + 1
+    tables = [None] * N
+    for t, images in enumerate(simple_images):
+        table = list(range(max(codes, 256)))
+        for j, c in enumerate(images, start=1):
+            table[j] = c
+            table[codes - j] = codes - c
+        tables[t] = table
+    simple = tables[:len(simple_images)]
+    order = list(range(len(simple_images)))
+    for i in order:
+        for s, images in enumerate(simple_images):
+            j = images[i] - 1
+            if j < N and tables[j] is None:
+                tables[j] = [simple[s][tables[i][simple[s][c]]] for c in range(len(simple[s]))]
+                order.append(j)
+    return tuple(encode(table) for table in tables)
 
 
 # Small groups of most families, for draws that run an exponential oracle

@@ -80,6 +80,34 @@ def test_maximality_experiment():
     assert again.rows == report.rows
 
 
+def test_maximality_draws_repeat_under_a_seed(monkeypatch):
+    # every sampled word is drawn whole from the run's Random(seed): one seed
+    # draws the same words, each of the instance's length over s1..sn
+    count = experiments.facet_counts
+    instances = (("A3", 1, "sample[200]"), ("I2(5)", 1, "sample[200]"))
+
+    def draws(seed):
+        drawn = []
+
+        def recording(system, words, target):
+            drawn.append((system, list(words)))
+            return count(system, drawn[-1][1], target)
+
+        monkeypatch.setattr(experiments, "facet_counts", recording)
+        run_maximality_experiment(instances, seed=seed)
+        return drawn
+
+    first = draws(3)
+    assert [words for _, words in draws(3)] == [words for _, words in first]
+    assert [words for _, words in draws(4)] != [words for _, words in first]
+    for s, words in first:
+        assert len(words) == experiments.MAXIMALITY_SAMPLES
+        size = s.rank + s.number_of_positive_roots  # k = 1
+        for word in words:
+            assert type(word) is tuple and len(word) == size
+            assert set(word) <= set(range(1, s.rank + 1))
+
+
 def test_maximality_lists_no_facets(monkeypatch):
     rows = run_maximality_experiment(seed=0).rows
 

@@ -32,7 +32,9 @@ from subwordlab.quivers import check_mesh_relation, repetition_window
 from subwordlab.sorting import rotate_word, sorting_word
 from subwordlab.subword import facet_counts, flip, is_face, reduce_to_w0, subword_complex
 from helpers import (
+    brute_closure_roots,
     brute_min_word_length,
+    brute_reflection_tables,
     commutation_class,
     element_order,
     group_by_bfs,
@@ -142,6 +144,20 @@ def test_build_invariants(name):
                 s.coxeter_matrix[a - 1][b - 1]
                 == s.coxeter_matrix[psi(s, a) - 1][psi(s, b) - 1]
             )
+
+
+@pytest.mark.parametrize("name", ALL_TYPES + ["A16", "B12", "D12"])
+def test_roots_and_reflections_match_the_oracles(name):
+    # the pairing-carrying closure and the sliced tables against a dot
+    # product per reflection and list composition; the repr also pins which
+    # coordinates are GoldenInt and which are int
+    s = system(name)
+    if s.exact:
+        roots, images = brute_closure_roots(s.rank, s.cartan, s.number_of_positive_roots)
+        assert repr(s.positive_roots) == repr(roots)
+    else:  # general dihedral types read their roots off the planar model
+        images = coxeter._dihedral_root_data(s.descriptor.dihedral_order)[1]
+    assert s.reflections == brute_reflection_tables(images, s.encode_codes)
 
 
 @pytest.mark.parametrize("name", ALL_TYPES)
@@ -588,6 +604,10 @@ def test_equal_up_to_commutations_examples():
     assert equal_up_to_commutations(a3, (1, 3, 2), (3, 1, 2))
     assert not equal_up_to_commutations(a2, (1, 2), (2, 1))
     assert not equal_up_to_commutations(a2, (1, 2), (1, 2, 1))  # unequal lengths
+    # both words are checked before their lengths are compared
+    for word, other in [((1, 5), (1,)), ((1,), (1, 5)), ((1, 5), (1, 2))]:
+        with pytest.raises(CoxeterError, match="^generator s5 out of range for A2$"):
+            equal_up_to_commutations(a2, word, other)
     # a sorting word is not commutation-equal to its nontrivial rotations
     from subwordlab.sorting import sorting_word_w0
 

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from fractions import Fraction
 
 import pytest
 from itertools import combinations, permutations
@@ -701,6 +702,25 @@ def test_count_formula_values():
     assert facet_count_formula(system("A1"), 5) == 6
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([
+        "A1", "A3", "A6", "B2", "B5", "D4", "D7", "E6", "E7", "E8",
+        "F4", "G2", "H3", "H4", "I2(5)", "I2(7)", "I2(12)",
+    ]),
+    st.integers(0, 6),
+)
+def test_count_formula_is_the_product_of_its_factors(name, k):
+    # one fraction of two integer products against n*k Fraction factors
+    s = system(name)
+    expected = Fraction(1)
+    for j in range(k):
+        for d in s.degrees:
+            expected *= Fraction(d + s.coxeter_number + 2 * j, d + 2 * j)
+    value = facet_count_formula(s, k)
+    assert type(value) is Fraction and value == expected
+
+
 def test_a3_k2_count_against_catalan_determinant():
     # number of 2-triangulations of the 8-gon as a 2x2 Hankel determinant
     m = 8
@@ -753,7 +773,7 @@ def test_multi_cluster_budget_trusts_only_formulas_that_are_theorems(monkeypatch
     monkeypatch.setattr(subword, "MAX_FACES", 100)
     with pytest.raises(
         ResourceLimitError,
-        match="more than 100 facets: the limit was passed on a word of 24 letters",
+        match="more than 100 facets: the limit was passed on a word of 24 letters in D4",
     ):
         multi_cluster_complex(d4, (1, 2, 3, 4), 3)
 

@@ -211,6 +211,7 @@ def test_mesh_relation_a1():
 def test_mesh_relation_small_words():
     a2 = system("A2")
     assert check_mesh_relation(a2, (1, 2, 1, 2, 1))
+    assert check_mesh_relation(a2, [1, 2, 1, 2, 1])  # a list word passes the SIN test
     b2 = system("B2")
     assert check_mesh_relation(b2, multi_cluster_word(b2, (1, 2), 1))
 

@@ -189,6 +189,9 @@ def test_sin_property_examples():
     assert has_sin_property(b2, (1, 2, 1, 2, 1, 2))
     assert not has_sin_property(a2, (1, 2, 1, 1))
     assert not has_sin_property(a2, (1, 2))
+    # a list is a word too
+    assert has_sin_property(a2, [1, 2, 1, 2, 1])
+    assert not has_sin_property(a2, [1, 2, 1, 1])
 
 
 @st.composite

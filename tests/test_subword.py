@@ -339,7 +339,7 @@ def test_facet_budget(monkeypatch):
     monkeypatch.setattr(subword, "MAX_FACES", 139)
     with pytest.raises(
         ResourceLimitError,
-        match=r"^more than 139 facets: the limit was passed on a word of 140 letters$",
+        match=r"^more than 139 facets: the limit was passed on a word of 140 letters in A1$",
     ):
         subword_complex(a1, word, longest_element(a1))
 
@@ -354,7 +354,7 @@ def test_facet_budget_counts_the_leaves(monkeypatch):
     monkeypatch.setattr(subword, "MAX_FACES", 83)
     with pytest.raises(
         ResourceLimitError,
-        match=r"^more than 83 facets: the limit was passed on a word of 12 letters$",
+        match=r"^more than 83 facets: the limit was passed on a word of 12 letters in A3$",
     ):
         subword_complex(a3, word, longest_element(a3))
 
