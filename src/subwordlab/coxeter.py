@@ -162,13 +162,11 @@ def _type_data(d: GroupDescriptor) -> tuple[list[tuple[int, int, int]], tuple[in
     elif family == "H" and n in (3, 4):
         data = [(1, 2, 5)] + chain(2), ((2, 6, 10) if n == 3 else (2, 12, 20, 30))
     elif family == "I" and n == 2:
-        if m is None or m < 3:
+        if m < 3:
             raise CoxeterError("I2(m) needs m >= 3")
-        return [(1, 2, m)], (2, m)
+        data = [(1, 2, m)], (2, m)
     else:
         raise CoxeterError(f"no finite irreducible type {family}{n}")
-    if m is not None:
-        raise CoxeterError("only I2 carries a dihedral order")
     return data
 
 
@@ -365,12 +363,12 @@ def _root_reflections(simple_images, encode, identity) -> tuple:
 
 
 class CoxeterSystem:
-    """Immutable bundle of Coxeter matrix, Cartan data, roots and reflection tables."""
+    """Immutable bundle of Coxeter matrix, Cartan data, roots and reflection
+    tables, built from a type name such as ``"A3"`` or ``"I2(7)"``; the name
+    is checked by ``parse_descriptor``."""
 
-    def __init__(self, descriptor: GroupDescriptor | str):
-        if isinstance(descriptor, str):
-            descriptor = parse_descriptor(descriptor)
-        _check_rank(descriptor)
+    def __init__(self, name: str):
+        descriptor = parse_descriptor(name)
         edges, self.degrees = _type_data(descriptor)
         self.number_of_positive_roots = N = sum(d - 1 for d in self.degrees)
         if N > MAX_ROOTS:
@@ -480,10 +478,13 @@ def occurrence_indices(word: Word) -> tuple[int, ...]:
     return tuple(out)
 
 
-def check_word(system: CoxeterSystem, word: Word) -> None:
+def check_word(system: CoxeterSystem, word: Word) -> Word:
+    """The word as a tuple, once every letter names a generator."""
+    word = tuple(word)
     if word and not (1 <= min(word) and max(word) <= system.rank):  # C-level scans
         s = next(s for s in word if not 1 <= s <= system.rank)
         raise CoxeterError(f"generator s{s} out of range for {system.descriptor.name()}")
+    return word
 
 
 def check_element(system: CoxeterSystem, w: Element) -> None:
@@ -498,7 +499,7 @@ def check_element(system: CoxeterSystem, w: Element) -> None:
 
 def element_from_word(system: CoxeterSystem, word: Word) -> Element:
     """The product of the letters of ``word``, multiplied left to right."""
-    check_word(system, word)
+    word = check_word(system, word)
     out = system.identity.image
     for s in word:
         out = system.right_multiply(out, s)
@@ -529,7 +530,7 @@ def reduced_word(w: Element) -> Word:
 
 def demazure_product(system: CoxeterSystem, word: Word) -> Element:
     """Greedy ascent-only product: letters are kept only when they lengthen."""
-    check_word(system, word)
+    word = check_word(system, word)
     top = system.codes[system.number_of_positive_roots]
     out = system.identity.image
     for s in word:
@@ -550,7 +551,7 @@ def psi(system: CoxeterSystem, s: int) -> int:
 
 def psi_word(system: CoxeterSystem, word: Word) -> Word:
     """``psi`` applied to every letter of the word."""
-    check_word(system, word)
+    word = check_word(system, word)
     return tuple(system.psi_table[s - 1] for s in word)
 
 
@@ -610,12 +611,14 @@ def enumerate_coxeter_words(system: CoxeterSystem) -> tuple[Word, ...]:
     return tuple(sorted(words))
 
 
-def check_coxeter_word(system: CoxeterSystem, word: Word) -> None:
-    check_word(system, word)
+def check_coxeter_word(system: CoxeterSystem, word: Word) -> Word:
+    """The word as a tuple, once it uses each generator exactly once."""
+    word = check_word(system, word)
     if sorted(word) != list(range(1, system.rank + 1)):
         raise CoxeterError(
             f"{format_word(word) or 'the empty word'} is not a word for a Coxeter element"
         )
+    return word
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +648,7 @@ def commutation_layers(system: CoxeterSystem, word: Word) -> tuple[tuple[int, ..
     grouped by layer.  Words are equal up to commutations iff their layer
     sequences are equal, so this is a total, cap-free decision procedure.
     """
-    check_word(system, word)
+    word = check_word(system, word)
     layers: list[list[int]] = []
     for depth, s in sorted(_layer_keys(system, word)):
         if depth > len(layers):
@@ -657,8 +660,8 @@ def commutation_layers(system: CoxeterSystem, word: Word) -> tuple[tuple[int, ..
 def equal_up_to_commutations(system: CoxeterSystem, word: Word, other: Word) -> bool:
     """True iff the words are linked by swaps of adjacent commuting letters;
     both words are checked first, whatever their lengths."""
-    check_word(system, word)
-    check_word(system, other)
+    word = check_word(system, word)
+    other = check_word(system, other)
     if len(word) != len(other):
         return False
     return commutation_layers(system, word) == commutation_layers(system, other)
@@ -675,8 +678,8 @@ def commutation_position_map(
     equal up to commutations iff they have the same pairs (the sorted pairs
     are ``commutation_layers``), so one layering of each decides that too.
     """
-    check_word(system, word)
-    check_word(system, other)
+    word = check_word(system, word)
+    other = check_word(system, other)
     keys = _layer_keys(system, word)
     target = {key: p + 1 for p, key in enumerate(_layer_keys(system, other))}
     if target.keys() != set(keys):

@@ -40,10 +40,10 @@ Diagonal = tuple  # (a, b) vertex labels, a < b
 
 def multi_cluster_word(system: CoxeterSystem, cox: Word, k: int) -> Word:
     """k copies of c followed by the sorting word of the longest element."""
-    check_coxeter_word(system, cox)
+    cox = check_coxeter_word(system, cox)
     if k < 0:
         raise CoxeterError("the number of copies must be nonnegative")
-    return tuple(cox) * k + sorting_word_w0(system, cox).word
+    return cox * k + sorting_word_w0(system, cox).word
 
 
 def recognize_multi_cluster_word(
@@ -78,9 +78,19 @@ def count_formula_is_theorem(system: CoxeterSystem, k: int) -> bool:
 def multi_cluster_complex(system: CoxeterSystem, cox: Word, k: int) -> SubwordComplex:
     """The multi-cluster complex: the subword complex of c^k w0(c) with target w0.
 
-    Where ``facet_count_formula`` is a theorem, a count above ``MAX_FACES``
-    raises ``ResourceLimitError`` before any facet is searched for.
+    w0(c) opens with a copy of c, so the n letters of c can be read from any
+    nondecreasing choice among k + 1 copies: at least C(k + n, n) facets.
+    Over ``MAX_FACES``, that bound raises ``ResourceLimitError`` before the
+    word is built, and so does the count where ``facet_count_formula`` is a
+    theorem, before any facet is searched for.
     """
+    check_coxeter_word(system, cox)
+    n = system.rank
+    if k > 0 and comb(k + n, n) > subword.MAX_FACES:  # multi_cluster_word refuses k < 0
+        raise ResourceLimitError(
+            f"{system.descriptor.name()} with k={k} has at least C({k + n}, {n}) ="
+            f" {comb(k + n, n)} facets, more than the limit of {subword.MAX_FACES}"
+        )
     word = multi_cluster_word(system, cox, k)
     if count_formula_is_theorem(system, k):
         count = facet_count_formula(system, k)
@@ -371,27 +381,12 @@ def facet_count_formula(system: CoxeterSystem, k: int) -> Fraction:
     return Fraction(prod(b + h for b in bottoms), prod(bottoms))
 
 
-def _q_integer(m: int) -> list[int]:
-    return [1] * m
-
-
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of ``num`` by the monic polynomial ``den``."""
     num = list(num)
     quotient = [0] * (len(num) - len(den) + 1)
-    lead = den[-1]
     for shift in range(len(quotient) - 1, -1, -1):
-        coef, remainder = divmod(num[shift + len(den) - 1], lead)
-        if remainder:
-            return quotient, num  # not divisible over the integers
+        coef = num[shift + len(den) - 1]
         if coef:
             quotient[shift] = coef
             for j, y in enumerate(den):
@@ -404,16 +399,27 @@ def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
 def csp_polynomial(system: CoxeterSystem, k: int) -> tuple[int, ...] | None:
     """Coefficients (constant term first) of the q-analogue of the count
     formula, or None when the quotient of q-integer products is not a
-    polynomial over the integers.  At q = 1 it sums to the facet count."""
-    numerator = [1]
-    denominator = [1]
+    polynomial over the integers.  At q = 1 it sums to the facet count.
+
+    With [a]_q = (1 - q^a) / (1 - q), and n k factors above and below, the
+    quotient is prod (1 - q^(d + h + 2j)) / prod (1 - q^(d + 2j)).  Each
+    factor 1 - q^a above subtracts a copy shifted by a, in place; each
+    factor 1 - q^b below is divided out by adding in the coefficient b
+    places back, exactly when the top b coefficients come out 0.
+    """
     h = system.coxeter_number
-    for j in range(k):
-        for d in system.degrees:
-            numerator = _poly_mul(numerator, _q_integer(d + h + 2 * j))
-            denominator = _poly_mul(denominator, _q_integer(d + 2 * j))
-    quotient, remainder = _poly_divmod(numerator, denominator)
-    return None if remainder else tuple(quotient)
+    bottoms = [d + 2 * j for j in range(k) for d in system.degrees]
+    poly = [1] + [0] * (sum(bottoms) + h * len(bottoms))
+    for a in (b + h for b in bottoms):
+        for i in range(len(poly) - 1, a - 1, -1):
+            poly[i] -= poly[i - a]
+    for b in bottoms:
+        for i in range(b, len(poly)):
+            poly[i] += poly[i - b]
+        if any(poly[-b:]):
+            return None
+        del poly[-b:]
+    return tuple(poly)
 
 
 def _cyclotomic(e: int) -> list[int]:

@@ -40,7 +40,7 @@ class Quiver:
 def coxeter_quiver(system: CoxeterSystem, cox: Word) -> Quiver:
     """The knitting of c at occurrence index 0, vertices sorted: one vertex
     per generator, and s -> t when the neighbors s, t have s first in c."""
-    check_coxeter_word(system, cox)
+    cox = check_coxeter_word(system, cox)
     quiver = knitting_quiver(system, cox, 0)
     return Quiver(tuple(sorted(quiver.vertices)), quiver.arrows)
 
@@ -53,7 +53,7 @@ def knitting_quiver(system: CoxeterSystem, word: Word, origin: int = 1) -> Quive
     letter s, each neighbor t whose latest occurrence comes after the latest
     s gives the arrow from that t to p.
     """
-    check_word(system, word)
+    word = check_word(system, word)
     labels = tuple((origin + j - 1, s) for s, j in zip(word, occurrence_indices(word)))
     latest = [-1] * (system.rank + 1)  # -1: not seen yet, below every position
     arrows = []
@@ -145,9 +145,10 @@ def beta_labels(system: CoxeterSystem, word: Word) -> tuple[SignedRoot, ...]:
     simple root of its own letter, which is the root table on no facet;
     beyond the doubled word the labels repeat periodically.
     """
+    word = check_word(system, word)
     if not has_sin_property(system, word):
         raise CoxeterError("root labels need the strong intervening-neighbors property")
-    return root_table(system, tuple(word) + psi_word(system, word), ())
+    return root_table(system, word + psi_word(system, word), ())
 
 
 def check_mesh_relation(system: CoxeterSystem, word: Word) -> bool:
@@ -162,9 +163,10 @@ def check_mesh_relation(system: CoxeterSystem, word: Word) -> bool:
     break the relation at the seam.  Exact over exact systems; general
     dihedral systems compare within 1e-9.
     """
+    word = check_word(system, word)
     if not has_sin_property(system, word):
         raise CoxeterError("the mesh relation needs the strong intervening-neighbors property")
-    doubled = tuple(word) + psi_word(system, word)
+    doubled = word + psi_word(system, word)
     period = len(doubled)
     extended = doubled + doubled
     labels = root_table(system, extended, ())

@@ -46,7 +46,7 @@ def _sorting_blocks(system: CoxeterSystem, cox: Word, w: Element) -> tuple[Word,
     every generator, so a pass that took no letter would have met a left
     descent of the unchanged rest, and each pass takes at least one letter.
     """
-    check_coxeter_word(system, cox)
+    cox = check_coxeter_word(system, cox)
     check_element(system, w)
     identity = system.identity.image
     top = system.codes[system.number_of_positive_roots]
@@ -77,7 +77,7 @@ def sorting_word_w0(system: CoxeterSystem, cox: Word) -> SortingWordReport:
 
 def rotate_word(system: CoxeterSystem, word: Word) -> Word:
     """Drop the first letter s and append psi(s)."""
-    check_word(system, word)
+    word = check_word(system, word)
     if not word:
         raise CoxeterError("cannot rotate the empty word")
     return word[1:] + (system.psi_table[word[0] - 1],)
@@ -92,11 +92,11 @@ def has_sin_property(system: CoxeterSystem, word: Word) -> bool:
     position of each letter: a repeated letter s fails when some neighbor
     of s has not occurred since the previous s.
     """
-    check_word(system, word)
+    word = check_word(system, word)
     if demazure_product(system, word) != longest_element(system):
         return False
     latest = [-1] * (system.rank + 1)  # -1: not seen yet, below every position
-    for p, s in enumerate(tuple(word) + psi_word(system, word)):
+    for p, s in enumerate(word + psi_word(system, word)):
         if any(latest[t] < latest[s] for t in system.neighbors[s - 1]):
             return False
         latest[s] = p

@@ -151,7 +151,6 @@ def _facet_search(
     of ``roots`` to signs and one ``count`` for each facet found.
     """
     r = len(word)
-    check_word(system, word)
     right_multiply = system.right_multiply
     codes, reflections = system.codes, system.reflections
     N = system.number_of_positive_roots
@@ -256,7 +255,7 @@ def root_table(
     code sequence that each complement letter updates with one
     ``translate`` (see ``_root_walk``).
     """
-    check_word(system, word)
+    word = check_word(system, word)
     facet = _check_positions(word, facet)
     return tuple(_root_walk(system, word, facet, system.signed_roots))
 
@@ -406,8 +405,7 @@ def _sweep(system: CoxeterSystem, words: Iterable[Word], goal) -> Iterator[int]:
         return table
 
     for word in words:
-        check_word(system, word)
-        word = tuple(word)
+        word = check_word(system, word)
         h = len(word) // 2
         head, tail = word[:h], word[h:]
         up = heads.get(head) or keep(heads, head, head_table(head))
@@ -457,6 +455,7 @@ def subword_complex(
     system: CoxeterSystem, word: Word, target: Element | None = None
 ) -> SubwordComplex:
     """Build the complex; with no target, the Demazure product is used (sphere)."""
+    word = check_word(system, word)
     if target is None:
         target = demazure_product(system, word)
     check_element(system, target)
@@ -536,7 +535,7 @@ def reduce_to_w0(system: CoxeterSystem, word: Word, target: Element) -> Word:
     """
     check_element(system, target)
     completion = reduced_word(target.inverse() * longest_element(system))
-    return tuple(word) + completion
+    return check_word(system, word) + completion
 
 
 def f_vector(complex_: SubwordComplex) -> tuple[int, ...]:

@@ -10,7 +10,8 @@ products, element orders by repeated multiplication, f-vectors and minimal
 non-faces by materialising every subset of every facet instead of the
 h-vector and the facet-bitset growth, diagonal crossings by cyclic
 interleaving, cyclic-sieving values by complex floating-point evaluation
-instead of cyclotomic remainders, counts by closed formulas from outside the
+instead of cyclotomic remainders, q-analogues by products of q-integers and
+long division instead of shifted (1 - q^a) factors, counts by closed formulas from outside the
 package, the next-occurrence action by rescanning the word, the
 pairwise-compatibility complex by scanning every root set, the SIN
 alternation and the knitted arrows by one scan of the word per
@@ -426,6 +427,49 @@ def float_csp_values(poly, order: int) -> list:
         assert abs(value - rounded) < 1e-9, (d, value)
         values.append(rounded)
     return values
+
+
+def _poly_mul(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _poly_divmod(num: list, den: list) -> tuple:
+    """Long division over the integers; stops with the current remainder at
+    the first quotient coefficient that is not an integer."""
+    num = list(num)
+    quotient = [0] * (len(num) - len(den) + 1)
+    lead = den[-1]
+    for shift in range(len(quotient) - 1, -1, -1):
+        coef, remainder = divmod(num[shift + len(den) - 1], lead)
+        if remainder:
+            return quotient, num
+        if coef:
+            quotient[shift] = coef
+            for j, y in enumerate(den):
+                num[shift + j] -= coef * y
+    while num and num[-1] == 0:
+        num.pop()
+    return quotient, num
+
+
+def brute_csp_polynomial(sys: CoxeterSystem, k: int):
+    """The q-analogue of the count formula as the product of the q-integers
+    [d + h + 2j]_q over that of the [d + 2j]_q, by general polynomial
+    products and one long division; None when the division leaves a
+    remainder."""
+    numerator, denominator = [1], [1]
+    h = sys.coxeter_number
+    for j in range(k):
+        for d in sys.degrees:
+            numerator = _poly_mul(numerator, [1] * (d + h + 2 * j))
+            denominator = _poly_mul(denominator, [1] * (d + 2 * j))
+    quotient, remainder = _poly_divmod(numerator, denominator)
+    return None if remainder else tuple(quotient)
 
 
 def commutation_class(sys: CoxeterSystem, word) -> frozenset:

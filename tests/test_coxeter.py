@@ -4,13 +4,27 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subwordlab import coxeter
+from subwordlab import (
+    ar_quiver,
+    beta_labels,
+    coxeter,
+    coxeter_quiver,
+    facet_count,
+    has_sin_property,
+    link,
+    lr_labels,
+    multi_cluster_complex,
+    recognize_multi_cluster_word,
+    sorting_word_w0,
+    theta_permutation,
+    type_a_bijection,
+)
 from subwordlab.coxeter import (
     CoxeterError,
     CoxeterSystem,
-    GroupDescriptor,
     ResourceLimitError,
     SignedRoot,
+    commutation_layers,
     commutation_position_map,
     demazure_product,
     element_from_word,
@@ -28,9 +42,16 @@ from subwordlab.coxeter import (
     reduced_word,
 )
 from subwordlab.multicluster import lr_position, multi_cluster_word
-from subwordlab.quivers import check_mesh_relation, repetition_window
+from subwordlab.quivers import check_mesh_relation, knitting_quiver, repetition_window
 from subwordlab.sorting import rotate_word, sorting_word
-from subwordlab.subword import facet_counts, flip, is_face, reduce_to_w0, subword_complex
+from subwordlab.subword import (
+    facet_counts,
+    flip,
+    is_face,
+    reduce_to_w0,
+    root_table,
+    subword_complex,
+)
 from helpers import (
     brute_closure_roots,
     brute_min_word_length,
@@ -75,6 +96,8 @@ REJECTED_DESCRIPTORS = {
     "I2(2)": "I2(m) needs m >= 3",
     "X3": "no finite irreducible type X3",
     "A": "cannot parse group descriptor 'A'",
+    "A3(5)": "only I2 takes a parenthesised order: 'A3(5)'",
+    "B2(4)": "only I2 takes a parenthesised order: 'B2(4)'",
 }
 
 
@@ -83,27 +106,9 @@ def test_descriptor_rejection(bad):
     with pytest.raises(CoxeterError) as caught:
         parse_descriptor(bad)
     assert str(caught.value) == REJECTED_DESCRIPTORS[bad]
-
-
-def test_constructor_checks_descriptor_objects():
-    # descriptors built directly skip the parser; the constructor checks them
-    rejected = [
-        (GroupDescriptor("A", 0), "no finite irreducible type A0"),
-        (GroupDescriptor("C", 3), "no finite irreducible type C3"),
-        (GroupDescriptor("E", 5), "no finite irreducible type E5"),
-        (GroupDescriptor("I", 3, 5), "no finite irreducible type I3"),
-        (GroupDescriptor("X", 3), "no finite irreducible type X3"),
-        (GroupDescriptor("I", 2), "I2(m) needs m >= 3"),
-        (GroupDescriptor("I", 2, 2), "I2(m) needs m >= 3"),
-        (GroupDescriptor("A", 3, 5), "only I2 carries a dihedral order"),
-        (GroupDescriptor("B", 2, 4), "only I2 carries a dihedral order"),
-    ]
-    for descriptor, message in rejected:
-        with pytest.raises(CoxeterError) as caught:
-            CoxeterSystem(descriptor)
-        assert str(caught.value) == message
-    assert CoxeterSystem(GroupDescriptor("D", 3)).degrees == (2, 3, 4)
-    assert CoxeterSystem(GroupDescriptor("I", 2, 9)).degrees == (2, 9)
+    with pytest.raises(CoxeterError) as caught:
+        CoxeterSystem(bad)
+    assert str(caught.value) == REJECTED_DESCRIPTORS[bad]
 
 
 def test_word_parsing():
@@ -279,7 +284,7 @@ def test_rank_budget_refuses_before_the_type_data(monkeypatch, name):
     with pytest.raises(ResourceLimitError, match=message):
         parse_descriptor(name)
     with pytest.raises(ResourceLimitError, match=message):
-        CoxeterSystem(GroupDescriptor(name[0], int(name[1:])))
+        CoxeterSystem(name)
 
 
 @pytest.mark.parametrize("name", ["E9", "Q9", "E1001", "H1001"])
@@ -708,3 +713,57 @@ def test_refusals_name_the_fault(call, message):
     with pytest.raises(CoxeterError) as caught:
         call(system("A2"))
     assert str(caught.value) == message
+
+
+def _results_on(kind):
+    """Every public word-taking function, on words of the given kind."""
+    a3 = system("A3")
+    w0 = longest_element(a3)
+    cox = kind((1, 2, 3))
+    word = kind(multi_cluster_word(a3, (1, 2, 3), 1))
+    sin = kind(sorting_word_w0(a3, (1, 2, 3)).word)
+    return {
+        "element_from_word": element_from_word(a3, word),
+        "demazure_product": demazure_product(a3, word),
+        "is_reduced": is_reduced(a3, sin),
+        "psi_word": psi_word(a3, word),
+        "commutation_layers": commutation_layers(a3, word),
+        "equal_up_to_commutations": equal_up_to_commutations(a3, word, sin),
+        "commutation_position_map": commutation_position_map(a3, word, word),
+        "sorting_word": sorting_word(a3, cox, w0),
+        "sorting_word_w0": sorting_word_w0(a3, cox),
+        "rotate_word": rotate_word(a3, word),
+        "has_sin_property": has_sin_property(a3, sin),
+        "beta_labels": beta_labels(a3, sin),
+        "check_mesh_relation": check_mesh_relation(a3, sin),
+        "knitting_quiver": knitting_quiver(a3, word),
+        "coxeter_quiver": coxeter_quiver(a3, cox),
+        "ar_quiver": ar_quiver(a3, cox),
+        "repetition_window": repetition_window(a3, cox, 2).quiver,
+        "subword_complex": subword_complex(a3, word, w0),
+        "is_face": is_face(a3, word, w0, (1, 2, 3)),
+        "root_table": root_table(a3, word, (1, 2, 3)),
+        "flip": flip(a3, word, (1, 2, 3), 1),
+        "facet_count": facet_count(a3, word, w0),
+        "facet_counts": list(facet_counts(a3, [word, sin], w0)),
+        "reduce_to_w0": reduce_to_w0(a3, word, a3.identity),
+        "link": link(a3, word, w0, (1,)),
+        "multi_cluster_word": multi_cluster_word(a3, cox, 2),
+        "multi_cluster_complex": multi_cluster_complex(a3, cox, 1),
+        "lr_labels": lr_labels(a3, cox),
+        "theta_permutation": theta_permutation(a3, cox, 1),
+        "recognize_multi_cluster_word": recognize_multi_cluster_word(a3, word),
+        "type_a_bijection": type_a_bijection(7, 2, kind((1, 2))),
+    }
+
+
+def test_list_and_tuple_words_give_equal_results():
+    as_tuples, as_lists = _results_on(tuple), _results_on(list)
+    assert as_lists.keys() == as_tuples.keys()
+    for name, value in as_tuples.items():
+        assert as_lists[name] == value, name
+    a2 = system("A2")
+    assert rotate_word(a2, [1, 2, 1]) == (2, 1, 2)
+    complex_ = subword_complex(a2, [1, 2, 1, 2, 1])
+    assert complex_.word == (1, 2, 1, 2, 1)
+    assert hash(complex_) == hash(subword_complex(a2, (1, 2, 1, 2, 1)))

@@ -1,11 +1,12 @@
 import gc
 import weakref
 from fractions import Fraction
+from math import comb
 
 import pytest
 from itertools import combinations, permutations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from subwordlab import multicluster, subword
 from subwordlab.coxeter import (
@@ -44,10 +45,11 @@ from subwordlab.multicluster import (
     type_b_bijection,
 )
 from subwordlab.sorting import sorting_word_w0
-from subwordlab.subword import subword_complex
+from subwordlab.subword import facet_counts, subword_complex
 from helpers import (
     CODE_EDGE_TYPES,
     SMALL_TYPES,
+    brute_csp_polynomial,
     brute_diagonals_cross,
     brute_root_table,
     brute_theta,
@@ -721,6 +723,21 @@ def test_count_formula_is_the_product_of_its_factors(name, k):
     assert type(value) is Fraction and value == expected
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([
+        "A1", "A2", "A5", "A8", "B2", "B4", "B8", "D4", "D5", "D8", "E6", "E7", "E8",
+        "F4", "G2", "H3", "H4", "I2(5)", "I2(7)", "I2(12)",
+    ]),
+    st.integers(0, 6),
+)
+@example("D4", 3)  # not a polynomial
+@example("H4", 3)
+def test_csp_polynomial_matches_the_q_integer_quotient(name, k):
+    s = system(name)
+    assert csp_polynomial(s, k) == brute_csp_polynomial(s, k)
+
+
 def test_a3_k2_count_against_catalan_determinant():
     # number of 2-triangulations of the 8-gon as a 2x2 Hankel determinant
     m = 8
@@ -753,6 +770,57 @@ def test_over_budget_multi_cluster_complex_is_rejected_up_front(monkeypatch, nam
         match=f"{name} with k={k} has {count} facets, more than the limit of 1000000",
     ):
         multi_cluster_complex(s, tuple(range(1, s.rank + 1)), k)
+
+
+def _fail(*args):
+    raise AssertionError("built or counted past the refusal")
+
+
+@pytest.mark.parametrize(
+    "name, k, bound",
+    [
+        ("A3", 2000, 1337337001),
+        ("A3", 10**6, 166667666668500001),
+        ("E8", 3000, 164685792114786377267976),
+        ("A2", 2, 6),
+    ],
+)
+def test_a_huge_k_is_refused_before_anything_is_built(monkeypatch, name, k, bound):
+    # C(k + n, n) bounds the facet count from below; over the budget, neither
+    # the word, nor the formula, nor the facet search runs
+    monkeypatch.setattr(multicluster, "multi_cluster_word", _fail)
+    monkeypatch.setattr(multicluster, "facet_count_formula", _fail)
+    monkeypatch.setattr(subword, "_facet_search", _fail)
+    if name == "A2":  # C(4, 2) = 6 is just past a budget of 5
+        monkeypatch.setattr(subword, "MAX_FACES", 5)
+    s = system(name)
+    n = s.rank
+    with pytest.raises(ResourceLimitError) as caught:
+        multi_cluster_complex(s, tuple(range(1, n + 1)), k)
+    assert str(caught.value) == (
+        f"{name} with k={k} has at least C({k + n}, {n}) = {bound} facets,"
+        f" more than the limit of {subword.MAX_FACES}"
+    )
+
+
+@pytest.mark.parametrize(
+    "name", ["A1", "A2", "A3", "A4", "B2", "B3", "D4", "G2", "H3", "I2(5)", "I2(8)"]
+)
+def test_binomial_bound_is_below_the_facet_count(name):
+    # the sorting word of w0 opens with c itself, so c^k w0(c) holds k + 1
+    # copies of c; reading the i-th letter of c from copy j_i, for each
+    # nondecreasing j_1 <= ... <= j_n, followed by the rest of w0(c), spells
+    # a reduced word for w0, and these complements are distinct facets
+    s = system(name)
+    n = s.rank
+    for cox in enumerate_coxeter_words(s):
+        assert sorting_word_w0(s, cox).word[:n] == cox
+    cox = enumerate_coxeter_words(s)[0]
+    words = [multi_cluster_word(s, cox, k) for k in range(7)]
+    for k, count in enumerate(facet_counts(s, words, longest_element(s))):
+        bound = comb(k + n, n)
+        assert bound <= count
+        assert (bound == count) == (k == 0 or n == 1)
 
 
 def test_multi_cluster_budget_is_the_kernel_budget(monkeypatch):
