@@ -65,6 +65,16 @@ class ResourceLimitError(RuntimeError):
     """An enumeration exceeded its configured size cap."""
 
 
+def check_budget(count: int, limit: int, subject: str, things: str, shown=None) -> None:
+    """Refuse ``count`` things over ``limit`` before any work starts: raise
+    ``ResourceLimitError`` naming the subject, the count (or ``shown``, how to
+    write it) and the limit.  Every up-front budget goes through here."""
+    if count > limit:
+        raise ResourceLimitError(
+            f"{subject} has {shown or count} {things}, more than the limit of {limit}"
+        )
+
+
 class SignedRoot(NamedTuple):
     """A positive root index together with a sign, i.e. an element of +-Phi+."""
 
@@ -124,11 +134,8 @@ def _check_rank(d: GroupDescriptor) -> None:
     """Refuse a rank over ``MAX_ROOTS`` in a family of unbounded rank before
     ``_type_data`` builds lists as long as the rank: every type has at least
     as many positive roots as its rank."""
-    if d.family in ("A", "B", "D") and d.rank > MAX_ROOTS:
-        raise ResourceLimitError(
-            f"{d.name()} has at least {d.rank} positive roots, more than the limit"
-            f" of {MAX_ROOTS}"
-        )
+    if d.family in ("A", "B", "D"):
+        check_budget(d.rank, MAX_ROOTS, d.name(), "positive roots", f"at least {d.rank}")
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +378,7 @@ class CoxeterSystem:
         descriptor = parse_descriptor(name)
         edges, self.degrees = _type_data(descriptor)
         self.number_of_positive_roots = N = sum(d - 1 for d in self.degrees)
-        if N > MAX_ROOTS:
-            raise ResourceLimitError(
-                f"{descriptor.name()} has {N} positive roots, more than the limit"
-                f" of {MAX_ROOTS}"
-            )
+        check_budget(N, MAX_ROOTS, descriptor.name(), "positive roots")
         self.descriptor = descriptor
         n = descriptor.rank
         self.rank = n
@@ -584,11 +587,10 @@ def enumerate_coxeter_words(system: CoxeterSystem) -> tuple[Word, ...]:
         if s < t
     ]
     count = 1 << len(edges)
-    if count > MAX_WORDS:
-        raise ResourceLimitError(
-            f"{system.descriptor.name()} has 2^{len(edges)} = {count} Coxeter words,"
-            f" more than the limit of {MAX_WORDS}"
-        )
+    check_budget(
+        count, MAX_WORDS, system.descriptor.name(), "Coxeter words",
+        f"2^{len(edges)} = {count}",
+    )
     words = []
     for mask in range(count):
         succ = {s: [] for s in range(1, n + 1)}
@@ -690,10 +692,8 @@ def commutation_position_map(
 def iter_all_words(system: CoxeterSystem, length_: int) -> Iterator[Word]:
     """All n^length words of a fixed length, lexicographic order; raises
     ``ResourceLimitError`` up front when there are more than ``MAX_WORDS``."""
-    count = system.rank**length_
-    if count > MAX_WORDS:
-        raise ResourceLimitError(
-            f"{system.descriptor.name()} has {count} words of length {length_},"
-            f" more than the limit of {MAX_WORDS}"
-        )
+    check_budget(
+        system.rank**length_, MAX_WORDS, system.descriptor.name(),
+        f"words of length {length_}",
+    )
     return product(range(1, system.rank + 1), repeat=length_)

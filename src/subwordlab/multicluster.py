@@ -19,9 +19,9 @@ from math import comb, gcd, lcm, prod
 from .coxeter import (
     CoxeterError,
     CoxeterSystem,
-    ResourceLimitError,
     SignedRoot,
     Word,
+    check_budget,
     check_coxeter_word,
     check_word,
     equal_up_to_commutations,
@@ -81,25 +81,25 @@ def multi_cluster_complex(system: CoxeterSystem, cox: Word, k: int) -> SubwordCo
     w0(c) opens with a copy of c, so the n letters of c can be read from any
     nondecreasing choice among k + 1 copies: at least C(k + n, n) facets.
     Over ``MAX_FACES``, that bound raises ``ResourceLimitError`` before the
-    word is built, and so does the count where ``facet_count_formula`` is a
-    theorem, before any facet is searched for.
+    word is built.  Then the facet count is checked against ``MAX_FACES``
+    before any facet is searched for: ``facet_count_formula`` where it is a
+    theorem, else the exact ``facet_count`` where |W| <= ``MAX_FACES`` and
+    the C(|Q|, nk) subsets of the facet size could exceed the budget.  A
+    count from neither is left to the kernel's own budget.
     """
     check_coxeter_word(system, cox)
-    n = system.rank
-    if k > 0 and comb(k + n, n) > subword.MAX_FACES:  # multi_cluster_word refuses k < 0
-        raise ResourceLimitError(
-            f"{system.descriptor.name()} with k={k} has at least C({k + n}, {n}) ="
-            f" {comb(k + n, n)} facets, more than the limit of {subword.MAX_FACES}"
-        )
+    n, limit = system.rank, subword.MAX_FACES
+    subject = f"{system.descriptor.name()} with k={k}"
+    if k > 0:  # multi_cluster_word refuses k < 0
+        bound = comb(k + n, n)
+        check_budget(bound, limit, subject, "facets", f"at least C({k + n}, {n}) = {bound}")
     word = multi_cluster_word(system, cox, k)
+    w0 = longest_element(system)
     if count_formula_is_theorem(system, k):
-        count = facet_count_formula(system, k)
-        if count > subword.MAX_FACES:
-            raise ResourceLimitError(
-                f"{system.descriptor.name()} with k={k} has {count} facets,"
-                f" more than the limit of {subword.MAX_FACES}"
-            )
-    return subword_complex(system, word, longest_element(system))
+        check_budget(facet_count_formula(system, k), limit, subject, "facets")
+    elif prod(system.degrees) <= limit and comb(len(word), n * k) > limit:
+        check_budget(subword.facet_count(system, word, w0), limit, subject, "facets")
+    return subword_complex(system, word, w0)
 
 
 def negative_simple(system: CoxeterSystem, s: int) -> SignedRoot:
@@ -356,11 +356,10 @@ def gale_facets_rank2(m: int, k: int) -> tuple[Facet, ...]:
     if k < 0:
         raise CoxeterError("the number of copies must be nonnegative")
     count = comb(2 * k + m, 2 * k)
-    if count > subword.MAX_FACES:
-        raise ResourceLimitError(
-            f"the Gale scan for m={m}, k={k} has C({2 * k + m}, {2 * k}) = {count}"
-            f" subsets, more than the limit of {subword.MAX_FACES}"
-        )
+    check_budget(
+        count, subword.MAX_FACES, f"the Gale scan for m={m}, k={k}", "subsets",
+        f"C({2 * k + m}, {2 * k}) = {count}",
+    )
     positions = range(1, 2 * k + m + 1)
     out = []
     for subset in combinations(positions, 2 * k):

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from .coxeter import (
     CoxeterError,
     CoxeterSystem,
-    ResourceLimitError,
     SignedRoot,
     Word,
+    check_budget,
     check_coxeter_word,
     check_word,
     occurrence_indices,
@@ -120,12 +120,10 @@ def repetition_window(
     check_coxeter_word(system, cox)
     if copies < 1:
         raise CoxeterError("need at least one block")
-    vertices = copies * system.number_of_positive_roots
-    if vertices > subword.MAX_FACES:
-        raise ResourceLimitError(
-            f"{system.descriptor.name()} with {copies} copies has {vertices} vertices,"
-            f" more than the limit of {subword.MAX_FACES}"
-        )
+    check_budget(
+        copies * system.number_of_positive_roots, subword.MAX_FACES,
+        f"{system.descriptor.name()} with {copies} copies", "vertices",
+    )
     base = sorting_word_w0(system, cox).word
     words = [base if b % 2 == 0 else psi_word(system, base) for b in range(copies)]
     full = tuple(s for w in words for s in w)

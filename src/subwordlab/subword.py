@@ -56,6 +56,7 @@ from .coxeter import (
     ResourceLimitError,
     SignedRoot,
     Word,
+    check_budget,
     check_element,
     check_word,
     demazure_product,
@@ -329,12 +330,7 @@ def facet_counts(
     most ``MAX_FACES`` counts in all.
     """
     check_element(system, target)
-    order = prod(system.degrees)
-    if order > MAX_FACES:
-        raise ResourceLimitError(
-            f"{system.descriptor.name()} has {order} elements, more than the limit"
-            f" of {MAX_FACES} states for counting facets"
-        )
+    check_budget(prod(system.degrees), MAX_FACES, system.descriptor.name(), "elements")
     return _sweep(system, words, target.image)
 
 
@@ -558,38 +554,38 @@ def all_faces(
     """Every face with at most ``max_size`` positions (default: all faces), as
     sorted position tuples like the facets.
 
-    Faces grow level by level on the complex's facet bitsets
-    (``SubwordComplex.facet_bitsets``): a face extended by a larger vertex v
-    is still a face exactly when some facet contains both, that is, when
-    the face's facet bitset meets that of v.  Each face is built once, and
-    every face built counts against ``MAX_FACES``: ``ResourceLimitError`` is
-    raised once more than ``MAX_FACES`` faces of size <= ``max_size`` are
-    built.  ``minimal_nonfaces`` asks only for the faces one below its own
-    cap.
+    The number of faces of size <= ``max_size`` is read off ``f_vector``,
+    which is exact, and more than ``MAX_FACES`` of them are refused before
+    anything is built.  Faces then grow level by level on the complex's
+    facet bitsets (``SubwordComplex.facet_bitsets``): a face extended by a
+    larger vertex v is still a face exactly when some facet contains both,
+    that is, when the face's facet bitset meets that of v.  Each face is
+    built once.  ``minimal_nonfaces`` asks only for the faces one below its
+    own cap.
     """
     facets, vertices = complex_.facets, complex_.vertices
     if max_size is None:
         max_size = complex_.facet_size()
     if not facets or max_size < 0:
         return frozenset()
+    check_budget(
+        sum(f_vector(complex_)[:max_size + 1]), MAX_FACES,
+        f"the complex on a word of {len(complex_.word)} letters"
+        f" in {complex_.system.descriptor.name()}",
+        f"faces of size at most {max_size}",
+    )
     bitsets = complex_.facet_bitsets
     containing = [bitsets[v] for v in vertices]
     # a face is (positions, index of the next vertex it may take, facet bitset)
     level = [((), 0, (1 << len(facets)) - 1)]
     faces = [()]
-    for size in range(1, max_size + 1):
-        room = MAX_FACES - len(faces)
+    for _ in range(max_size):
         grown = []
         for face, start, mask in level:
             for i in range(start, len(vertices)):
                 both = mask & containing[i]
                 if both:
                     grown.append((face + (vertices[i],), i + 1, both))
-            if len(grown) > room:
-                raise ResourceLimitError(
-                    f"more than {MAX_FACES} faces: the limit was passed"
-                    f" while building faces of size {size}"
-                )
         faces.extend(face for face, _, _ in grown)
         level = grown
     return frozenset(faces)

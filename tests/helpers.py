@@ -33,8 +33,8 @@ from subwordlab.coxeter import (
     CoxeterError,
     CoxeterSystem,
     Element,
-    ResourceLimitError,
     Word,
+    check_budget,
     demazure_product,
     element_from_word,
     enumerate_coxeter_words,
@@ -336,11 +336,11 @@ def naive_complex_max_face_sizes(sys: CoxeterSystem, cox, k: int) -> tuple:
     """
     roots = almost_positive_roots(sys)
     total = len(roots)
-    if 1 << total > subword.MAX_FACES:
-        raise ResourceLimitError(
-            f"the compatibility complex of {sys.descriptor.name()} with k={k} has"
-            f" 2^{total} = {1 << total} root sets, more than the limit of {subword.MAX_FACES}"
-        )
+    check_budget(
+        1 << total, subword.MAX_FACES,
+        f"the compatibility complex of {sys.descriptor.name()} with k={k}", "root sets",
+        f"2^{total} = {1 << total}",
+    )
     incompatible = [[False] * total for _ in range(total)]
     for i in range(total):
         for j in range(i + 1, total):

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import json
 import os
 import re
@@ -12,6 +13,10 @@ import subwordlab
 from subwordlab import cli, coxeter, experiments, multicluster, subword
 from subwordlab.cli import main
 from subwordlab.experiments import (
+    COUNT_INSTANCES,
+    NONFACE_INSTANCES,
+    WIDE_COUNTS,
+    WIDE_NONFACES,
     flip_graph_diameter,
     run_count_experiment,
     run_csp_experiment,
@@ -135,7 +140,7 @@ def test_maximality_checks_the_group_order_up_front(monkeypatch, name, k, mode, 
     monkeypatch.setattr(subword, "MAX_FACES", limit)
     with pytest.raises(
         ResourceLimitError,
-        match=rf"^{name} has {order} elements, more than the limit of {limit} states",
+        match=rf"^{name} has {order} elements, more than the limit of {limit}$",
     ):
         run_maximality_experiment(((name, k, mode),))
 
@@ -745,3 +750,34 @@ def test_cli_verify_failure_exits_nonzero(monkeypatch, capsys):
 
     monkeypatch.setitem(cli.EXPERIMENTS, "counts", broken)
     assert main(["verify", "counts"]) == 1
+
+
+def _load_sweep_script():
+    path = Path(__file__).parents[1] / "scripts" / "conjecture_sweep.py"
+    spec = importlib.util.spec_from_file_location("conjecture_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "argv, counts, nonfaces",
+    [
+        (["--json"], COUNT_INSTANCES, NONFACE_INSTANCES),
+        (["--wide", "--json"], WIDE_COUNTS, WIDE_NONFACES),
+    ],
+    ids=["default", "wide"],
+)
+def test_conjecture_sweep_prints_its_four_reports(capsys, argv, counts, nonfaces):
+    assert _load_sweep_script().main(argv) == 0
+    reports = json.loads(capsys.readouterr().out)
+    direct = [
+        run_count_experiment(counts),
+        run_nonface_experiment(nonfaces),
+        run_csp_experiment(),
+        run_maximality_experiment(seed=0),
+    ]
+    assert [r["name"] for r in reports] == ["counts", "nonfaces", "csp", "maximality"]
+    for report, expected in zip(reports, direct):
+        assert report["verdict"] == expected.verdict != "fail"
+        assert report["rows"] == json.loads(json.dumps(expected.rows))

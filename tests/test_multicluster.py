@@ -25,6 +25,7 @@ from subwordlab.multicluster import (
     almost_positive_roots,
     c_compatible,
     contains_pairwise_crossing,
+    count_formula_is_theorem,
     csp_fixed_point_table,
     csp_polynomial,
     diagonal_is_relevant,
@@ -835,7 +836,8 @@ def test_multi_cluster_budget_is_the_kernel_budget(monkeypatch):
 
 
 def test_multi_cluster_budget_trusts_only_formulas_that_are_theorems(monkeypatch):
-    # D4 k=3: the formula gives 8575 but the complex has 8578 facets, so the
+    # D4 k=3: the formula gives 8575 but the complex has 8578 facets, and
+    # |W| = 192 is over a budget of 100, so no exact count runs either: the
     # limit is left to the kernel, which counts the facets it finds
     d4 = system("D4")
     monkeypatch.setattr(subword, "MAX_FACES", 100)
@@ -844,6 +846,53 @@ def test_multi_cluster_budget_trusts_only_formulas_that_are_theorems(monkeypatch
         match="more than 100 facets: the limit was passed on a word of 24 letters in D4",
     ):
         multi_cluster_complex(d4, (1, 2, 3, 4), 3)
+
+
+@pytest.mark.parametrize(
+    "name, k, count", [("D4", 30, 8011702528984), ("D6", 3, 8789152), ("E6", 3, 20048353)]
+)
+def test_exact_count_refuses_before_the_search(monkeypatch, name, k, count):
+    # the count formula is no theorem here, but |W| fits the budget, so the
+    # exact facet count refuses the complex before the kernel is entered
+    monkeypatch.setattr(subword, "_facet_search", _no_search)
+    s = system(name)
+    assert not count_formula_is_theorem(s, k)
+    with pytest.raises(ResourceLimitError) as caught:
+        multi_cluster_complex(s, tuple(range(1, s.rank + 1)), k)
+    assert str(caught.value) == (
+        f"{name} with k={k} has {count} facets, more than the limit of 1000000"
+    )
+
+
+def test_exact_count_budget_is_the_kernel_budget(monkeypatch):
+    # D4 k=3 has 8578 facets; |W| = 192 fits a budget of 8577 and the
+    # C(24, 12) subsets of size 12 do not, so the exact count decides
+    d4 = system("D4")
+    monkeypatch.setattr(subword, "MAX_FACES", 8577)
+    with monkeypatch.context() as patched:
+        patched.setattr(subword, "_facet_search", _no_search)
+        with pytest.raises(
+            ResourceLimitError, match="^D4 with k=3 has 8578 facets, more than the limit of 8577$"
+        ):
+            multi_cluster_complex(d4, (1, 2, 3, 4), 3)
+    monkeypatch.setattr(subword, "MAX_FACES", 8578)
+    assert len(multi_cluster_complex(d4, (1, 2, 3, 4), 3).facets) == 8578
+
+
+def test_exact_count_admits_e6_k2(monkeypatch):
+    # E6 k=2: C(48, 12) subsets exceed the budget, so the facets are counted
+    # first, once, and the 193156 of them are under it
+    counted = []
+    count = subword.facet_count
+
+    def counting(*args):
+        counted.append(count(*args))
+        return counted[-1]
+
+    monkeypatch.setattr(subword, "facet_count", counting)
+    e6 = system("E6")
+    complex_ = multi_cluster_complex(e6, tuple(range(1, 7)), 2)
+    assert counted == [len(complex_.facets)] == [193156]
 
 
 def test_csp_polynomials():

@@ -20,6 +20,7 @@ from subwordlab.coxeter import (
 from subwordlab import subword
 from subwordlab.multicluster import multi_cluster_word
 from subwordlab.subword import (
+    SubwordComplex,
     all_faces,
     f_vector,
     facet_count,
@@ -228,7 +229,7 @@ def test_facet_count_checks_the_group_order_up_front(monkeypatch, name, order):
     monkeypatch.setattr(s, "right_multiply", no_sweep)
     with pytest.raises(
         ResourceLimitError,
-        match=rf"^{name} has {order} elements, more than the limit of 1000000 states",
+        match=rf"^{name} has {order} elements, more than the limit of 1000000$",
     ):
         facet_count(s, (1, 2, 1), w0)
 
@@ -840,12 +841,14 @@ def test_all_faces_budget(monkeypatch):
     monkeypatch.setattr(subword, "MAX_FACES", 13)
     assert len(all_faces(complex_)) == 13
     monkeypatch.setattr(subword, "MAX_FACES", 12)
-    with pytest.raises(
-        ResourceLimitError,
-        match=r"more than 12 faces: the limit was passed while building faces of size 2",
-    ):
+    # the 13 faces are counted off the f-vector, before any face is built
+    message = (
+        "^the complex on a word of 6 letters in B2 has 13 faces of size at most 2,"
+        " more than the limit of 12$"
+    )
+    with pytest.raises(ResourceLimitError, match=message):
         all_faces(complex_)
-    with pytest.raises(ResourceLimitError, match="more than 12 faces"):
+    with pytest.raises(ResourceLimitError, match=message):
         minimal_nonfaces(complex_, 3)
     assert len(all_faces(complex_, 1)) == 7
 
@@ -857,8 +860,33 @@ def test_minimal_nonfaces_build_no_face_at_the_cap(monkeypatch):
     monkeypatch.setattr(subword, "MAX_FACES", 7)
     found = minimal_nonfaces(complex_, 2)
     assert found and found == brute_minimal_nonfaces(complex_, 2)
-    with pytest.raises(ResourceLimitError, match="more than 7 faces"):
+    with pytest.raises(
+        ResourceLimitError,
+        match="^the complex on a word of 6 letters in B2 has 13 faces of size at most 2,"
+        " more than the limit of 7$",
+    ):
         all_faces(complex_, 2)
+
+
+def test_face_budget_is_checked_before_any_face_is_built(monkeypatch):
+    # B4 k=3 at the full cap: its 2609265 faces are counted off the f-vector
+    # and refused before the facet bitsets, the first thing a face needs
+    b4 = system("B4")
+    complex_ = subword_complex(
+        b4, multi_cluster_word(b4, (1, 2, 3, 4), 3), longest_element(b4)
+    )
+
+    def no_bitsets(self):
+        raise AssertionError("the facet bitsets were built")
+
+    monkeypatch.setattr(SubwordComplex, "facet_bitsets", property(no_bitsets))
+    assert sum(f_vector(complex_)) == 2609265
+    with pytest.raises(ResourceLimitError) as caught:
+        minimal_nonfaces(complex_, complex_.facet_size() + 1)
+    assert str(caught.value) == (
+        "the complex on a word of 28 letters in B4 has 2609265 faces of size at"
+        " most 12, more than the limit of 1000000"
+    )
 
 
 @pytest.mark.parametrize("name", ["A3", "B3"])
