@@ -81,11 +81,9 @@ def multi_cluster_complex(system: CoxeterSystem, cox: Word, k: int) -> SubwordCo
     w0(c) opens with a copy of c, so the n letters of c can be read from any
     nondecreasing choice among k + 1 copies: at least C(k + n, n) facets.
     Over ``MAX_FACES``, that bound raises ``ResourceLimitError`` before the
-    word is built.  Then the facet count is checked against ``MAX_FACES``
-    before any facet is searched for: ``facet_count_formula`` where it is a
-    theorem, else the exact ``facet_count`` where |W| <= ``MAX_FACES`` and
-    the C(|Q|, nk) subsets of the facet size could exceed the budget.  A
-    count from neither is left to the kernel's own budget.
+    word is built.  Then ``facet_count_formula``, where it is a theorem, is
+    checked against ``MAX_FACES``; that covers groups too big to count,
+    such as A16 and E8.  ``subword_complex`` checks every other size.
     """
     check_coxeter_word(system, cox)
     n, limit = system.rank, subword.MAX_FACES
@@ -94,12 +92,9 @@ def multi_cluster_complex(system: CoxeterSystem, cox: Word, k: int) -> SubwordCo
         bound = comb(k + n, n)
         check_budget(bound, limit, subject, "facets", f"at least C({k + n}, {n}) = {bound}")
     word = multi_cluster_word(system, cox, k)
-    w0 = longest_element(system)
     if count_formula_is_theorem(system, k):
         check_budget(facet_count_formula(system, k), limit, subject, "facets")
-    elif prod(system.degrees) <= limit and comb(len(word), n * k) > limit:
-        check_budget(subword.facet_count(system, word, w0), limit, subject, "facets")
-    return subword_complex(system, word, w0)
+    return subword_complex(system, word, longest_element(system))
 
 
 def negative_simple(system: CoxeterSystem, s: int) -> SignedRoot:
@@ -240,11 +235,13 @@ def _polygon_rank(family: str, m: int, k: int) -> int:
     """The rank n of the polygon model: m = n + 2k + 1 in type A (n >= 1),
     m = n + k in type B (n >= 2)."""
     if family == "A":
-        n, least, bound = m - 2 * k - 1, 1, "2k + 2"
+        n, least, rule = m - 2 * k - 1, 1, "2k + 2"
     else:
-        n, least, bound = m - k, 2, "k + 2"
+        n, least, rule = m - k, 2, "k + 2"
     if n < least:
-        raise CoxeterError(f"need m >= {bound}")
+        raise CoxeterError(
+            f"type {family} with k={k} needs m >= {m - n + least} ({rule}), got m={m}"
+        )
     return n
 
 

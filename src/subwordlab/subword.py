@@ -6,9 +6,15 @@ are 1-based throughout, facets are sorted position tuples, and the facet
 list is sorted lexicographically so all outputs are deterministic.
 
 Facets come from one kernel under the ``MAX_FACES`` budget, behind
-``subword_complex``: a reverse search over increasing flips from the greedy
-facet, whose parent rule is the canonical spanning tree of the increasing
-flip graph (Pilaud-Stump, arXiv:1210.1435),
+``subword_complex``, which is also where the budget is decided.  Every
+nonempty subword complex is a ball or a sphere (Knutson-Miller), so the
+Upper Bound Theorem bounds its facet count by the word length and the facet
+size alone (``_upper_bound``).  Where that bound passes the budget and
+|W| = prod(degrees) fits it, ``facet_count`` counts the facets exactly, and
+too many are refused before the search; where |W| does not fit, the kernel
+refuses once it has found too many.  The kernel is a reverse search over
+increasing flips from the greedy facet, whose parent rule is the canonical
+spanning tree of the increasing flip graph (Pilaud-Stump, arXiv:1210.1435),
 so no facet is found twice and no dead end is explored.  It carries each
 facet's root table as a sequence of signed-root codes with the facet
 positions blanked, and the roots at the facet positions as a second one;
@@ -53,7 +59,6 @@ from .coxeter import (
     CoxeterError,
     CoxeterSystem,
     Element,
-    ResourceLimitError,
     SignedRoot,
     Word,
     check_budget,
@@ -139,9 +144,11 @@ def _facet_search(
     table right of q' alone, so a child none of whose roots occur there in
     its parent's table, one deleting ``translate``, is a leaf: it is
     counted but never pushed, and its ``outer`` is never built.  Raises
-    ``ResourceLimitError``, naming the type and the word length, once more
-    than ``MAX_FACES`` facets are found, checked after each facet's children
-    are found.
+    ``ResourceLimitError`` through ``check_budget``, naming the word length,
+    the type and the facets found so far, once more than ``MAX_FACES``
+    facets are found, checked after each facet's children are found.  Only
+    a complex that ``subword_complex`` could not count first gets this far
+    over the budget.
 
     The h-vector (h_0, ..., h_d), d the facet size, comes from the same
     signs.  Facets in lexicographic order form a shelling (Knutson-Miller),
@@ -214,12 +221,34 @@ def _facet_search(
                 stack.append((child, child_outer, child_roots, p))
             i = marked.find(blank, i + 1)
         if len(facets) > MAX_FACES:
-            raise ResourceLimitError(
-                f"more than {MAX_FACES} facets: the limit was passed"
-                f" on a word of {r} letters in {system.descriptor.name()}"
-            )
+            found = len(facets)
+            check_budget(found, MAX_FACES, _subject(system, r), "facets", f"at least {found}")
     facets.sort()
     return tuple(facets), tuple(h)
+
+
+def _subject(system: CoxeterSystem, letters: int) -> str:
+    """How a budget refusal names a complex: its word length and its type."""
+    return f"the complex on a word of {letters} letters in {system.descriptor.name()}"
+
+
+def _upper_bound(n: int, d: int) -> int:
+    """The facet count of the cyclic d-polytope on n vertices,
+    C(n - ceil(d/2), floor(d/2)) + C(n - floor(d/2) - 1, ceil(d/2) - 1), and
+    1 when d <= 0.
+
+    By Stanley's Upper Bound Theorem (1975) no simplicial (d-1)-sphere on n
+    vertices has more facets.  Knutson-Miller (arXiv:math/0309259) show that
+    every nonempty subword complex with facets of size d is a vertex
+    decomposable (d-1)-ball or sphere.  Coning the boundary of a ball with
+    one new vertex gives a sphere that holds the ball's facets, so a complex
+    on a word of r letters has at most ``_upper_bound(r + 1, d)`` facets.
+    With d <= 0 the only possible facet is the empty one.
+    """
+    if d <= 0:
+        return 1
+    low, high = d // 2, (d + 1) // 2
+    return comb(n - high, low) + comb(n - low - 1, high - 1)
 
 
 def _root_walk(system: CoxeterSystem, word: Word, facet, names) -> list:
@@ -450,11 +479,21 @@ class SubwordComplex:
 def subword_complex(
     system: CoxeterSystem, word: Word, target: Element | None = None
 ) -> SubwordComplex:
-    """Build the complex; with no target, the Demazure product is used (sphere)."""
+    """Build the complex; with no target, the Demazure product is used (sphere).
+
+    More than ``MAX_FACES`` facets raise ``ResourceLimitError``, from the
+    exact count before the search where it can run (see the module notes).
+    """
     word = check_word(system, word)
     if target is None:
         target = demazure_product(system, word)
     check_element(system, target)
+    r = len(word)
+    if (
+        prod(system.degrees) <= MAX_FACES
+        and _upper_bound(r + 1, r - target.length()) > MAX_FACES
+    ):
+        check_budget(facet_count(system, word, target), MAX_FACES, _subject(system, r), "facets")
     facets, h = _facet_search(system, word, target)
     vertices = tuple(sorted(set().union(*facets)))
     return SubwordComplex(system, word, target, facets, vertices, h)
@@ -570,9 +609,7 @@ def all_faces(
         return frozenset()
     check_budget(
         sum(f_vector(complex_)[:max_size + 1]), MAX_FACES,
-        f"the complex on a word of {len(complex_.word)} letters"
-        f" in {complex_.system.descriptor.name()}",
-        f"faces of size at most {max_size}",
+        _subject(complex_.system, len(complex_.word)), f"faces of size at most {max_size}",
     )
     bitsets = complex_.facet_bitsets
     containing = [bitsets[v] for v in vertices]

@@ -545,10 +545,14 @@ def test_cli_bijection_typeb(capsys):
     "flavor, m, bound", [("typea", "3", "2k + 2"), ("typeb", "2", "k + 2")]
 )
 def test_cli_bijection_names_its_bound_on_m(capsys, flavor, m, bound):
+    # the error names the type, k, the least m (the bound's value) and m
+    family, least = {"typea": ("A", 4), "typeb": ("B", 3)}[flavor]
     assert main(["bijection", flavor, "--m", m, "-k", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: need m >= {bound}\n"
+    assert captured.err == (
+        f"error: type {family} with k=1 needs m >= {least} ({bound}), got m={m}\n"
+    )
 
 
 def test_cli_rejects_an_over_budget_complex_before_searching(monkeypatch, capsys):

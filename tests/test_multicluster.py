@@ -843,7 +843,8 @@ def test_multi_cluster_budget_trusts_only_formulas_that_are_theorems(monkeypatch
     monkeypatch.setattr(subword, "MAX_FACES", 100)
     with pytest.raises(
         ResourceLimitError,
-        match="more than 100 facets: the limit was passed on a word of 24 letters in D4",
+        match=r"^the complex on a word of 24 letters in D4 has at least \d+ facets,"
+        " more than the limit of 100$",
     ):
         multi_cluster_complex(d4, (1, 2, 3, 4), 3)
 
@@ -852,27 +853,32 @@ def test_multi_cluster_budget_trusts_only_formulas_that_are_theorems(monkeypatch
     "name, k, count", [("D4", 30, 8011702528984), ("D6", 3, 8789152), ("E6", 3, 20048353)]
 )
 def test_exact_count_refuses_before_the_search(monkeypatch, name, k, count):
-    # the count formula is no theorem here, but |W| fits the budget, so the
-    # exact facet count refuses the complex before the kernel is entered
+    # the count formula is no theorem here, but |W| fits the budget, so
+    # subword_complex's exact facet count refuses the complex before the
+    # kernel is entered, naming its word
     monkeypatch.setattr(subword, "_facet_search", _no_search)
     s = system(name)
     assert not count_formula_is_theorem(s, k)
     with pytest.raises(ResourceLimitError) as caught:
         multi_cluster_complex(s, tuple(range(1, s.rank + 1)), k)
+    letters = s.number_of_positive_roots + s.rank * k
     assert str(caught.value) == (
-        f"{name} with k={k} has {count} facets, more than the limit of 1000000"
+        f"the complex on a word of {letters} letters in {name} has {count} facets,"
+        " more than the limit of 1000000"
     )
 
 
 def test_exact_count_budget_is_the_kernel_budget(monkeypatch):
-    # D4 k=3 has 8578 facets; |W| = 192 fits a budget of 8577 and the
-    # C(24, 12) subsets of size 12 do not, so the exact count decides
+    # D4 k=3 has 8578 facets; |W| = 192 fits a budget of 8577 and the Upper
+    # Bound Theorem allows 35700 facets, so the exact count decides
     d4 = system("D4")
     monkeypatch.setattr(subword, "MAX_FACES", 8577)
     with monkeypatch.context() as patched:
         patched.setattr(subword, "_facet_search", _no_search)
         with pytest.raises(
-            ResourceLimitError, match="^D4 with k=3 has 8578 facets, more than the limit of 8577$"
+            ResourceLimitError,
+            match="^the complex on a word of 24 letters in D4 has 8578 facets,"
+            " more than the limit of 8577$",
         ):
             multi_cluster_complex(d4, (1, 2, 3, 4), 3)
     monkeypatch.setattr(subword, "MAX_FACES", 8578)
@@ -880,8 +886,9 @@ def test_exact_count_budget_is_the_kernel_budget(monkeypatch):
 
 
 def test_exact_count_admits_e6_k2(monkeypatch):
-    # E6 k=2: C(48, 12) subsets exceed the budget, so the facets are counted
-    # first, once, and the 193156 of them are under it
+    # E6 k=2: the Upper Bound Theorem allows 6947122 facets, over the budget,
+    # so the facets are counted first, once, and the 193156 of them are under
+    # it
     counted = []
     count = subword.facet_count
 

@@ -1,5 +1,7 @@
+import re
 from dataclasses import replace
-from math import comb
+from itertools import combinations
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -329,8 +331,18 @@ def test_enumerate_facets_rejects_letters_outside_the_system():
             subword_complex(a2, word, longest_element(a2))
 
 
+def _no_search(*args):
+    raise AssertionError("the facet search started")
+
+
+def _no_count(*args):
+    raise AssertionError("the facets were counted first")
+
+
 def test_facet_budget(monkeypatch):
-    # s1^140 has one facet per left-out position; words have no length cap
+    # s1^140 has one facet per left-out position; words have no length cap.
+    # |W(A1)| = 2 fits a budget of 139 and the Upper Bound Theorem allows
+    # 4970 facets, so the exact count refuses before the search
     a1 = system("A1")
     word = (1,) * 140
     facets = subword_complex(a1, word, longest_element(a1)).facets
@@ -338,26 +350,142 @@ def test_facet_budget(monkeypatch):
         tuple(p for p in range(1, 141) if p != q) for q in range(140, 0, -1)
     )
     monkeypatch.setattr(subword, "MAX_FACES", 139)
+    monkeypatch.setattr(subword, "_facet_search", _no_search)
     with pytest.raises(
         ResourceLimitError,
-        match=r"^more than 139 facets: the limit was passed on a word of 140 letters in A1$",
+        match=r"^the complex on a word of 140 letters in A1 has 140 facets,"
+        " more than the limit of 139$",
     ):
         subword_complex(a1, word, longest_element(a1))
 
 
 def test_facet_budget_counts_the_leaves(monkeypatch):
-    # A3 k=2 has 84 facets, most of them leaves of the search, which are
-    # counted when they are found and never pushed
+    # A3 k=2 has 84 facets, most of them leaves of the search; |W| = 24 fits
+    # a budget of 83 and the Upper Bound Theorem allows 156 facets, so the
+    # exact count, which counts the leaves too, refuses before the search
     a3 = system("A3")
     word = multi_cluster_word(a3, enumerate_coxeter_words(a3)[0], 2)
     monkeypatch.setattr(subword, "MAX_FACES", 84)
     assert len(subword_complex(a3, word, longest_element(a3)).facets) == 84
     monkeypatch.setattr(subword, "MAX_FACES", 83)
+    monkeypatch.setattr(subword, "_facet_search", _no_search)
     with pytest.raises(
         ResourceLimitError,
-        match=r"^more than 83 facets: the limit was passed on a word of 12 letters in A3$",
+        match=r"^the complex on a word of 12 letters in A3 has 84 facets,"
+        " more than the limit of 83$",
     ):
         subword_complex(a3, word, longest_element(a3))
+
+
+def test_kernel_budget_counts_the_leaves(monkeypatch):
+    # H3 k=1 has 32 facets, 9 of them leaves of the search, which are
+    # counted when they are found and never pushed.  |W(H3)| = 120 is over
+    # every budget here, so nothing is counted first: the search itself
+    # refuses, once it has found more facets than the budget
+    monkeypatch.setattr(subword, "facet_count", _no_count)
+    h3 = system("H3")
+    word = multi_cluster_word(h3, (1, 2, 3), 1)
+    monkeypatch.setattr(subword, "MAX_FACES", 32)
+    assert len(subword_complex(h3, word, longest_element(h3)).facets) == 32
+    monkeypatch.setattr(subword, "MAX_FACES", 31)
+    with pytest.raises(
+        ResourceLimitError,
+        match=r"^the complex on a word of 18 letters in H3 has at least 32 facets,"
+        " more than the limit of 31$",
+    ):
+        subword_complex(h3, word, longest_element(h3))
+    # the budget is checked as the search goes, so it stops before the end
+    monkeypatch.setattr(subword, "MAX_FACES", 20)
+    with pytest.raises(ResourceLimitError) as caught:
+        subword_complex(h3, word, longest_element(h3))
+    found = int(re.fullmatch(
+        r"the complex on a word of 18 letters in H3 has at least (\d+) facets,"
+        r" more than the limit of 20",
+        str(caught.value),
+    ).group(1))
+    assert 20 < found < 32
+
+
+def test_an_explicit_word_is_counted_before_the_search(monkeypatch):
+    # (s1...s6)^8 is c^3 w0(c) in D6, given as a word: |W| = 23040 fits the
+    # budget and the Upper Bound Theorem does not rule out more than 10^6
+    # facets, so the exact count refuses it before the search
+    d6 = system("D6")
+    word = (1, 2, 3, 4, 5, 6) * 8
+    assert word == multi_cluster_word(d6, (1, 2, 3, 4, 5, 6), 3)
+    monkeypatch.setattr(subword, "_facet_search", _no_search)
+    with pytest.raises(ResourceLimitError) as caught:
+        subword_complex(d6, word, longest_element(d6))
+    assert str(caught.value) == (
+        "the complex on a word of 48 letters in D6 has 8789152 facets,"
+        " more than the limit of 1000000"
+    )
+
+
+def test_a_group_too_big_to_count_is_left_to_the_search(monkeypatch):
+    # E8 k=1: the Upper Bound Theorem allows 10001499 facets, but |W| is over
+    # the budget, so no count runs and the search finds the 25080 facets
+    monkeypatch.setattr(subword, "facet_count", _no_count)
+    e8 = system("E8")
+    word = multi_cluster_word(e8, tuple(range(1, 9)), 1)
+    assert subword._upper_bound(len(word) + 1, 8) == 10001499 > subword.MAX_FACES
+    assert len(subword_complex(e8, word, longest_element(e8)).facets) == 25080
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_upper_bound_is_the_cyclic_polytope_facet_count(n):
+    # Gale's evenness condition: a d-subset of 1..n is a facet of the cyclic
+    # d-polytope when an even number of its elements lies between any two
+    # elements outside it
+    assert subword._upper_bound(n, 0) == subword._upper_bound(n, -1) == 1
+    for d in range(1, n):
+        facets = 0
+        for subset in combinations(range(1, n + 1), d):
+            outside = sorted(set(range(1, n + 1)) - set(subset))
+            facets += all((b - a) % 2 for a, b in zip(outside, outside[1:]))
+        assert subword._upper_bound(n, d) == facets
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_upper_bound_bounds_the_facet_count(data):
+    names = SMALL_TYPES + ["F4", "I2(5)", "I2(7)"]
+    s, word, target, _ = draw_complex(data, names, max_letters=10)
+    d = len(word) - target.length()
+    assert facet_count(s, word, target) <= subword._upper_bound(len(word) + 1, d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_subword_complex_refuses_exactly_over_the_budget(data):
+    # where |W| fits the budget the exact count refuses, and elsewhere the
+    # search, once it has found more facets than the budget; the second
+    # range puts the budget between |W| and the facet count where it can
+    s, word, target, _ = draw_complex(data, SMALL_TYPES, max_letters=10)
+    expected = brute_facets(s, word, target)
+    order = prod(s.degrees)
+    limit = data.draw(st.one_of(
+        st.integers(1, 2 * len(expected) + 1),
+        st.integers(order, max(order, len(expected) - 1)),
+    ))
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(subword, "MAX_FACES", limit)
+        if len(expected) <= limit:
+            assert subword_complex(s, word, target).facets == expected
+            return
+        with pytest.raises(ResourceLimitError) as caught:
+            subword_complex(s, word, target)
+    subject = f"the complex on a word of {len(word)} letters in {s.descriptor.name()}"
+    if order <= limit:
+        assert str(caught.value) == (
+            f"{subject} has {len(expected)} facets, more than the limit of {limit}"
+        )
+    else:
+        found = re.fullmatch(
+            rf"{re.escape(subject)} has at least (\d+) facets, more than the limit of {limit}",
+            str(caught.value),
+        )
+        assert limit < int(found.group(1)) <= len(expected)
 
 
 def test_bfs_on_single_facet_complex():
