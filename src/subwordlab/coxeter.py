@@ -19,6 +19,9 @@ entries, as ``bytes.translate`` needs 256; codes past 2N map to themselves.
 of the generators.  Multiplying on the right by a simple generator s, the
 hot operation of word loops, is ``CoxeterSystem.right_multiply``: one
 ``translate`` of the table of s by the image of w (no ``Element`` is built).
+``signs`` sends code 0 and the positive codes to ``codes[0]`` and the
+negative ones to ``codes[1]``, so the length of w is one ``translate`` and
+one ``count`` over its images of the positive roots.
 
 Code sequences are ``bytes`` when every code fits in a byte (2N + 1 <= 256,
 every type up to E8) and ``str`` otherwise (A16 and up, B12 and D12 and up,
@@ -303,9 +306,9 @@ class Element:
         return Element(self.system, identity.translate(type(image).maketrans(image, identity)))
 
     def length(self) -> int:
-        N = self.system.number_of_positive_roots
-        top = self.system.codes[N]
-        return sum(self.image[c:c + 1] > top for c in range(1, N + 1))
+        system = self.system
+        N = system.number_of_positive_roots
+        return self.image[1:N + 1].translate(system.signs).count(system.codes[1])
 
     def is_identity(self) -> bool:
         return self.image == self.system.identity.image
@@ -422,6 +425,7 @@ class CoxeterSystem:
         self.encode_codes = encode = bytes if 2 * N + 1 <= 256 else _encode_str
         self.codes = tuple(map(encode, zip(range(2 * N + 1))))
         self.identity = Element(self, encode(range(max(2 * N + 1, 256))))
+        self.signs = self.codes[0] * (N + 1) + self.codes[1] * (len(self.identity.image) - N - 1)
         self.reflections = _root_reflections(simple_images, encode, self.identity.image)
         self.generators = tuple(Element(self, table) for table in self.reflections[:n])
         # each pass of s1...sn below w0 meets an ascent, so N passes reach w0

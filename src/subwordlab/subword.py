@@ -22,7 +22,10 @@ one root reflection per flip updates both.  A facet's children are found
 by a fixed number of C-level calls (``translate``, ``find``), not by a
 Python loop over its positions, and a child with no children of its own
 is counted without being pushed.  ``flip`` and ``root_table`` stay the
-public single-facet calls.
+public single-facet calls.  One flip is one sort of the facet, one
+``root_table`` walk, which also checks the word and the positions, one scan
+of the table for the partner and one insertion of the partner into the
+sorted facet.
 
 ``facet_counts`` counts the facets on a sequence of words without finding
 them, with no root table or flip, under a budget of |W| <= ``MAX_FACES``
@@ -181,8 +184,7 @@ def _facet_search(
     blank, minus = codes[0], codes[1]  # blank is the code no root has
     maketrans, join = type(blank).maketrans, blank[:0].join
     as_bytes = isinstance(blank, bytes)
-    # signs sends the positive codes to blank and the negative ones to minus
-    signs = blank * (N + 1) + minus * (len(reflections[0]) - N - 1)
+    signs = system.signs  # positive codes to blank, negative ones to minus
     roots = encode([walk[p - 1] for p in seed])
     facets = [seed]
     h = [0] * (len(seed) + 1)
@@ -265,11 +267,12 @@ def _root_walk(system: CoxeterSystem, word: Word, facet, names) -> list:
     inside = set(facet)
     codes, reflections = system.codes, system.reflections
     top = len(codes)  # codes c and top - c name opposite roots
-    inverse = system.encode_codes(range(system.number_of_positive_roots + 1))
+    inverse = system.identity.image[:system.number_of_positive_roots + 1]
     out = []
+    append = out.append
     for p, s in enumerate(word, start=1):
         j = inverse.find(codes[s])
-        out.append(names[j if j > 0 else top - inverse.find(codes[top - s])])
+        append(names[j if j > 0 else top - inverse.find(codes[top - s])])
         if p not in inside:
             inverse = inverse.translate(reflections[s - 1])
     return out
@@ -295,18 +298,24 @@ def flip(
 ) -> tuple[Facet, int]:
     """Exchange q for the unique outside position carrying the same root.
 
-    Only spherical complexes guarantee existence and uniqueness; both are
-    checked and violations raise.
+    The facet is sorted once and its one ``root_table`` walk checks the word
+    and the positions; one scan of the table finds the outside positions
+    carrying the root of q, up to sign, and the partner is inserted into the
+    sorted facet without q.  Only spherical complexes guarantee existence
+    and uniqueness; both are checked and violations raise.  Refusals come in
+    the order of these steps: a letter out of range, duplicate positions, a
+    position out of range, then q not in the facet, then no partner or more
+    than one.
     """
-    facet = _check_positions(word, facet)
+    facet = tuple(sorted(facet))
+    table = root_table(system, word, facet)
     if q not in facet:
         raise CoxeterError(f"position {q} is not in the facet")
-    table = root_table(system, word, facet)
     wanted = table[q - 1].root
     inside = set(facet)
     matches = [
         p
-        for p in range(1, len(word) + 1)
+        for p in range(1, len(table) + 1)
         if p not in inside and table[p - 1].root == wanted
     ]
     if len(matches) != 1:
@@ -319,8 +328,10 @@ def flip(
             " (flips need a facet of a spherical complex)"
         )
     q_new = matches[0]
-    new_facet = tuple(sorted(inside - {q} | {q_new}))
-    return new_facet, q_new
+    i = facet.index(q)
+    rest = facet[:i] + facet[i + 1:]
+    j = bisect_right(rest, q_new)
+    return rest[:j] + (q_new,) + rest[j:], q_new
 
 
 def facet_count(system: CoxeterSystem, word: Word, target: Element) -> int:

@@ -1,8 +1,9 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles deliberately avoid the code paths they check: word-length by
-breadth-first search over the group, face tests by brute-force subword
-search, commutation classes by breadth-first search over adjacent swaps,
+breadth-first search over the group and by comparing codes one at a time
+instead of the sign table, face tests by brute-force subword search,
+commutation classes by breadth-first search over adjacent swaps,
 facets and root tables by ``Element`` products instead of the code
 sequences of the kernel, facets also as the closure of a seed facet under
 the public ``flip``, facets of multi-cluster complexes by reflection
@@ -70,6 +71,14 @@ def group_by_bfs(sys: CoxeterSystem) -> dict[Element, int]:
 
 def brute_min_word_length(sys: CoxeterSystem, w: Element) -> int:
     return group_by_bfs(sys)[w]
+
+
+def brute_length(sys: CoxeterSystem, w: Element) -> int:
+    """The number of positive roots that w sends to negative ones, read one
+    code at a time."""
+    N = sys.number_of_positive_roots
+    top = sys.codes[N]  # codes above it are negative
+    return sum(w.image[c:c + 1] > top for c in range(1, N + 1))
 
 
 def brute_contains_reduced_word(sys: CoxeterSystem, word, target: Element) -> bool:

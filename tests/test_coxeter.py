@@ -53,7 +53,9 @@ from subwordlab.subword import (
     subword_complex,
 )
 from helpers import (
+    CODE_EDGE_TYPES,
     brute_closure_roots,
+    brute_length,
     brute_min_word_length,
     brute_reflection_tables,
     commutation_class,
@@ -336,6 +338,17 @@ def test_length_against_bfs_oracle(name):
     s = system(name)
     for element, distance in group_by_bfs(s).items():
         assert element.length() == distance
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ALL_TYPES + list(CODE_EDGE_TYPES)), st.data())
+def test_length_against_the_code_by_code_oracle(name, data):
+    # the sign table on bytes and on str systems, against one code comparison
+    # per positive root
+    s = system(name)
+    word = tuple(data.draw(st.lists(st.integers(1, s.rank), max_size=30)))
+    for w in (element_from_word(s, word), demazure_product(s, word)):
+        assert w.length() == brute_length(s, w)
 
 
 def test_length_examples():
@@ -688,6 +701,10 @@ def test_elements_of_two_builds_of_one_type_mix():
         (lambda a2: is_face(a2, (1, 2, 1), a2.identity, (2, 2)), "duplicate positions"),
         (lambda a2: is_face(a2, (1, 2, 1), a2.identity, (0,)), "position out of range"),
         (lambda a2: flip(a2, (1, 2, 1, 2, 1), (1, 2), 3), "position 3 is not in the facet"),
+        (lambda a2: flip(a2, (1, 2, 1, 2, 1), (1, 1), 1), "duplicate positions"),
+        (lambda a2: flip(a2, (1, 2, 1, 2, 1), (1, 6), 1), "position out of range"),
+        # the word is checked, by root_table, before q is looked up in the facet
+        (lambda a2: flip(a2, (1, 3, 1, 2, 1), (1, 2), 3), "generator s3 out of range for A2"),
         (
             lambda a2: lr_position(a2, (1, 2), SignedRoot(5, 1)),
             "SignedRoot(root=5, sign=1) is not an almost positive root label",
@@ -705,7 +722,8 @@ def test_elements_of_two_builds_of_one_type_mix():
         (lambda a2: parse_descriptor("A3(5)"), "only I2 takes a parenthesised order: 'A3(5)'"),
     ],
     ids=[
-        "duplicate", "position 0", "flip", "lr_position", "rotate", "mesh", "window",
+        "duplicate", "position 0", "flip", "flip duplicate", "flip position 6",
+        "flip letter before q", "lr_position", "rotate", "mesh", "window",
         "copies", "descriptor",
     ],
 )

@@ -39,6 +39,7 @@ from subwordlab.subword import (
     subword_complex,
 )
 from helpers import (
+    CODE_EDGE_TYPES,
     SMALL_TYPES,
     brute_all_faces,
     brute_contains_reduced_word,
@@ -676,7 +677,10 @@ def test_flip_graph_on_a_ball():
 def test_flip_graph_joins_facets_sharing_a_ridge(data):
     # spheres and balls are pseudomanifolds: a ridge lies in at most two
     # facets, and the flip across it joins them
-    s, word, target, _ = draw_complex(data, SMALL_TYPES, max_letters=8)
+    # the code-edge types walk and flip on bytes and on str code sequences
+    s, word, target, _ = draw_complex(
+        data, SMALL_TYPES + list(CODE_EDGE_TYPES), max_letters=8
+    )
     complex_ = subword_complex(s, word, target)
     graph = flip_graph(complex_)
     d = complex_.facet_size()
