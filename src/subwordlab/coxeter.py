@@ -19,6 +19,10 @@ entries, as ``bytes.translate`` needs 256; codes past 2N map to themselves.
 of the generators.  Multiplying on the right by a simple generator s, the
 hot operation of word loops, is ``CoxeterSystem.right_multiply``: one
 ``translate`` of the table of s by the image of w (no ``Element`` is built).
+Every element fixes the codes past 2N, so only the 2N + 1 codes that name
+roots are translated: ``cuts`` holds the generator tables cut to them and
+``tail`` the fixed codes, appended after the translate.  On ``str`` systems
+the cut is the whole table and the tail is empty.
 ``signs`` sends code 0 and the positive codes to ``codes[0]`` and the
 negative ones to ``codes[1]``, so the length of w is one ``translate`` and
 one ``count`` over its images of the positive roots.
@@ -28,9 +32,12 @@ every type up to E8) and ``str`` otherwise (A16 and up, B12 and D12 and up,
 I2(m) for m >= 128); ``bytes.translate`` is about ten times faster than
 ``str.translate``.  The system picks the type once and exposes its encoder
 (``encode_codes``).  Code that reads the sequences works on both: it takes
-one-code slices, never single items, and uses only ``ord``, ``find``,
+one-code slices, not single items, and uses only ``ord``, ``find``,
 ``translate``, ``maketrans`` and comparisons.  A one-code slice above
-``codes[N]`` is a negative root.
+``codes[N]`` is a negative root.  The one exception is the root walk of
+``subword``, which reads one item of an image per position: an int on
+``bytes`` systems, a one-character str that ``ord`` reads on ``str`` ones.
+There a one-code slice costs about a quarter more walk time.
 
 Conventions:
 
@@ -428,6 +435,8 @@ class CoxeterSystem:
         self.signs = self.codes[0] * (N + 1) + self.codes[1] * (len(self.identity.image) - N - 1)
         self.reflections = _root_reflections(simple_images, encode, self.identity.image)
         self.generators = tuple(Element(self, table) for table in self.reflections[:n])
+        self.cuts = tuple(table[:2 * N + 1] for table in self.reflections[:n])
+        self.tail = self.identity.image[2 * N + 1:]
         # each pass of s1...sn below w0 meets an ascent, so N passes reach w0
         self._w0 = demazure_product(self, tuple(range(1, n + 1)) * N)
         if self._w0.length() != N:
@@ -445,8 +454,11 @@ class CoxeterSystem:
         return self.coxeter_matrix[s - 1][t - 1] == 2
 
     def right_multiply(self, image: bytes | str, s: int) -> bytes | str:
-        """The image of w * s_s, given the image of w."""
-        return self.reflections[s - 1].translate(image)
+        """The image of w * s_s, given the image of w: the table of s cut to
+        its 2N + 1 codes (``cuts``), translated by the image, and then the
+        codes past 2N, which every element fixes (``tail``).  The result is
+        the whole table of s translated by the image, byte for byte."""
+        return self.cuts[s - 1].translate(image) + self.tail
 
     def __repr__(self) -> str:
         return f"CoxeterSystem({self.descriptor.name()!r})"

@@ -22,10 +22,12 @@ one root reflection per flip updates both.  A facet's children are found
 by a fixed number of C-level calls (``translate``, ``find``), not by a
 Python loop over its positions, and a child with no children of its own
 is counted without being pushed.  ``flip`` and ``root_table`` stay the
-public single-facet calls.  One flip is one sort of the facet, one
-``root_table`` walk, which also checks the word and the positions, one scan
-of the table for the partner and one insertion of the partner into the
-sorted facet.
+public single-facet calls.  The ``root_table`` walk carries the image of
+the prefix and reads each root from it by index, with one ``translate``
+per complement letter.  One flip is one sort of the facet, one
+``root_table`` walk, which also checks the word and the positions, one
+C-level scan (``count``, ``index``) of the table's root indices for the
+partner and one insertion of the partner into the sorted facet.
 
 ``facet_counts`` counts the facets on a sequence of words without finding
 them, with no root table or flip, under a budget of |W| <= ``MAX_FACES``
@@ -57,6 +59,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb, prod
+from operator import itemgetter
 
 from .coxeter import (
     CoxeterError,
@@ -256,25 +259,24 @@ def _upper_bound(n: int, d: int) -> int:
 def _root_walk(system: CoxeterSystem, word: Word, facet, names) -> list:
     """``names[c]`` for the code c of r(I, p) at every position p, in order.
 
-    The walk carries the inverse w^{-1} of the prefix w (the product of the
-    complement letters left of p) as a code sequence: entry j is the code
-    of w^{-1}(beta_j), entry 0 a code no root has.  At a complement letter
-    s the prefix becomes w*s, so the inverse becomes s*w^{-1}, which is one
-    ``translate`` by the table of s.  The root r(I, p) = w(alpha_s) is read
-    with ``find``: if w^{-1} sends beta_j to +alpha_s it is +beta_j, and if
-    it sends beta_j to -alpha_s it is -beta_j.
+    The walk carries the image of the prefix w, the product of the
+    complement letters left of p.  The root r(I, p) = w(alpha_s) is entry s
+    of that image, read by index: an int on ``bytes`` systems, a
+    one-character str that ``ord`` reads on ``str`` ones.  At a complement
+    letter s the prefix becomes w*s, whose image is
+    ``CoxeterSystem.right_multiply`` written out inline: one ``translate``
+    of the table of s cut to its 2N + 1 codes, and the fixed tail.
     """
     inside = set(facet)
-    codes, reflections = system.codes, system.reflections
-    top = len(codes)  # codes c and top - c name opposite roots
-    inverse = system.identity.image[:system.number_of_positive_roots + 1]
+    cuts, tail = system.cuts, system.tail
+    w = system.identity.image
+    as_bytes = isinstance(w, bytes)
     out = []
     append = out.append
     for p, s in enumerate(word, start=1):
-        j = inverse.find(codes[s])
-        append(names[j if j > 0 else top - inverse.find(codes[top - s])])
+        append(names[w[s] if as_bytes else ord(w[s])])
         if p not in inside:
-            inverse = inverse.translate(reflections[s - 1])
+            w = cuts[s - 1].translate(w) + tail
     return out
 
 
@@ -284,9 +286,9 @@ def root_table(
     """Root function values at every position, for one facet.
 
     Position q is sent to w(alpha_q) where w multiplies the complement
-    letters strictly left of q.  The walk carries w^{-1} instead of w, as a
-    code sequence that each complement letter updates with one
-    ``translate`` (see ``_root_walk``).
+    letters strictly left of q.  The walk carries the image of w, which
+    each complement letter updates with one ``translate``, and reads each
+    root from it by index (see ``_root_walk``).
     """
     word = check_word(system, word)
     facet = _check_positions(word, facet)
@@ -299,25 +301,28 @@ def flip(
     """Exchange q for the unique outside position carrying the same root.
 
     The facet is sorted once and its one ``root_table`` walk checks the word
-    and the positions; one scan of the table finds the outside positions
-    carrying the root of q, up to sign, and the partner is inserted into the
-    sorted facet without q.  Only spherical complexes guarantee existence
-    and uniqueness; both are checked and violations raise.  Refusals come in
-    the order of these steps: a letter out of range, duplicate positions, a
-    position out of range, then q not in the facet, then no partner or more
-    than one.
+    and the positions.  The partner scan runs at C level on the list of
+    root indices of the table: ``count`` gives the number of positions
+    carrying the root of q, up to sign, and ``index`` finds them in
+    position order, of which those outside the facet are kept.  The partner
+    is inserted into the sorted facet without q.  Only spherical complexes
+    guarantee existence and uniqueness; both are checked and violations
+    raise.  Refusals come in the order of these steps: a letter out of
+    range, duplicate positions, a position out of range, then q not in the
+    facet, then no partner or more than one.
     """
     facet = tuple(sorted(facet))
-    table = root_table(system, word, facet)
+    roots = list(map(itemgetter(0), root_table(system, word, facet)))
     if q not in facet:
         raise CoxeterError(f"position {q} is not in the facet")
-    wanted = table[q - 1].root
+    wanted = roots[q - 1]
     inside = set(facet)
-    matches = [
-        p
-        for p in range(1, len(table) + 1)
-        if p not in inside and table[p - 1].root == wanted
-    ]
+    matches = []
+    i = -1
+    for _ in range(roots.count(wanted)):
+        i = roots.index(wanted, i + 1)
+        if i + 1 not in inside:
+            matches.append(i + 1)
     if len(matches) != 1:
         if matches:
             where = f"positions {', '.join(map(str, matches))} outside the facet carry"

@@ -4,7 +4,7 @@ The oracles deliberately avoid the code paths they check: word-length by
 breadth-first search over the group and by comparing codes one at a time
 instead of the sign table, face tests by brute-force subword search,
 commutation classes by breadth-first search over adjacent swaps,
-facets and root tables by ``Element`` products instead of the code
+facets, root tables and flips by ``Element`` products instead of the code
 sequences of the kernel, facets also as the closure of a seed facet under
 the public ``flip``, facets of multi-cluster complexes by reflection
 products, element orders by repeated multiplication, f-vectors and minimal
@@ -17,8 +17,9 @@ package, the next-occurrence action by rescanning the word, the
 pairwise-compatibility complex by scanning every root set, the SIN
 alternation and the knitted arrows by one scan of the word per
 Coxeter-graph edge, root closures by a dot product per reflection instead
-of carried pairings, and reflection tables by composing code lists entry by
-entry instead of joining slices and translating.
+of carried pairings, reflection tables by composing code lists entry by
+entry instead of joining slices and translating, and products by a
+generator by its whole table instead of the cut one.
 """
 
 from __future__ import annotations
@@ -206,6 +207,36 @@ def brute_root_table(sys: CoxeterSystem, word, facet) -> tuple:
         if p not in facet:
             prefix = prefix * sys.generators[s - 1]
     return tuple(out)
+
+
+def brute_flip(sys: CoxeterSystem, word, facet, q: int) -> tuple:
+    """The flip of q by ``brute_root_table``: (the facet with q swapped for
+    its partner, the partner), the partner being the one position outside
+    the facet whose root is the root of q up to sign.  With none, or more
+    than one, raises ``CoxeterError`` with the message of ``flip``, which
+    lists the candidates in position order."""
+    table = brute_root_table(sys, word, facet)
+    wanted = table[q - 1].root
+    partners = [
+        p for p in range(1, len(word) + 1) if p not in facet and table[p - 1].root == wanted
+    ]
+    if len(partners) != 1:
+        if partners:
+            where = f"positions {', '.join(map(str, partners))} outside the facet carry"
+        else:
+            where = "no position outside the facet carries"
+        raise CoxeterError(
+            f"cannot flip position {q}: {where} its root"
+            " (flips need a facet of a spherical complex)"
+        )
+    (partner,) = partners
+    return tuple(sorted(set(facet) - {q} | {partner})), partner
+
+
+def brute_right_multiply(sys: CoxeterSystem, image, s: int):
+    """The image of w * s_s as the whole table of s translated by the image
+    of w, with no cut to the codes that name roots."""
+    return sys.reflections[s - 1].translate(image)
 
 
 def brute_closure_roots(n: int, cartan, expected: int):

@@ -58,6 +58,7 @@ from helpers import (
     brute_length,
     brute_min_word_length,
     brute_reflection_tables,
+    brute_right_multiply,
     commutation_class,
     element_order,
     group_by_bfs,
@@ -349,6 +350,24 @@ def test_length_against_the_code_by_code_oracle(name, data):
     word = tuple(data.draw(st.lists(st.integers(1, s.rank), max_size=30)))
     for w in (element_from_word(s, word), demazure_product(s, word)):
         assert w.length() == brute_length(s, w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ALL_TYPES + list(CODE_EDGE_TYPES)), st.data())
+def test_right_multiply_against_the_whole_table(name, data):
+    # the cut table of s with the fixed tail appended is the whole table of
+    # s translated by the image: the same type, length and codes, on bytes
+    # and on str systems; elements are built by Element products
+    s = system(name)
+    w = s.identity
+    for letter in data.draw(st.lists(st.integers(1, s.rank), max_size=30)):
+        w = w * s.generators[letter - 1]
+    t = data.draw(st.integers(1, s.rank))
+    for image in (w.image, longest_element(s).image):
+        got, expected = s.right_multiply(image, t), brute_right_multiply(s, image, t)
+        assert type(got) is type(expected)
+        assert len(got) == len(expected)
+        assert got == expected
 
 
 def test_length_examples():

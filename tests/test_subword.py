@@ -45,6 +45,7 @@ from helpers import (
     brute_contains_reduced_word,
     brute_f_vector,
     brute_facets,
+    brute_flip,
     brute_minimal_nonfaces,
     brute_root_table,
     catalan,
@@ -535,16 +536,67 @@ def test_root_function_recovers_inversion_set():
 
 @settings(max_examples=120, deadline=None)
 @given(
-    st.sampled_from(["A1", "B3", "H3", "E8", "I2(127)", "I2(128)", "A16"]),
+    st.sampled_from(["A1", "B3", "H3", "H4", "E7", "E8", "I2(127)", "I2(128)", "A16"]),
     st.data(),
 )
 def test_root_table_matches_the_oracle_on_any_positions(name, data):
     # E8 and I2(127) keep codes as bytes (2N + 1 <= 255); I2(128) and A16
     # need str.  Any position set works: the walk never needs a facet.
     s = system(name)
-    word = tuple(data.draw(st.lists(st.integers(1, s.rank), min_size=1, max_size=12)))
+    word = tuple(data.draw(st.lists(st.integers(1, s.rank), min_size=1, max_size=40)))
     positions = tuple(p for p in range(1, len(word) + 1) if data.draw(st.booleans()))
     assert root_table(s, word, positions) == brute_root_table(s, word, positions)
+
+
+def flip_outcome(flipper, s, word, facet, q):
+    """The result of a flip, or the message of its refusal."""
+    try:
+        return flipper(s, word, facet, q)
+    except CoxeterError as error:
+        return str(error)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_flip_matches_the_oracle_on_facets(data):
+    # over the word, a flip at the boundary of a ball has no partner and is
+    # refused; over the completed word every flip has one
+    names = SMALL_TYPES + ["F4", "I2(7)"] + list(CODE_EDGE_TYPES)
+    s, word, target, _ = draw_complex(data, names, max_letters=10)
+    facets = subword_complex(s, word, target).facets
+    if not facets:
+        return
+    facet = data.draw(st.sampled_from(facets))
+    for letters in (word, reduce_to_w0(s, word, target)):
+        for q in facet:
+            expected = flip_outcome(brute_flip, s, letters, facet, q)
+            assert flip_outcome(flip, s, letters, facet, q) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(CODE_EDGE_TYPES), st.data())
+def test_flip_matches_the_oracle_on_any_positions(name, data):
+    # I2(127) keeps its codes in bytes, I2(128) and A16 in str.  Where the
+    # complement is not reduced, several positions may carry the root of q,
+    # and the refusal lists them in position order.
+    s = system(name)
+    word = tuple(data.draw(st.lists(st.integers(1, s.rank), min_size=1, max_size=20)))
+    q = data.draw(st.integers(1, len(word)))
+    positions = [p for p in range(1, len(word) + 1) if p == q or data.draw(st.booleans())]
+    expected = flip_outcome(brute_flip, s, word, positions, q)
+    assert flip_outcome(flip, s, word, positions, q) == expected
+
+
+@pytest.mark.parametrize("name", CODE_EDGE_TYPES)
+def test_flip_lists_the_partners_in_position_order(name):
+    # s1 s1 s1 s1 with facet {2}: alpha_1 at 1 and 4, -alpha_1 at 2 and 3
+    s = system(name)
+    message = (
+        "cannot flip position 2: positions 1, 3, 4 outside the facet carry its root"
+        " (flips need a facet of a spherical complex)"
+    )
+    assert flip_outcome(brute_flip, s, (1, 1, 1, 1), (2,), 2) == message
+    assert flip_outcome(flip, s, (1, 1, 1, 1), (2,), 2) == message
 
 
 def test_root_table_rejects_letters_outside_the_system():
