@@ -23,8 +23,9 @@ by a fixed number of C-level calls (``translate``, ``find``), not by a
 Python loop over its positions, and a child with no children of its own
 is counted without being pushed.  ``flip`` and ``root_table`` stay the
 public single-facet calls.  The ``root_table`` walk carries the image of
-the prefix and reads each root from it by index, with one ``translate``
-per complement letter.  One flip is one sort of the facet, one
+the prefix and at most one complement letter not yet multiplied in, reads
+each root from them by index, and does one ``translate`` per two
+complement letters.  One flip is one sort of the facet, one
 ``root_table`` walk, which also checks the word and the positions, one
 C-level scan (``count``, ``index``) of the table's root indices for the
 partner and one insertion of the partner into the sorted facet.
@@ -259,24 +260,36 @@ def _upper_bound(n: int, d: int) -> int:
 def _root_walk(system: CoxeterSystem, word: Word, facet, names) -> list:
     """``names[c]`` for the code c of r(I, p) at every position p, in order.
 
-    The walk carries the image of the prefix w, the product of the
-    complement letters left of p.  The root r(I, p) = w(alpha_s) is entry s
-    of that image, read by index: an int on ``bytes`` systems, a
-    one-character str that ``ord`` reads on ``str`` ones.  At a complement
-    letter s the prefix becomes w*s, whose image is
-    ``CoxeterSystem.right_multiply`` written out inline: one ``translate``
-    of the table of s cut to its 2N + 1 codes, and the fixed tail.
+    The product of the complement letters left of p is carried as the image
+    of a prefix w and at most one pending letter t not multiplied in yet.
+    The root r(I, p) = (w*t)(alpha_s) = w(t(alpha_s)) is entry t(alpha_s)
+    of w's image: entry s of the table of t, then one index into the image
+    (with nothing pending, entry s of the image).  Items are ints on
+    ``bytes`` systems and one-character strs that ``ord`` reads on ``str``
+    ones.  At a complement letter s with t pending, the prefix becomes
+    w*t*s: one ``translate`` of ``CoxeterSystem.pair_cuts[t][s]``, the
+    table of t*s cut to its 2N + 1 codes, and the fixed tail.  With nothing
+    pending, s becomes pending; a letter still pending at the end is never
+    read, so it is never multiplied in.  That is one ``translate`` per two
+    complement letters.
     """
     inside = set(facet)
-    cuts, tail = system.cuts, system.tail
+    cuts, pairs, tail = system.cuts, system.pair_cuts, system.tail
     w = system.identity.image
     as_bytes = isinstance(w, bytes)
     out = []
     append = out.append
+    t = 0  # the pending complement letter, 0 for none
     for p, s in enumerate(word, start=1):
-        append(names[w[s] if as_bytes else ord(w[s])])
-        if p not in inside:
-            w = cuts[s - 1].translate(w) + tail
+        if t:  # r(I, p) = w(t(alpha_s))
+            append(names[w[cuts[t][s]] if as_bytes else ord(w[ord(cuts[t][s])])])
+            if p not in inside:
+                w = pairs[t][s].translate(w) + tail
+                t = 0
+        else:
+            append(names[w[s] if as_bytes else ord(w[s])])
+            if p not in inside:
+                t = s
     return out
 
 
@@ -287,8 +300,9 @@ def root_table(
 
     Position q is sent to w(alpha_q) where w multiplies the complement
     letters strictly left of q.  The walk carries the image of w, which
-    each complement letter updates with one ``translate``, and reads each
-    root from it by index (see ``_root_walk``).
+    each two complement letters update with one ``translate``, and reads
+    each root from it by index, through the table of a letter still pending
+    (see ``_root_walk``).
     """
     word = check_word(system, word)
     facet = _check_positions(word, facet)

@@ -370,6 +370,33 @@ def test_right_multiply_against_the_whole_table(name, data):
         assert got == expected
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ALL_TYPES + list(CODE_EDGE_TYPES)), st.data())
+def test_pair_cuts_against_generator_products(name, data):
+    # the root walk reads the generator tables and multiplies pairs of
+    # letters by letter-indexed tables, entry 0 unused: each with the fixed
+    # tail appended is a whole image, of the same type, length and codes
+    s = system(name)
+    t, u = data.draw(st.integers(1, s.rank)), data.draw(st.integers(1, s.rank))
+    assert s.cuts[0] is None and s.pair_cuts[0] is None and s.pair_cuts[t][0] is None
+    assert len(s.cuts) == len(s.pair_cuts) == len(s.pair_cuts[t]) == s.rank + 1
+    for got, expected in (
+        (s.cuts[t] + s.tail, s.generators[t - 1].image),
+        (s.pair_cuts[t][u] + s.tail, (s.generators[t - 1] * s.generators[u - 1]).image),
+    ):
+        assert type(got) is type(expected)
+        assert len(got) == len(expected)
+        assert got == expected
+
+
+def test_pair_cuts_are_built_on_first_use():
+    # rank^2 translates of str tables: a build alone does not pay for them
+    a16 = CoxeterSystem("A16")
+    assert "pair_cuts" not in vars(a16)
+    root_table(a16, (1, 2, 1), ())
+    assert "pair_cuts" in vars(a16)
+
+
 def test_length_examples():
     a3, a2 = system("A3"), system("A2")
     assert system("A1").identity.length() == 0

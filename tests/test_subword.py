@@ -548,6 +548,28 @@ def test_root_table_matches_the_oracle_on_any_positions(name, data):
     assert root_table(s, word, positions) == brute_root_table(s, word, positions)
 
 
+@pytest.mark.parametrize("name", ["E7", "I2(127)", "I2(128)", "A16"])
+@pytest.mark.parametrize(
+    "length, positions",
+    [
+        (0, lambda p: True),
+        (31, lambda p: True),  # nothing is ever pending
+        (31, lambda p: False),  # an odd count: the last letter stays pending
+        (31, lambda p: p % 4 != 1),  # runs of three, read through a pending letter
+        (31, lambda p: p % 3 == 0),  # complement pairs back to back
+    ],
+    ids=["empty-word", "all", "none", "runs-through-pending", "pairs-back-to-back"],
+)
+def test_root_walk_edge_cases_match_the_oracle(name, length, positions):
+    # the walk multiplies complement letters in pairs; a letter is read
+    # through while it is pending, and one left pending at the end is never
+    # multiplied in
+    s = system(name)
+    word = tuple(1 + (3 * i + i // s.rank) % s.rank for i in range(length))
+    facet = tuple(p for p in range(1, length + 1) if positions(p))
+    assert root_table(s, word, facet) == brute_root_table(s, word, facet)
+
+
 def flip_outcome(flipper, s, word, facet, q):
     """The result of a flip, or the message of its refusal."""
     try:
