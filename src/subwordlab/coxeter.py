@@ -29,6 +29,10 @@ Both are indexed by letter, entry 0 unused.
 ``signs`` sends code 0 and the positive codes to ``codes[0]`` and the
 negative ones to ``codes[1]``, so the length of w is one ``translate`` and
 one ``count`` over its images of the positive roots.
+``letters`` holds the generators 1..rank as bytes, so ``check_word`` checks
+a whole word at C level: ``bytes`` of the word, which refuses any letter
+that is not an int from 0 to 255, and one ``translate`` that deletes
+``letters`` and must leave nothing.
 
 Code sequences are ``bytes`` when every code fits in a byte (2N + 1 <= 256,
 every type up to E8) and ``str`` otherwise (A16 and up, B12 and D12 and up,
@@ -397,6 +401,7 @@ class CoxeterSystem:
         self.descriptor = descriptor
         n = descriptor.rank
         self.rank = n
+        self.letters = bytes(range(1, n + 1))
 
         matrix = [[2] * n for _ in range(n)]
         cartan = [[0] * n for _ in range(n)]
@@ -516,12 +521,18 @@ def occurrence_indices(word: Word) -> tuple[int, ...]:
 
 
 def check_word(system: CoxeterSystem, word: Word) -> Word:
-    """The word as a tuple, once every letter names a generator."""
+    """The word as a tuple, once every letter is an int from 1 to the rank
+    (``True`` is 1).  One C-level pass: ``bytes`` refuses a letter that is
+    no int from 0 to 255, and deleting ``CoxeterSystem.letters`` leaves
+    nothing.  Otherwise the first letter that is none of 1..rank is named."""
     word = tuple(word)
-    if word and not (1 <= min(word) and max(word) <= system.rank):  # C-level scans
-        s = next(s for s in word if not 1 <= s <= system.rank)
-        raise CoxeterError(f"generator s{s} out of range for {system.descriptor.name()}")
-    return word
+    try:
+        if not bytes(word).translate(None, system.letters):
+            return word
+    except (TypeError, ValueError):
+        pass
+    s = next(s for s in word if not (isinstance(s, int) and 1 <= s <= system.rank))
+    raise CoxeterError(f"generator s{s!r} out of range for {system.descriptor.name()}")
 
 
 def check_element(system: CoxeterSystem, w: Element) -> None:

@@ -26,9 +26,12 @@ public single-facet calls.  The ``root_table`` walk carries the image of
 the prefix and at most one complement letter not yet multiplied in, reads
 each root from them by index, and does one ``translate`` per two
 complement letters.  One flip is one sort of the facet, one
-``root_table`` walk, which also checks the word and the positions, one
-C-level scan (``count``, ``index``) of the table's root indices for the
-partner and one insertion of the partner into the sorted facet.
+``root_table`` walk, one C-level scan (``count``, ``index``) of the
+table's root indices for the partner, with the facet entries set to -1
+first, and one insertion of the partner into the sorted facet.  The walk
+also checks the word, by one C-level pass over its letters
+(``check_word``), and the positions, by one set of them that the walk then
+reads.
 
 ``facet_counts`` counts the facets on a sequence of words without finding
 them, with no root table or flip, under a budget of |W| <= ``MAX_FACES``
@@ -81,17 +84,18 @@ MAX_FACES = 10**6
 Facet = tuple  # of 1-based positions, sorted ascending
 
 
-def _check_positions(word: Word, positions) -> tuple[int, ...]:
-    out = tuple(sorted(positions))
-    if len(set(out)) != len(out):
+def _position_set(word: Word, positions) -> set:
+    """The positions as a set, once none repeats and each is one of the word."""
+    positions = tuple(positions)
+    inside = set(positions)
+    if len(inside) != len(positions):
         raise CoxeterError("duplicate positions")
-    if out and not (1 <= out[0] and out[-1] <= len(word)):
+    if inside and not (1 <= min(inside) and max(inside) <= len(word)):
         raise CoxeterError("position out of range")
-    return out
+    return inside
 
 
-def _complement(word: Word, positions) -> Word:
-    drop = set(positions)
+def _complement(word: Word, drop: set) -> Word:
     return tuple(s for p, s in enumerate(word, start=1) if p not in drop)
 
 
@@ -103,7 +107,7 @@ def is_face(system: CoxeterSystem, word: Word, target: Element, positions) -> bo
     in Bruhat order, that is, when the complement followed by R has Demazure
     product w0.  This one check covers every target.
     """
-    rest = _complement(word, _check_positions(word, positions))
+    rest = _complement(word, _position_set(word, positions))
     completed = reduce_to_w0(system, rest, target)
     return demazure_product(system, completed) == longest_element(system)
 
@@ -182,7 +186,7 @@ def _facet_search(
     seed = tuple(p for p in range(1, r + 1) if not outside >> p & 1)
     inside = set(seed)
     walk = _root_walk(
-        system, reduce_to_w0(system, word, target), seed, range(len(codes))
+        system, reduce_to_w0(system, word, target), inside, range(len(codes))
     )
     encode = system.encode_codes
     blank, minus = codes[0], codes[1]  # blank is the code no root has
@@ -257,8 +261,9 @@ def _upper_bound(n: int, d: int) -> int:
     return comb(n - high, low) + comb(n - low - 1, high - 1)
 
 
-def _root_walk(system: CoxeterSystem, word: Word, facet, names) -> list:
-    """``names[c]`` for the code c of r(I, p) at every position p, in order.
+def _root_walk(system: CoxeterSystem, word: Word, inside: set, names) -> list:
+    """``names[c]`` for the code c of r(I, p) at every position p, in order,
+    the facet I being the set ``inside``.
 
     The product of the complement letters left of p is carried as the image
     of a prefix w and at most one pending letter t not multiplied in yet.
@@ -273,7 +278,6 @@ def _root_walk(system: CoxeterSystem, word: Word, facet, names) -> list:
     read, so it is never multiplied in.  That is one ``translate`` per two
     complement letters.
     """
-    inside = set(facet)
     cuts, pairs, tail = system.cuts, system.pair_cuts, system.tail
     w = system.identity.image
     as_bytes = isinstance(w, bytes)
@@ -302,11 +306,12 @@ def root_table(
     letters strictly left of q.  The walk carries the image of w, which
     each two complement letters update with one ``translate``, and reads
     each root from it by index, through the table of a letter still pending
-    (see ``_root_walk``).
+    (see ``_root_walk``).  The word is checked by ``check_word``, and one
+    set of the facet positions serves both their checks and the walk.
     """
     word = check_word(system, word)
-    facet = _check_positions(word, facet)
-    return tuple(_root_walk(system, word, facet, system.signed_roots))
+    inside = _position_set(word, facet)
+    return tuple(_root_walk(system, word, inside, system.signed_roots))
 
 
 def flip(
@@ -315,29 +320,26 @@ def flip(
     """Exchange q for the unique outside position carrying the same root.
 
     The facet is sorted once and its one ``root_table`` walk checks the word
-    and the positions.  The partner scan runs at C level on the list of
-    root indices of the table: ``count`` gives the number of positions
-    carrying the root of q, up to sign, and ``index`` finds them in
-    position order, of which those outside the facet are kept.  The partner
-    is inserted into the sorted facet without q.  Only spherical complexes
-    guarantee existence and uniqueness; both are checked and violations
-    raise.  Refusals come in the order of these steps: a letter out of
-    range, duplicate positions, a position out of range, then q not in the
-    facet, then no partner or more than one.
+    and the positions.  The partner scan is one C-level scan (``count``,
+    ``index``) of the list of root indices of the table, with the entries
+    at the facet positions set to -1, which no root has: ``count`` gives
+    the number of outside positions carrying the root of q, up to sign,
+    and ``index`` the one partner.  Only a refusal lists them, in position
+    order.  The partner is inserted into the sorted facet without q.  Only
+    spherical complexes guarantee existence and uniqueness; both are
+    checked and violations raise.  Refusals come in the order of these
+    steps: a letter out of range, duplicate positions, a position out of
+    range, then q not in the facet, then no partner or more than one.
     """
     facet = tuple(sorted(facet))
     roots = list(map(itemgetter(0), root_table(system, word, facet)))
     if q not in facet:
         raise CoxeterError(f"position {q} is not in the facet")
     wanted = roots[q - 1]
-    inside = set(facet)
-    matches = []
-    i = -1
-    for _ in range(roots.count(wanted)):
-        i = roots.index(wanted, i + 1)
-        if i + 1 not in inside:
-            matches.append(i + 1)
-    if len(matches) != 1:
+    for p in facet:
+        roots[p - 1] = -1
+    if roots.count(wanted) != 1:
+        matches = [p for p, root in enumerate(roots, start=1) if root == wanted]
         if matches:
             where = f"positions {', '.join(map(str, matches))} outside the facet carry"
         else:
@@ -346,7 +348,7 @@ def flip(
             f"cannot flip position {q}: {where} its root"
             " (flips need a facet of a spherical complex)"
         )
-    q_new = matches[0]
+    q_new = roots.index(wanted) + 1
     i = facet.index(q)
     rest = facet[:i] + facet[i + 1:]
     j = bisect_right(rest, q_new)
@@ -553,13 +555,14 @@ def flip_graph(complex_: SubwordComplex) -> FlipGraph:
     q' = p outside I), so each adjacency list needs no deduplication."""
     system, word = complex_.system, complex_.word
     completed = reduce_to_w0(system, word, complex_.target)
+    last = len(word)  # positions past it are the completion
     index = {facet: i for i, facet in enumerate(complex_.facets)}
     neighbors = []
     for facet in complex_.facets:
         adjacent = []
         for q in facet:
             other, landing = flip(system, completed, facet, q)
-            if landing <= len(word):
+            if landing <= last:
                 adjacent.append(index[other])
         neighbors.append(tuple(sorted(adjacent)))
     return FlipGraph(complex_.facets, tuple(neighbors))
@@ -583,7 +586,7 @@ def link(system: CoxeterSystem, word: Word, target: Element, face) -> SubwordCom
 
     New positions renumber the surviving positions in increasing order.
     """
-    face = _check_positions(word, face)
+    face = _position_set(word, face)
     if not is_face(system, word, target, face):
         raise CoxeterError("not a face of the complex")
     return subword_complex(system, _complement(word, face), target)

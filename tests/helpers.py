@@ -1,6 +1,7 @@
 """Shared fixtures and independent oracles for the test suite.
 
-The oracles deliberately avoid the code paths they check: word-length by
+The oracles deliberately avoid the code paths they check: word checks one
+letter at a time instead of one ``bytes`` translate, word-length by
 breadth-first search over the group and by comparing codes one at a time
 instead of the sign table, face tests by brute-force subword search,
 commutation classes by breadth-first search over adjacent swaps,
@@ -68,6 +69,17 @@ def group_by_bfs(sys: CoxeterSystem) -> dict[Element, int]:
                 distances[nxt] = distances[w] + 1
                 queue.append(nxt)
     return distances
+
+
+def brute_check_word(sys: CoxeterSystem, word):
+    """``check_word`` one letter at a time: the word as a tuple when every
+    letter is an int (or a bool) from 1 to the rank, otherwise the refusal
+    message naming the first letter that is not."""
+    word = tuple(word)
+    for s in word:
+        if type(s) not in (int, bool) or not 1 <= s <= sys.rank:
+            return f"generator s{s!r} out of range for {sys.descriptor.name()}"
+    return word
 
 
 def brute_min_word_length(sys: CoxeterSystem, w: Element) -> int:

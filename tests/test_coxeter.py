@@ -24,6 +24,7 @@ from subwordlab.coxeter import (
     CoxeterSystem,
     ResourceLimitError,
     SignedRoot,
+    check_word,
     commutation_layers,
     commutation_position_map,
     demazure_product,
@@ -54,6 +55,7 @@ from subwordlab.subword import (
 )
 from helpers import (
     CODE_EDGE_TYPES,
+    brute_check_word,
     brute_closure_roots,
     brute_length,
     brute_min_word_length,
@@ -350,6 +352,25 @@ def test_length_against_the_code_by_code_oracle(name, data):
     word = tuple(data.draw(st.lists(st.integers(1, s.rank), max_size=30)))
     for w in (element_from_word(s, word), demazure_product(s, word)):
         assert w.length() == brute_length(s, w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ALL_TYPES + list(CODE_EDGE_TYPES)), st.data())
+def test_check_word_against_the_letter_by_letter_oracle(name, data):
+    # words as tuples, lists and generators, with letters out of range, out
+    # of a byte (-1, 256), a float equal to a letter, a str and True, which
+    # is the int 1; the empty word passes
+    s = system(name)
+    odd = st.sampled_from([0, -1, s.rank + 1, 256, 1.5, 1.0, "1", True])
+    letters = data.draw(st.lists(st.one_of(st.integers(1, s.rank), odd), max_size=12))
+    kind = data.draw(st.sampled_from([tuple, list, lambda w: (x for x in w)]))
+    word = kind(letters)
+    try:
+        got = check_word(s, word)
+    except CoxeterError as error:
+        got = str(error)
+    assert got == brute_check_word(s, letters)
+    assert check_word(s, ()) == ()
 
 
 @settings(max_examples=150, deadline=None)
@@ -751,6 +772,12 @@ def test_elements_of_two_builds_of_one_type_mix():
         (lambda a2: flip(a2, (1, 2, 1, 2, 1), (1, 6), 1), "position out of range"),
         # the word is checked, by root_table, before q is looked up in the facet
         (lambda a2: flip(a2, (1, 3, 1, 2, 1), (1, 2), 3), "generator s3 out of range for A2"),
+        # letters that are no ints are refused by check_word, not deep inside
+        (
+            lambda a2: subword_complex(a2, (1.5, 2, 1, 2), longest_element(a2)),
+            "generator s1.5 out of range for A2",
+        ),
+        (lambda a2: root_table(a2, ("1", 2), ()), "generator s'1' out of range for A2"),
         (
             lambda a2: lr_position(a2, (1, 2), SignedRoot(5, 1)),
             "SignedRoot(root=5, sign=1) is not an almost positive root label",
@@ -769,8 +796,8 @@ def test_elements_of_two_builds_of_one_type_mix():
     ],
     ids=[
         "duplicate", "position 0", "flip", "flip duplicate", "flip position 6",
-        "flip letter before q", "lr_position", "rotate", "mesh", "window",
-        "copies", "descriptor",
+        "flip letter before q", "letter 1.5", "letter '1'", "lr_position", "rotate",
+        "mesh", "window", "copies", "descriptor",
     ],
 )
 def test_refusals_name_the_fault(call, message):
