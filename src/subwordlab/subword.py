@@ -25,22 +25,19 @@ is counted without being pushed.  ``flip`` and ``root_table`` stay the
 public single-facet calls.  The ``root_table`` walk carries the image of
 the prefix and at most one complement letter not yet multiplied in, reads
 each root from them by index, and does one ``translate`` per two
-complement letters.  One flip is one sort of the facet, one
-``root_table`` walk, one C-level scan (``count``, ``index``) of the
-table's root indices for the partner, with the facet entries set to -1
-first, and one insertion of the partner into the sorted facet.  The walk
-also checks the word, by one C-level pass over its letters
-(``check_word``), and the positions, by one set of them that the walk then
-reads.
+complement letters; it checks the word by one C-level pass over its
+letters (``check_word``) and reads the positions as one set of ints
+(``operator.index``).  One flip is one walk, one sort of the facet, one
+C-level scan (``count``, ``index``) of the table's root indices, facet
+entries set to -1, for the partner, and one insertion of the partner.
 
-``facet_counts`` counts the facets on a sequence of words without finding
-them, with no root table or flip, under a budget of |W| <= ``MAX_FACES``
-states checked before it starts.  Each word is split in half: the head is
-swept forwards from the identity, the tail backwards from the target, and
-the two tables of counts per group element meet in the middle.  Elements
-are numbered as they are reached, their moves stored both ways, and the
-half tables kept under their half-words, for the words that follow;
-``facet_count`` is the one-word case.
+``facet_counts`` counts the facets on words without finding them, under a
+budget of |W| <= ``MAX_FACES`` states checked before it starts: a head
+swept forwards from the identity meets a tail swept backwards from the
+target.  One ``_Numbering`` per call numbers the elements as they are
+reached and stores each move u -> u*s with its inverse, v for an ascent and
+~v for a descent; its one step applies a letter to a dict of payloads,
+forwards by ascents or backwards by descents.
 
 Face counts never materialise the faces: the kernel counts the h-vector of
 the lexicographic shelling while it enumerates, from the signs of the roots
@@ -63,7 +60,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb, prod
-from operator import itemgetter
+from operator import index as as_int, itemgetter
 
 from .coxeter import (
     CoxeterError,
@@ -85,12 +82,17 @@ Facet = tuple  # of 1-based positions, sorted ascending
 
 
 def _position_set(word: Word, positions) -> set:
-    """The positions as a set, once none repeats and each is one of the word."""
+    """The positions as a set of ints: integers, none repeated, each in the word."""
     positions = tuple(positions)
-    inside = set(positions)
-    if len(inside) != len(positions):
+    try:
+        ordered = sorted(map(as_int, positions))  # cheaper than min and max
+    except TypeError:
+        bad = next(p for p in positions if not hasattr(p, "__index__"))
+        raise CoxeterError(f"position {bad!r} is not an integer") from None
+    inside = set(ordered)
+    if len(inside) != len(ordered):
         raise CoxeterError("duplicate positions")
-    if inside and not (1 <= min(inside) and max(inside) <= len(word)):
+    if ordered and not (1 <= ordered[0] and ordered[-1] <= len(word)):
         raise CoxeterError("position out of range")
     return inside
 
@@ -319,20 +321,21 @@ def flip(
 ) -> tuple[Facet, int]:
     """Exchange q for the unique outside position carrying the same root.
 
-    The facet is sorted once and its one ``root_table`` walk checks the word
-    and the positions.  The partner scan is one C-level scan (``count``,
-    ``index``) of the list of root indices of the table, with the entries
-    at the facet positions set to -1, which no root has: ``count`` gives
-    the number of outside positions carrying the root of q, up to sign,
-    and ``index`` the one partner.  Only a refusal lists them, in position
-    order.  The partner is inserted into the sorted facet without q.  Only
-    spherical complexes guarantee existence and uniqueness; both are
-    checked and violations raise.  Refusals come in the order of these
-    steps: a letter out of range, duplicate positions, a position out of
-    range, then q not in the facet, then no partner or more than one.
+    The one ``root_table`` walk checks the word and the positions, then the
+    facet is sorted once.  The partner scan is one C-level scan (``count``,
+    ``index``) of the table's root indices, with the entries at the facet
+    positions set to -1, which no root has: ``count`` gives the number of
+    outside positions carrying the root of q, up to sign, and ``index`` the
+    one partner.  Only a refusal lists them, in position order.  The partner
+    is inserted into the sorted facet without q.  Only spherical complexes
+    guarantee existence and uniqueness; both are checked and violations
+    raise.  Refusals come in the order of these steps: a letter out of
+    range, a position that is no integer, duplicate positions, a position
+    out of range, then q not in the facet, then no partner or more than one.
     """
-    facet = tuple(sorted(facet))
+    facet = tuple(facet)
     roots = list(map(itemgetter(0), root_table(system, word, facet)))
+    facet = tuple(sorted(facet))
     if q not in facet:
         raise CoxeterError(f"position {q} is not in the facet")
     wanted = roots[q - 1]
@@ -376,97 +379,94 @@ def facet_counts(
     moves on to u*s (s joins the complement).  The tail is swept backwards
     from target: G(u) counts the ascending continuations from u to target;
     reading the tail right to left, at a letter s the count of a v with
-    descent s also moves on to v*s.  A u with ascent s is never some u'*s
-    with descent s, and the other way round, so each table is updated in
-    place.  The count is the sum of F(u) * G(u).  Each table holds at most
-    |W| = prod(degrees) states, checked against ``MAX_FACES`` when this is
-    called, before anything is multiplied; each word is checked with
-    ``check_word`` before any table is looked up.
+    descent s also moves on to v*s.  The count is the sum of F(u) * G(u).
+    Each table holds at most |W| = prod(degrees) states, checked against
+    ``MAX_FACES`` when this is called, before anything is multiplied; each
+    word is checked with ``check_word`` before any table is looked up.
 
-    Group elements are numbered as a sweep first reaches them, and each move
-    u -> u*s is stored with its inverse once it is known, so a letter step
-    is a list lookup.  The numbers, the moves and the half tables carry over
-    from word to word: a half table is kept under its half-word, for every
-    later word with that head or tail, as long as the kept tables hold at
-    most ``MAX_FACES`` counts in all.
+    Both sweeps step on one ``_Numbering`` per call, which numbers elements
+    as reached and stores each move with its inverse, v for an ascent and ~v
+    for a descent; nothing is kept across calls.  Half tables are kept under
+    their half-words while the kept tables hold at most ``MAX_FACES`` counts.
     """
     check_element(system, target)
     check_budget(prod(system.degrees), MAX_FACES, system.descriptor.name(), "elements")
     return _sweep(system, words, target.image)
 
 
-def _sweep(system: CoxeterSystem, words: Iterable[Word], goal) -> Iterator[int]:
-    """``facet_counts`` past its budget check; ``goal`` is the target's image."""
-    right_multiply = system.right_multiply
-    top = system.codes[system.number_of_positive_roots]  # codes above it are negative
-    images = [system.identity.image]  # by element number; the identity is 0
-    numbers = {images[0]: 0}
-    # moves[s - 1][u]: the number v of u*s when s is an ascent of u, ~v when
-    # it is a descent, None until first needed.  The identity is no u*s with
-    # ascent s, so v > 0 marks an ascent and a negative entry a descent.
-    moves = [[None] for _ in range(system.rank)]
+class _Numbering:
+    """Group elements numbered as they are reached: ``images[v]`` is the image
+    of element v, ``numbers`` maps it back, and the identity is 0.
+    ``moves[s - 1][u]`` is v, the number of u*s, when s is an ascent of u, ~v
+    when it is a descent, and None until needed; each move is stored with its
+    inverse, so each (element, letter) pair is multiplied at most once.  The
+    identity is no u*s with ascent s, so no entry is 0."""
 
-    def number(image) -> int:
-        v = numbers.get(image)
+    def __init__(self, system: CoxeterSystem):
+        self.right_multiply = system.right_multiply
+        self.top = system.codes[system.number_of_positive_roots]  # codes above it are negative
+        self.images = [system.identity.image]
+        self.numbers = {self.images[0]: 0}
+        self.moves = [[None] for _ in range(system.rank)]
+
+    def number(self, image) -> int:
+        v = self.numbers.get(image)
         if v is None:
-            v = numbers[image] = len(images)
-            images.append(image)
-            for row in moves:
+            v = self.numbers[image] = len(self.images)
+            self.images.append(image)
+            for row in self.moves:
                 row.append(None)
         return v
 
-    def move(u: int, s: int) -> int:
-        image = images[u]
-        v = number(right_multiply(image, s))
-        row = moves[s - 1]
-        if image[s:s + 1] <= top:
+    def move(self, u: int, s: int, row: list) -> int:  # row is moves[s - 1]
+        image = self.images[u]
+        v = self.number(self.right_multiply(image, s))
+        if image[s:s + 1] <= self.top:
             row[u], row[v] = v, ~u
         else:
             row[u], row[v] = ~v, u
         return row[u]
 
-    def head_table(letters) -> dict[int, int]:
-        table = {0: 1}
-        for s in letters:
-            row = moves[s - 1]
-            for u in list(table):  # a u with ascent s is no u'*s: its count holds
-                v = row[u]
-                if v is None:
-                    v = move(u, s)
-                if v > 0:
-                    table[v] = table.get(v, 0) + table[u]
-        return table
+    def step(self, table: dict, s: int, forwards: bool) -> None:
+        """Apply the letter s, in place, to a dict of payloads by element
+        number, a payload being any value with ``+``: forwards each u with
+        ascent s adds its payload to u*s, backwards each v with descent s."""
+        row = self.moves[s - 1]
+        for u in list(table):  # a target of s is never a source of s
+            v = row[u]
+            if v is None:
+                v = self.move(u, s, row)
+            if v > 0 if forwards else v < 0:
+                if not forwards:
+                    v = ~v
+                table[v] = table[v] + table[u] if v in table else table[u]
 
-    def tail_table(letters) -> dict[int, int]:
-        table = {number(goal): 1}
-        for s in reversed(letters):
-            row = moves[s - 1]
-            for v in list(table):  # a v with descent s is no v'*s: its count holds
-                u = row[v]
-                if u is None:
-                    u = move(v, s)
-                if u < 0:
-                    u = ~u
-                    table[u] = table.get(u, 0) + table[v]
-        return table
 
-    heads: dict[Word, dict[int, int]] = {}
-    tails: dict[Word, dict[int, int]] = {}
+def _sweep(system: CoxeterSystem, words: Iterable[Word], goal) -> Iterator[int]:
+    """``facet_counts`` past its budget check; ``goal`` is the target's image."""
+    elements = _Numbering(system)
+    step, goal = elements.step, elements.number(goal)
+    heads, tails = {}, {}  # half tables kept by half-word
     room = MAX_FACES  # counts the kept tables may still hold
-
-    def keep(tables, half, table):
-        nonlocal room
-        if len(table) <= room:
-            tables[half] = table
-            room -= len(table)
-        return table
-
     for word in words:
         word = check_word(system, word)
         h = len(word) // 2
         head, tail = word[:h], word[h:]
-        up = heads.get(head) or keep(heads, head, head_table(head))
-        down = tails.get(tail) or keep(tails, tail, tail_table(tail))
+        up, down = heads.get(head), tails.get(tail)
+        if up is None:
+            up = {0: 1}
+            for s in head:
+                step(up, s, True)
+            if len(up) <= room:
+                heads[head] = up
+                room -= len(up)
+        if down is None:
+            down = {goal: 1}
+            for s in reversed(tail):
+                step(down, s, False)
+            if len(down) <= room:
+                tails[tail] = down
+                room -= len(down)
         if len(up) > len(down):
             up, down = down, up
         yield sum([count * down.get(u, 0) for u, count in up.items()])

@@ -308,6 +308,13 @@ def brute_reflection_tables(simple_images, encode) -> tuple:
     return tuple(encode(table) for table in tables)
 
 
+# Every family at a few ranks, the exceptional types included.
+ALL_TYPES = [
+    "A1", "A2", "A3", "A4", "B2", "B3", "B4", "D3", "D4", "D5",
+    "E6", "E7", "E8", "F4", "G2", "H3", "H4",
+    "I2(3)", "I2(4)", "I2(5)", "I2(6)", "I2(7)", "I2(8)", "I2(11)",
+]
+
 # Small groups of most families, for draws that run an exponential oracle
 # on every example.
 SMALL_TYPES = ["A1", "A2", "A3", "B2", "B3", "G2", "H3", "D4"]

@@ -54,6 +54,7 @@ from subwordlab.subword import (
     subword_complex,
 )
 from helpers import (
+    ALL_TYPES,
     CODE_EDGE_TYPES,
     brute_check_word,
     brute_closure_roots,
@@ -66,12 +67,6 @@ from helpers import (
     group_by_bfs,
     system,
 )
-
-ALL_TYPES = [
-    "A1", "A2", "A3", "A4", "B2", "B3", "B4", "D3", "D4", "D5",
-    "E6", "E7", "E8", "F4", "G2", "H3", "H4",
-    "I2(3)", "I2(4)", "I2(5)", "I2(6)", "I2(7)", "I2(8)", "I2(11)",
-]
 
 SMALL_TYPES = ["A1", "A2", "A3", "B2", "B3", "I2(5)"]
 
@@ -778,6 +773,17 @@ def test_elements_of_two_builds_of_one_type_mix():
             "generator s1.5 out of range for A2",
         ),
         (lambda a2: root_table(a2, ("1", 2), ()), "generator s'1' out of range for A2"),
+        # positions that are no integers are refused, not left outside the facet
+        (lambda a2: root_table(a2, (1, 2, 1, 2, 1), (1.5,)), "position 1.5 is not an integer"),
+        (lambda a2: flip(a2, (1, 2, 1, 2, 1), ("1", 2), 2), "position '1' is not an integer"),
+        (
+            lambda a2: is_face(a2, (1, 2, 1, 2, 1), longest_element(a2), (1.5, 2.5, 3.5)),
+            "position 1.5 is not an integer",
+        ),
+        (
+            lambda a2: link(a2, (1, 2, 1, 2, 1), longest_element(a2), (2.0,)),
+            "position 2.0 is not an integer",
+        ),
         (
             lambda a2: lr_position(a2, (1, 2), SignedRoot(5, 1)),
             "SignedRoot(root=5, sign=1) is not an almost positive root label",
@@ -796,8 +802,9 @@ def test_elements_of_two_builds_of_one_type_mix():
     ],
     ids=[
         "duplicate", "position 0", "flip", "flip duplicate", "flip position 6",
-        "flip letter before q", "letter 1.5", "letter '1'", "lr_position", "rotate",
-        "mesh", "window", "copies", "descriptor",
+        "flip letter before q", "letter 1.5", "letter '1'", "root_table position 1.5",
+        "flip position '1'", "is_face position 1.5", "link position 2.0",
+        "lr_position", "rotate", "mesh", "window", "copies", "descriptor",
     ],
 )
 def test_refusals_name_the_fault(call, message):

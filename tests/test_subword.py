@@ -1,5 +1,6 @@
 import re
 from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
 
@@ -8,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from subwordlab.coxeter import (
     CoxeterError,
+    CoxeterSystem,
+    Element,
     ResourceLimitError,
     SignedRoot,
     demazure_product,
@@ -39,6 +42,7 @@ from subwordlab.subword import (
     subword_complex,
 )
 from helpers import (
+    ALL_TYPES,
     CODE_EDGE_TYPES,
     SMALL_TYPES,
     brute_all_faces,
@@ -46,7 +50,9 @@ from helpers import (
     brute_f_vector,
     brute_facets,
     brute_flip,
+    brute_length,
     brute_minimal_nonfaces,
+    brute_right_multiply,
     brute_root_table,
     catalan,
     flip_closure,
@@ -298,6 +304,94 @@ def test_facet_counts_checks_the_group_order_when_called(monkeypatch):
     monkeypatch.setattr(e7, "right_multiply", no_sweep)
     with pytest.raises(ResourceLimitError, match=r"^E7 has 2903040 elements"):
         facet_counts(e7, [(1, 2, 1), (1, 2)], longest_element(e7))  # not even iterated
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ALL_TYPES + list(CODE_EDGE_TYPES)), st.data())
+def test_numbering_stores_each_move_with_its_inverse(name, data):
+    # half sweeps as facet_counts runs them, forwards from the identity and
+    # backwards from a drawn element, on bytes and str systems; then every
+    # stored move against the Element product and the code-by-code length
+    s = system(name)
+    elements = subword._Numbering(s)
+    letters = st.integers(1, s.rank)
+    target = element_from_word(s, data.draw(st.lists(letters, max_size=12)))
+    up, down = {0: 1}, {elements.number(target.image): 1}
+    for letter in data.draw(st.lists(letters, max_size=8)):
+        elements.step(up, letter, True)
+    for letter in data.draw(st.lists(letters, max_size=8)):
+        elements.step(down, letter, False)
+    images, numbers = elements.images, elements.numbers
+    assert images[0] == s.identity.image
+    assert len(numbers) == len(images)
+    assert all(numbers[image] == v for v, image in enumerate(images))
+    lengths = [brute_length(s, Element(s, image)) for image in images]
+    for t, row in enumerate(elements.moves, start=1):
+        assert len(row) == len(images)
+        for u, entry in enumerate(row):
+            if entry is None:
+                continue
+            ascent = entry >= 0
+            v = entry if ascent else ~entry
+            assert images[v] == brute_right_multiply(s, images[u], t)
+            assert lengths[v] == lengths[u] + (1 if ascent else -1)
+            assert row[v] == (~u if ascent else u)
+
+
+def test_numbering_steps_any_payload_with_plus():
+    # Fraction payloads sweep to the int counts scaled, both ways; the whole
+    # word swept either way counts the facets
+    d4 = system("D4")
+    word = multi_cluster_word(d4, (1, 2, 3, 4), 1)
+    elements = subword._Numbering(d4)
+    goal = elements.number(longest_element(d4).image)
+    for start, letters, forwards, end in ((0, word, True, goal), (goal, word[::-1], False, 0)):
+        counts, thirds = {start: 1}, {start: Fraction(1, 3)}
+        for letter in letters:
+            elements.step(counts, letter, forwards)
+            elements.step(thirds, letter, forwards)
+        assert thirds == {u: Fraction(count, 3) for u, count in counts.items()}
+        assert counts[end] == facet_count(d4, word, longest_element(d4)) == 50
+
+
+def test_facet_counts_multiply_each_move_once_per_call(monkeypatch):
+    # each (element, letter) pair is multiplied at most once in a call, as
+    # each move is stored with its inverse, and a second call multiplies
+    # again, since nothing is kept across calls
+    a3 = CoxeterSystem("A3")
+    multiply, calls = a3.right_multiply, []
+
+    def counting(image, t):
+        calls.append(t)
+        return multiply(image, t)
+
+    monkeypatch.setattr(a3, "right_multiply", counting)
+    w0 = longest_element(a3)
+    words = list(iter_all_words(a3, 6))
+    counts = list(facet_counts(a3, words, w0))
+    first = len(calls)
+    assert 0 < first <= 24 * 3 // 2
+    assert list(facet_counts(a3, words, w0)) == counts
+    assert len(calls) == 2 * first
+
+
+def test_positions_take_any_integer_type():
+    # bools and other types with __index__ are the positions they stand for
+    class Position:
+        def __init__(self, p):
+            self.p = p
+
+        def __index__(self):
+            return self.p
+
+    a2 = system("A2")
+    w0 = longest_element(a2)
+    for facet in ((True, 2), (Position(1), Position(2))):
+        assert root_table(a2, PENTAGON, facet) == root_table(a2, PENTAGON, (1, 2))
+        assert is_face(a2, PENTAGON, w0, facet)
+        assert not is_face(a2, PENTAGON, w0, (facet[0], Position(3)))
+        assert link(a2, PENTAGON, w0, facet) == link(a2, PENTAGON, w0, (1, 2))
+    assert flip(a2, PENTAGON, (True, 2), 2) == flip(a2, PENTAGON, (1, 2), 2)
 
 
 def test_facet_counts_checks_each_word_before_sweeping_it():
