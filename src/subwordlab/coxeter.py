@@ -43,8 +43,8 @@ one-code slices, not single items, and uses only ``ord``, ``find``,
 ``translate``, ``maketrans`` and comparisons.  A one-code slice above
 ``codes[N]`` is a negative root.  The one exception is the root walk of
 ``subword``, which reads single items of an image and of a generator's
-table: ints on ``bytes`` systems, one-character strs that ``ord`` reads on
-``str`` ones.
+table, in one loop per encoding chosen once per walk: ints on ``bytes``
+systems, one-character strs that ``ord`` reads on ``str`` ones.
 There a one-code slice costs about a quarter more walk time.
 
 Conventions:

@@ -25,11 +25,13 @@ is counted without being pushed.  ``flip`` and ``root_table`` stay the
 public single-facet calls.  The ``root_table`` walk carries the image of
 the prefix and at most one complement letter not yet multiplied in, reads
 each root from them by index, and does one ``translate`` per two
-complement letters; it checks the word by one C-level pass over its
-letters (``check_word``) and reads the positions as one set of ints
-(``operator.index``).  One flip is one walk, one sort of the facet, one
-C-level scan (``count``, ``index``) of the table's root indices, facet
-entries set to -1, for the partner, and one insertion of the partner.
+complement letters, in one loop per encoding (``bytes`` or ``str``), so
+no position tests the encoding; it checks the word by one C-level pass
+over its letters (``check_word``) and reads the positions as one set of
+ints (``operator.index``).  One flip is one walk, one sort of the facet,
+one ``index`` of q in it, one C-level scan (``count``, ``index``) of the
+table's root indices, facet entries set to -1, for the partner, and one
+insertion of the partner.
 
 ``facet_counts`` counts the facets on words without finding them, under a
 budget of |W| <= ``MAX_FACES`` states checked before it starts: a head
@@ -79,6 +81,8 @@ from .coxeter import (
 MAX_FACES = 10**6
 
 Facet = tuple  # of 1-based positions, sorted ascending
+
+_root_index = itemgetter(0)  # SignedRoot.root
 
 
 def _position_set(word: Word, positions) -> set:
@@ -271,29 +275,43 @@ def _root_walk(system: CoxeterSystem, word: Word, inside: set, names) -> list:
     of a prefix w and at most one pending letter t not multiplied in yet.
     The root r(I, p) = (w*t)(alpha_s) = w(t(alpha_s)) is entry t(alpha_s)
     of w's image: entry s of the table of t, then one index into the image
-    (with nothing pending, entry s of the image).  Items are ints on
-    ``bytes`` systems and one-character strs that ``ord`` reads on ``str``
-    ones.  At a complement letter s with t pending, the prefix becomes
-    w*t*s: one ``translate`` of ``CoxeterSystem.pair_cuts[t][s]``, the
-    table of t*s cut to its 2N + 1 codes, and the fixed tail.  With nothing
-    pending, s becomes pending; a letter still pending at the end is never
-    read, so it is never multiplied in.  That is one ``translate`` per two
-    complement letters.
+    (with nothing pending, entry s of the image).  At a complement letter s
+    with t pending, the prefix becomes w*t*s: one ``translate`` of
+    ``CoxeterSystem.pair_cuts[t][s]``, the table of t*s cut to its 2N + 1
+    codes, and the fixed tail.  With nothing pending, s becomes pending; a
+    letter still pending at the end is never read, so it is never
+    multiplied in.  That is one ``translate`` per two complement letters.
+
+    There is one loop per encoding, chosen once per walk, so no read tests
+    the encoding: on ``bytes`` systems an item is its code, an int; on
+    ``str`` systems it is a one-character str, which the second loop reads
+    through ``ord``.
     """
     cuts, pairs, tail = system.cuts, system.pair_cuts, system.tail
     w = system.identity.image
-    as_bytes = isinstance(w, bytes)
     out = []
     append = out.append
     t = 0  # the pending complement letter, 0 for none
-    for p, s in enumerate(word, start=1):
-        if t:  # r(I, p) = w(t(alpha_s))
-            append(names[w[cuts[t][s]] if as_bytes else ord(w[ord(cuts[t][s])])])
+    if isinstance(w, bytes):
+        for p, s in enumerate(word, start=1):
+            if t:  # r(I, p) = w(t(alpha_s))
+                append(names[w[cuts[t][s]]])
+                if p not in inside:
+                    w = pairs[t][s].translate(w) + tail
+                    t = 0
+            else:
+                append(names[w[s]])
+                if p not in inside:
+                    t = s
+        return out
+    for p, s in enumerate(word, start=1):  # str codes, read through ord
+        if t:
+            append(names[ord(w[ord(cuts[t][s])])])
             if p not in inside:
                 w = pairs[t][s].translate(w) + tail
                 t = 0
         else:
-            append(names[w[s] if as_bytes else ord(w[s])])
+            append(names[ord(w[s])])
             if p not in inside:
                 t = s
     return out
@@ -322,7 +340,8 @@ def flip(
     """Exchange q for the unique outside position carrying the same root.
 
     The one ``root_table`` walk checks the word and the positions, then the
-    facet is sorted once.  The partner scan is one C-level scan (``count``,
+    facet is sorted once and q, read through ``operator.index``, is found in
+    it by one ``index``.  The partner scan is one C-level scan (``count``,
     ``index``) of the table's root indices, with the entries at the facet
     positions set to -1, which no root has: ``count`` gives the number of
     outside positions carrying the root of q, up to sign, and ``index`` the
@@ -331,13 +350,20 @@ def flip(
     guarantee existence and uniqueness; both are checked and violations
     raise.  Refusals come in the order of these steps: a letter out of
     range, a position that is no integer, duplicate positions, a position
-    out of range, then q not in the facet, then no partner or more than one.
+    out of range, then a q that is no integer, q not in the facet, then no
+    partner or more than one.
     """
     facet = tuple(facet)
-    roots = list(map(itemgetter(0), root_table(system, word, facet)))
+    roots = list(map(_root_index, root_table(system, word, facet)))
     facet = tuple(sorted(facet))
-    if q not in facet:
-        raise CoxeterError(f"position {q} is not in the facet")
+    try:
+        q = as_int(q)
+    except TypeError:
+        raise CoxeterError(f"position {q!r} is not an integer") from None
+    try:
+        i = facet.index(q)
+    except ValueError:
+        raise CoxeterError(f"position {q} is not in the facet") from None
     wanted = roots[q - 1]
     for p in facet:
         roots[p - 1] = -1
@@ -352,7 +378,6 @@ def flip(
             " (flips need a facet of a spherical complex)"
         )
     q_new = roots.index(wanted) + 1
-    i = facet.index(q)
     rest = facet[:i] + facet[i + 1:]
     j = bisect_right(rest, q_new)
     return rest[:j] + (q_new,) + rest[j:], q_new

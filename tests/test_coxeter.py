@@ -776,6 +776,9 @@ def test_elements_of_two_builds_of_one_type_mix():
         # positions that are no integers are refused, not left outside the facet
         (lambda a2: root_table(a2, (1, 2, 1, 2, 1), (1.5,)), "position 1.5 is not an integer"),
         (lambda a2: flip(a2, (1, 2, 1, 2, 1), ("1", 2), 2), "position '1' is not an integer"),
+        # q is read as an integer before it is looked up in the facet
+        (lambda a2: flip(a2, (1, 2, 1, 2, 1), (1, 2), 2.0), "position 2.0 is not an integer"),
+        (lambda a2: flip(a2, (1, 2, 1, 2, 1), (1, 2), "2"), "position '2' is not an integer"),
         (
             lambda a2: is_face(a2, (1, 2, 1, 2, 1), longest_element(a2), (1.5, 2.5, 3.5)),
             "position 1.5 is not an integer",
@@ -803,7 +806,8 @@ def test_elements_of_two_builds_of_one_type_mix():
     ids=[
         "duplicate", "position 0", "flip", "flip duplicate", "flip position 6",
         "flip letter before q", "letter 1.5", "letter '1'", "root_table position 1.5",
-        "flip position '1'", "is_face position 1.5", "link position 2.0",
+        "flip position '1'", "flip q 2.0", "flip q '2'", "is_face position 1.5",
+        "link position 2.0",
         "lr_position", "rotate", "mesh", "window", "copies", "descriptor",
     ],
 )

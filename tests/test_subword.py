@@ -392,6 +392,8 @@ def test_positions_take_any_integer_type():
         assert not is_face(a2, PENTAGON, w0, (facet[0], Position(3)))
         assert link(a2, PENTAGON, w0, facet) == link(a2, PENTAGON, w0, (1, 2))
     assert flip(a2, PENTAGON, (True, 2), 2) == flip(a2, PENTAGON, (1, 2), 2)
+    assert flip(a2, PENTAGON, (1, 2), True) == flip(a2, PENTAGON, (1, 2), 1)
+    assert flip(a2, PENTAGON, (1, 2), Position(2)) == flip(a2, PENTAGON, (1, 2), 2)
 
 
 def test_facet_counts_checks_each_word_before_sweeping_it():
@@ -642,7 +644,10 @@ def test_root_table_matches_the_oracle_on_any_positions(name, data):
     assert root_table(s, word, positions) == brute_root_table(s, word, positions)
 
 
-@pytest.mark.parametrize("name", ["E7", "I2(127)", "I2(128)", "A16"])
+# 2N + 1 codes: the bytes loop runs on H4 (121), E7 (127), E8 (241) and
+# I2(127) (255, the most of any byte-coded type), the str loop on I2(128) (257)
+# and A16 (273)
+@pytest.mark.parametrize("name", ["H4", "E7", "E8", "I2(127)", "I2(128)", "A16"])
 @pytest.mark.parametrize(
     "length, positions",
     [
