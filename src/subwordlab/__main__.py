@@ -1,0 +1,8 @@
+"""``python -m subwordlab``: the ``subwordlab`` command."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

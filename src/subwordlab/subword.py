@@ -28,10 +28,10 @@ each root from them by index, and does one ``translate`` per two
 complement letters, in one loop per encoding (``bytes`` or ``str``), so
 no position tests the encoding; it checks the word by one C-level pass
 over its letters (``check_word``) and reads the positions as one set of
-ints (``operator.index``).  One flip is one walk, one sort of the facet,
-one ``index`` of q in it, one C-level scan (``count``, ``index``) of the
-table's root indices, facet entries set to -1, for the partner, and one
-insertion of the partner.
+ints (``operator.index``).  One flip is one walk, one sorted list of the
+facet's positions as ints, one ``index`` of q in it, one C-level scan
+(``count``, ``index``) of the table's root indices, facet entries set to
+-1, for the partner, and one re-sort with the partner in q's slot.
 
 ``facet_counts`` counts the facets on words without finding them, under a
 budget of |W| <= ``MAX_FACES`` states checked before it starts: a head
@@ -339,23 +339,23 @@ def flip(
 ) -> tuple[Facet, int]:
     """Exchange q for the unique outside position carrying the same root.
 
-    The one ``root_table`` walk checks the word and the positions, then the
-    facet is sorted once and q, read through ``operator.index``, is found in
-    it by one ``index``.  The partner scan is one C-level scan (``count``,
-    ``index``) of the table's root indices, with the entries at the facet
-    positions set to -1, which no root has: ``count`` gives the number of
-    outside positions carrying the root of q, up to sign, and ``index`` the
-    one partner.  Only a refusal lists them, in position order.  The partner
-    is inserted into the sorted facet without q.  Only spherical complexes
-    guarantee existence and uniqueness; both are checked and violations
-    raise.  Refusals come in the order of these steps: a letter out of
-    range, a position that is no integer, duplicate positions, a position
-    out of range, then a q that is no integer, q not in the facet, then no
-    partner or more than one.
+    The one ``root_table`` walk checks the word and the positions; then the
+    facet and q are read through ``operator.index`` as ints, the facet into
+    one sorted list, where one ``index`` finds q.  The partner scan is one
+    C-level scan (``count``, ``index``) of the table's root indices with the
+    facet entries set to -1, which no root has: ``count`` gives the number
+    of outside positions carrying the root of q, up to sign, and ``index``
+    the one partner; only a refusal lists them, in position order.  The
+    partner takes q's slot and the list is sorted again, so the result is
+    ints.  Only spherical complexes guarantee existence and uniqueness;
+    both are checked and violations raise.  Refusals come in the order of
+    these steps: a letter out of range, a position that is no integer,
+    duplicate positions, a position out of range, then a q that is no
+    integer, q not in the facet, then no partner or more than one.
     """
     facet = tuple(facet)
     roots = list(map(_root_index, root_table(system, word, facet)))
-    facet = tuple(sorted(facet))
+    facet = sorted(map(as_int, facet))
     try:
         q = as_int(q)
     except TypeError:
@@ -377,10 +377,9 @@ def flip(
             f"cannot flip position {q}: {where} its root"
             " (flips need a facet of a spherical complex)"
         )
-    q_new = roots.index(wanted) + 1
-    rest = facet[:i] + facet[i + 1:]
-    j = bisect_right(rest, q_new)
-    return rest[:j] + (q_new,) + rest[j:], q_new
+    facet[i] = q_new = roots.index(wanted) + 1
+    facet.sort()
+    return tuple(facet), q_new
 
 
 def facet_count(system: CoxeterSystem, word: Word, target: Element) -> int:

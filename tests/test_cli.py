@@ -739,6 +739,29 @@ def test_cli_closed_pipe_is_not_an_error(argv, unbuffered):
     assert err == b""
 
 
+def test_python_m_subwordlab_runs_the_cli(capsys):
+    # `python -m subwordlab` is the `subwordlab` command: same output, same
+    # exit code
+    env = dict(os.environ, PYTHONPATH=str(Path(subwordlab.__file__).parents[1]))
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "subwordlab", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    def untimed(out):
+        return [line for line in out.splitlines() if '"elapsed_ms"' not in line]
+
+    proc = run("sort", "--type", "A3", "--json")
+    assert proc.returncode == main(["sort", "--type", "A3", "--json"]) == 0
+    assert untimed(proc.stdout) == untimed(capsys.readouterr().out)
+    proc = run("complex", "facets", "--type", "A16")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: A16 with k=1 has ")
+
+
 def test_cli_unwritable_dot_path_is_an_error(tmp_path, capsys):
     target = tmp_path / "missing" / "flips.dot"
     assert main(["flipgraph", "--type", "A2", "--dot", str(target)]) == 2

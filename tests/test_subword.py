@@ -391,7 +391,17 @@ def test_positions_take_any_integer_type():
         assert is_face(a2, PENTAGON, w0, facet)
         assert not is_face(a2, PENTAGON, w0, (facet[0], Position(3)))
         assert link(a2, PENTAGON, w0, facet) == link(a2, PENTAGON, w0, (1, 2))
-    assert flip(a2, PENTAGON, (True, 2), 2) == flip(a2, PENTAGON, (1, 2), 2)
+    # flip returns the ints root_table checked, not the caller's objects
+    # (True == 1, so only the types tell a bool apart)
+    expected = flip(a2, PENTAGON, (1, 2), 2)
+    assert expected == ((1, 5), 5)
+    flipped, partner = flip(a2, PENTAGON, (True, 2), 2)
+    assert (flipped, partner) == expected
+    assert all(type(p) is int for p in (*flipped, partner))
+    # positions with __index__ and no order, and a facet given as an iterator
+    unordered = (Position(1), Position(2)), (Position(2), Position(1))
+    for facet in (*unordered, iter((1, 2))):
+        assert flip(a2, PENTAGON, facet, 2) == expected
     assert flip(a2, PENTAGON, (1, 2), True) == flip(a2, PENTAGON, (1, 2), 1)
     assert flip(a2, PENTAGON, (1, 2), Position(2)) == flip(a2, PENTAGON, (1, 2), 2)
 
