@@ -63,6 +63,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product, repeat
+from operator import index
 from typing import Iterator, NamedTuple
 
 from .ring import GoldenInt
@@ -92,6 +93,17 @@ def check_budget(count: int, limit: int, subject: str, things: str, shown=None) 
         raise ResourceLimitError(
             f"{subject} has {shown or count} {things}, more than the limit of {limit}"
         )
+
+
+def _read_int(value, name: str) -> int:
+    """``value`` as an int, through ``operator.index`` (``True`` is 1), or a
+    ``CoxeterError`` naming the argument and the value ("k 1.5 is not an
+    integer").  Every count, cap and index a public call takes is read here
+    once, at entry; the flip path reads its positions inline."""
+    try:
+        return index(value)
+    except TypeError:
+        raise CoxeterError(f"{name} {value!r} is not an integer") from None
 
 
 class SignedRoot(NamedTuple):
@@ -331,9 +343,10 @@ class Element:
 
     def apply(self, root: int, sign: int = 1) -> SignedRoot:
         """w applied to sign * beta_root; raises ``CoxeterError`` unless root
-        indexes a positive root and sign is 1 or -1."""
+        is an integer that indexes a positive root and sign is 1 or -1."""
         system = self.system
         N = system.number_of_positive_roots
+        root = _read_int(root, "root index")
         if not 0 <= root < N:
             raise CoxeterError(
                 f"root index {root} out of range for {system.descriptor.name()},"
@@ -349,6 +362,7 @@ class Element:
     def has_right_descent(self, s: int) -> bool:
         """True iff multiplying by s on the right shortens the element."""
         system = self.system
+        check_word(system, (s,))
         return self.image[s:s + 1] > system.codes[system.number_of_positive_roots]
 
 
@@ -461,6 +475,7 @@ class CoxeterSystem:
     # -- basic queries ------------------------------------------------------
 
     def commute(self, s: int, t: int) -> bool:
+        check_word(self, (s, t))
         return self.coxeter_matrix[s - 1][t - 1] == 2
 
     def right_multiply(self, image: bytes | str, s: int) -> bytes | str:
@@ -735,8 +750,12 @@ def commutation_position_map(
 
 
 def iter_all_words(system: CoxeterSystem, length_: int) -> Iterator[Word]:
-    """All n^length words of a fixed length, lexicographic order; raises
-    ``ResourceLimitError`` up front when there are more than ``MAX_WORDS``."""
+    """All n^length words of a fixed length, lexicographic order; a length
+    that is no integer, or is negative, raises ``CoxeterError``, and more
+    than ``MAX_WORDS`` words raise ``ResourceLimitError``, both up front."""
+    length_ = _read_int(length_, "length")
+    if length_ < 0:
+        raise CoxeterError("the word length must be nonnegative")
     check_budget(
         system.rank**length_, MAX_WORDS, system.descriptor.name(),
         f"words of length {length_}",

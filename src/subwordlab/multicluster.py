@@ -1,13 +1,15 @@
 """Multi-cluster complexes and their combinatorial models.
 
 Every multi-cluster word c^k w0(c) is built by ``multi_cluster_word`` and
-every multi-cluster complex by ``multi_cluster_complex``.  Covers the
-recognition of multi-cluster words up to commutations, the
-almost-positive-root labeling of the letters of c * w0(c), the induced
-compatibility relation, the next-occurrence cyclic action, the polygon
-bijections in types A and B (one rotated-seed construction), Gale-evenness
-facets in rank two, and the q-analogue of the facet-count product formula
-with its exact values at roots of unity.
+every multi-cluster complex by ``multi_cluster_complex``.  Every call that
+takes a k reads it once, at entry, through ``_read_k``, and m and the
+crossing count through ``coxeter._read_int``.  Covers the recognition of
+multi-cluster words up to commutations, the almost-positive-root labeling
+of the letters of c * w0(c), the induced compatibility relation, the
+next-occurrence cyclic action, the polygon bijections in types A and B (one
+rotated-seed construction), Gale-evenness facets in rank two, and the
+q-analogue of the facet-count product formula with its exact values at
+roots of unity.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .coxeter import (
     CoxeterSystem,
     SignedRoot,
     Word,
+    _read_int,
     check_budget,
     check_coxeter_word,
     check_word,
@@ -38,11 +41,19 @@ Diagonal = tuple  # (a, b) vertex labels, a < b
 # ---------------------------------------------------------------------------
 # Words and labels
 
+def _read_k(k) -> int:
+    """The number of copies k as an int (``coxeter._read_int``), refused
+    below 0.  Every call that takes a k reads it here once, at entry."""
+    k = _read_int(k, "k")
+    if k < 0:
+        raise CoxeterError("the number of copies must be nonnegative")
+    return k
+
+
 def multi_cluster_word(system: CoxeterSystem, cox: Word, k: int) -> Word:
     """k copies of c followed by the sorting word of the longest element."""
     cox = check_coxeter_word(system, cox)
-    if k < 0:
-        raise CoxeterError("the number of copies must be nonnegative")
+    k = _read_k(k)
     return cox * k + sorting_word_w0(system, cox).word
 
 
@@ -72,7 +83,7 @@ def recognize_multi_cluster_word(
 def count_formula_is_theorem(system: CoxeterSystem, k: int) -> bool:
     """Whether ``facet_count_formula`` counts the facets: k = 1, and types
     A, B and I2 at every k."""
-    return k == 1 or system.descriptor.family in ("A", "B", "I")
+    return _read_k(k) == 1 or system.descriptor.family in ("A", "B", "I")
 
 
 def multi_cluster_complex(system: CoxeterSystem, cox: Word, k: int) -> SubwordComplex:
@@ -86,11 +97,11 @@ def multi_cluster_complex(system: CoxeterSystem, cox: Word, k: int) -> SubwordCo
     such as A16 and E8.  ``subword_complex`` checks every other size.
     """
     check_coxeter_word(system, cox)
+    k = _read_k(k)
     n, limit = system.rank, subword.MAX_FACES
     subject = f"{system.descriptor.name()} with k={k}"
-    if k > 0:  # multi_cluster_word refuses k < 0
-        bound = comb(k + n, n)
-        check_budget(bound, limit, subject, "facets", f"at least C({k + n}, {n}) = {bound}")
+    bound = comb(k + n, n)
+    check_budget(bound, limit, subject, "facets", f"at least C({k + n}, {n}) = {bound}")
     word = multi_cluster_word(system, cox, k)
     if count_formula_is_theorem(system, k):
         check_budget(facet_count_formula(system, k), limit, subject, "facets")
@@ -197,6 +208,7 @@ def permutation_order(perm: tuple[int, ...]) -> int:
 
 def theta_order_formula(system: CoxeterSystem, k: int) -> int:
     """k + h/2 when the longest element is central, 2k + h otherwise."""
+    k = _read_k(k)
     h = system.coxeter_number
     if all(system.psi_table[s] == s + 1 for s in range(system.rank)):
         return k + h // 2
@@ -271,6 +283,7 @@ def _rotated_seeds(family: str, m: int, k: int, cox: Word) -> list[tuple[int, in
 def type_a_bijection(m: int, k: int, cox: Word) -> tuple[Diagonal, ...]:
     """Positions of the type-A multi-cluster word to diagonals of the m-gon:
     the rotated seeds, labels mod m."""
+    m, k = _read_int(m, "m"), _read_k(k)
     return tuple(_normalize_diagonal(a % m, b % m) for a, b in _rotated_seeds("A", m, k, cox))
 
 
@@ -280,6 +293,7 @@ def _normalize_diagonal(a: int, b: int) -> Diagonal:
 
 def diagonal_is_relevant(m: int, k: int, diagonal: Diagonal) -> bool:
     """At least k polygon vertices strictly on each side."""
+    m, k = _read_int(m, "m"), _read_k(k)
     a, b = diagonal
     gap = (b - a) % m
     return gap - 1 >= k and m - gap - 1 >= k
@@ -292,6 +306,7 @@ def diagonals_cross(m: int, d1: Diagonal, d2: Diagonal) -> bool:
     when one endpoint of the second lies strictly inside the first's interval
     and the other strictly outside.
     """
+    m = _read_int(m, "m")
     a, b = d1[0] % m, d1[1] % m
     if a > b:
         a, b = b, a
@@ -303,6 +318,7 @@ def diagonals_cross(m: int, d1: Diagonal, d2: Diagonal) -> bool:
 
 def contains_pairwise_crossing(m: int, count: int, diagonals) -> bool:
     """Is there a subset of ``count`` pairwise-crossing diagonals?"""
+    m, count = _read_int(m, "m"), _read_int(count, "count")
     items = list(diagonals)
     later: list[set[int]] = [set() for _ in items]  # crossing partners j > i
     for (i, d), (j, e) in combinations(enumerate(items), 2):
@@ -326,6 +342,7 @@ def type_b_bijection(m: int, k: int, cox: Word) -> tuple[frozenset, ...]:
     """Positions of the type-B multi-cluster word to symmetric diagonal pairs
     of the 2m-gon (a singleton frozenset for diameters): each rotated seed
     with its half-turn, labels mod 2m."""
+    m, k = _read_int(m, "m"), _read_k(k)
     return tuple(
         frozenset({
             _normalize_diagonal(a % (2 * m), b % (2 * m)),
@@ -348,10 +365,10 @@ def gale_facets_rank2(m: int, k: int) -> tuple[Facet, ...]:
     All C(2k + m, 2k) subsets are scanned, so more than ``MAX_FACES`` of them
     raise ``ResourceLimitError`` before the scan starts.
     """
+    m = _read_int(m, "m")
     if m < 3:
         raise CoxeterError("I2(m) needs m >= 3")
-    if k < 0:
-        raise CoxeterError("the number of copies must be nonnegative")
+    k = _read_k(k)
     count = comb(2 * k + m, 2 * k)
     check_budget(
         count, subword.MAX_FACES, f"the Gale scan for m={m}, k={k}", "subsets",
@@ -372,6 +389,7 @@ def gale_facets_rank2(m: int, k: int) -> tuple[Facet, ...]:
 def facet_count_formula(system: CoxeterSystem, k: int) -> Fraction:
     """Product over degrees: (d_i + h + 2j) / (d_i + 2j) for 0 <= j < k, as
     one fraction of two integer products."""
+    k = _read_k(k)
     h = system.coxeter_number
     bottoms = [d + 2 * j for j in range(k) for d in system.degrees]
     return Fraction(prod(b + h for b in bottoms), prod(bottoms))
@@ -403,6 +421,7 @@ def csp_polynomial(system: CoxeterSystem, k: int) -> tuple[int, ...] | None:
     factor 1 - q^b below is divided out by adding in the coefficient b
     places back, exactly when the top b coefficients come out 0.
     """
+    k = _read_k(k)
     h = system.coxeter_number
     bottoms = [d + 2 * j for j in range(k) for d in system.degrees]
     poly = [1] + [0] * (sum(bottoms) + h * len(bottoms))
@@ -442,6 +461,7 @@ def csp_fixed_point_table(
     d-th power fixes a facet exactly when d is a multiple of the length of
     its orbit (``theta_orbits_on_facets``).
     """
+    k = _read_k(k)
     order = 2 * k + system.coxeter_number
     poly = csp_polynomial(system, k)
     if poly is None:

@@ -16,6 +16,7 @@ from .coxeter import (
     CoxeterSystem,
     SignedRoot,
     Word,
+    _read_int,
     check_budget,
     check_coxeter_word,
     check_word,
@@ -54,6 +55,7 @@ def knitting_quiver(system: CoxeterSystem, word: Word, origin: int = 1) -> Quive
     s gives the arrow from that t to p.
     """
     word = check_word(system, word)
+    origin = _read_int(origin, "origin")
     labels = tuple((origin + j - 1, s) for s, j in zip(word, occurrence_indices(word)))
     latest = [-1] * (system.rank + 1)  # -1: not seen yet, below every position
     arrows = []
@@ -118,8 +120,10 @@ def repetition_window(
     block is built.
     """
     check_coxeter_word(system, cox)
+    copies = _read_int(copies, "copies")
     if copies < 1:
         raise CoxeterError("need at least one block")
+    origin = _read_int(origin, "origin")
     check_budget(
         copies * system.number_of_positive_roots, subword.MAX_FACES,
         f"{system.descriptor.name()} with {copies} copies", "vertices",

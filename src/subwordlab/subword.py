@@ -37,9 +37,10 @@ facet's positions as ints, one ``index`` of q in it, one C-level scan
 budget of |W| <= ``MAX_FACES`` states checked before it starts: a head
 swept forwards from the identity meets a tail swept backwards from the
 target.  One ``_Numbering`` per call numbers the elements as they are
-reached and stores each move u -> u*s with its inverse, v for an ascent and
-~v for a descent; its one step applies a letter to a dict of payloads,
-forwards by ascents or backwards by descents.
+reached, keeping each by the first 2N + 1 codes of its image, and stores
+each move u -> u*s with its inverse, v for an ascent and ~v for a descent;
+its one step applies a letter to a dict of payloads, forwards by ascents or
+backwards by descents.
 
 Face counts never materialise the faces: the kernel counts the h-vector of
 the lexicographic shelling while it enumerates, from the signs of the roots
@@ -70,6 +71,7 @@ from .coxeter import (
     Element,
     SignedRoot,
     Word,
+    _read_int,
     check_budget,
     check_element,
     check_word,
@@ -420,20 +422,27 @@ def facet_counts(
 
 class _Numbering:
     """Group elements numbered as they are reached: ``images[v]`` is the image
-    of element v, ``numbers`` maps it back, and the identity is 0.
-    ``moves[s - 1][u]`` is v, the number of u*s, when s is an ascent of u, ~v
-    when it is a descent, and None until needed; each move is stored with its
-    inverse, so each (element, letter) pair is multiplied at most once.  The
-    identity is no u*s with ascent s, so no entry is 0."""
+    of element v cut to its first 2N + 1 codes, the ones that vary (every
+    element fixes the codes past 2N, ``CoxeterSystem.tail``), ``numbers``
+    maps it back, and the identity is 0.  ``moves[s - 1][u]`` is v, the
+    number of u*s, when s is an ascent of u, ~v when it is a descent, and
+    None until needed; each move is stored with its inverse, so each
+    (element, letter) pair is multiplied at most once.  The identity is no
+    u*s with ascent s, so no entry is 0."""
 
     def __init__(self, system: CoxeterSystem):
         self.right_multiply = system.right_multiply
+        self.tail = system.tail
+        self.cut = 2 * system.number_of_positive_roots + 1
         self.top = system.codes[system.number_of_positive_roots]  # codes above it are negative
-        self.images = [system.identity.image]
-        self.numbers = {self.images[0]: 0}
-        self.moves = [[None] for _ in range(system.rank)]
+        self.images = []
+        self.numbers = {}
+        self.moves = [[] for _ in range(system.rank)]
+        self.number(system.identity.image)
 
     def number(self, image) -> int:
+        """The number of the element with the whole image ``image``."""
+        image = image[:self.cut]
         v = self.numbers.get(image)
         if v is None:
             v = self.numbers[image] = len(self.images)
@@ -444,7 +453,7 @@ class _Numbering:
 
     def move(self, u: int, s: int, row: list) -> int:  # row is moves[s - 1]
         image = self.images[u]
-        v = self.number(self.right_multiply(image, s))
+        v = self.number(self.right_multiply(image + self.tail, s))
         if image[s:s + 1] <= self.top:
             row[u], row[v] = v, ~u
         else:
@@ -662,6 +671,8 @@ def all_faces(
     facets, vertices = complex_.facets, complex_.vertices
     if max_size is None:
         max_size = complex_.facet_size()
+    else:
+        max_size = _read_int(max_size, "max_size")
     if not facets or max_size < 0:
         return frozenset()
     check_budget(
@@ -715,6 +726,7 @@ def minimal_nonfaces(complex_: SubwordComplex, max_size: int) -> tuple[Facet, ..
     default, no face has max_size positions anyway, so every face is built
     and counts against the budget.
     """
+    max_size = _read_int(max_size, "max_size")
     faces = all_faces(complex_, max_size - 1)
     bitsets = complex_.facet_bitsets
     out: list[Facet] = []

@@ -42,11 +42,27 @@ from subwordlab.coxeter import (
     psi_word,
     reduced_word,
 )
-from subwordlab.multicluster import lr_position, multi_cluster_word
+from subwordlab.multicluster import (
+    contains_pairwise_crossing,
+    count_formula_is_theorem,
+    csp_fixed_point_table,
+    csp_polynomial,
+    diagonal_is_relevant,
+    diagonals_cross,
+    facet_count_formula,
+    gale_facets_rank2,
+    lr_position,
+    multi_cluster_word,
+    theta_orbits_on_facets,
+    theta_order_formula,
+    type_b_bijection,
+)
 from subwordlab.quivers import check_mesh_relation, knitting_quiver, repetition_window
 from subwordlab.sorting import rotate_word, sorting_word
 from subwordlab.subword import (
+    all_faces,
     facet_counts,
+    minimal_nonfaces,
     flip,
     is_face,
     reduce_to_w0,
@@ -515,6 +531,20 @@ def test_length_changes_by_one(name, data):
         assert abs((w * s.generators[t - 1]).length() - w.length()) == 1
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SMALL_TYPES + ["D4", "F4", "I2(128)"]), st.data())
+def test_letter_queries_against_generator_products(name, data):
+    # a right descent shortens the element, and two letters commute when
+    # they are distinct and their generators do
+    s = system(name)
+    letters = st.integers(1, s.rank)
+    w = element_from_word(s, data.draw(st.lists(letters, max_size=10)))
+    t, u = data.draw(letters), data.draw(letters)
+    g, h = s.generators[t - 1], s.generators[u - 1]
+    assert w.has_right_descent(t) == ((w * g).length() < w.length())
+    assert s.commute(t, u) == (t != u and g * h == h * g)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(["A1", "B3", "D4", "E8", "F4", "G2", "H4", "I2(7)"]), st.data())
 def test_right_multiply_is_the_generator_product(name, data):
@@ -802,6 +832,14 @@ def test_elements_of_two_builds_of_one_type_mix():
             "the number of copies must be nonnegative",
         ),
         (lambda a2: parse_descriptor("A3(5)"), "only I2 takes a parenthesised order: 'A3(5)'"),
+        # the letter queries read their letters through check_word, not as
+        # table offsets
+        (lambda a2: a2.identity.has_right_descent(99), "generator s99 out of range for A2"),
+        (lambda a2: a2.identity.has_right_descent(0), "generator s0 out of range for A2"),
+        (lambda a2: a2.commute(0, 1), "generator s0 out of range for A2"),
+        (lambda a2: a2.commute(3, 1), "generator s3 out of range for A2"),
+        (lambda a2: a2.commute(1, 1.5), "generator s1.5 out of range for A2"),
+        (lambda a2: iter_all_words(a2, -1), "the word length must be nonnegative"),
     ],
     ids=[
         "duplicate", "position 0", "flip", "flip duplicate", "flip position 6",
@@ -809,12 +847,75 @@ def test_elements_of_two_builds_of_one_type_mix():
         "flip position '1'", "flip q 2.0", "flip q '2'", "is_face position 1.5",
         "link position 2.0",
         "lr_position", "rotate", "mesh", "window", "copies", "descriptor",
+        "descent 99", "descent 0", "commute 0", "commute 3", "commute 1.5", "length -1",
     ],
 )
 def test_refusals_name_the_fault(call, message):
     with pytest.raises(CoxeterError) as caught:
         call(system("A2"))
     assert str(caught.value) == message
+
+
+# Every public call that takes a count, cap or index, as (the argument's
+# name in the refusal, the call with that argument left free)
+_COUNT_CALLS = {
+    "multi_cluster_word k": ("k", lambda a2, k: multi_cluster_word(a2, (1, 2), k)),
+    "multi_cluster_complex k": ("k", lambda a2, k: multi_cluster_complex(a2, (1, 2), k)),
+    "theta_permutation k": ("k", lambda a2, k: theta_permutation(a2, (1, 2), k)),
+    "theta_orbits_on_facets k": ("k", lambda a2, k: theta_orbits_on_facets(a2, (1, 2), k)),
+    "count_formula_is_theorem k": ("k", lambda a2, k: count_formula_is_theorem(a2, k)),
+    "theta_order_formula k": ("k", lambda a2, k: theta_order_formula(a2, k)),
+    "facet_count_formula k": ("k", lambda a2, k: facet_count_formula(a2, k)),
+    "csp_polynomial k": ("k", lambda a2, k: csp_polynomial(a2, k)),
+    "csp_fixed_point_table k": ("k", lambda a2, k: csp_fixed_point_table(a2, (1, 2), k)),
+    "gale_facets_rank2 k": ("k", lambda a2, k: gale_facets_rank2(5, k)),
+    "type_a_bijection k": ("k", lambda a2, k: type_a_bijection(5, k, (1, 2))),
+    "type_b_bijection k": ("k", lambda a2, k: type_b_bijection(4, k, (1, 2, 3))),
+    "diagonal_is_relevant k": ("k", lambda a2, k: diagonal_is_relevant(7, k, (0, 3))),
+    "gale_facets_rank2 m": ("m", lambda a2, m: gale_facets_rank2(m, 1)),
+    "type_a_bijection m": ("m", lambda a2, m: type_a_bijection(m, 2, (1, 2))),
+    "type_b_bijection m": ("m", lambda a2, m: type_b_bijection(m, 2, (1, 2, 3))),
+    "diagonal_is_relevant m": ("m", lambda a2, m: diagonal_is_relevant(m, 1, (0, 3))),
+    "diagonals_cross m": ("m", lambda a2, m: diagonals_cross(m, (0, 2), (1, 3))),
+    "contains_pairwise_crossing m": (
+        "m", lambda a2, m: contains_pairwise_crossing(m, 2, [(0, 2), (1, 3)]),
+    ),
+    "contains_pairwise_crossing count": (
+        "count", lambda a2, c: contains_pairwise_crossing(8, c, [(0, 2), (1, 3)]),
+    ),
+    "all_faces max_size": (
+        "max_size", lambda a2, c: all_faces(subword_complex(a2, (1, 2, 1, 2, 1)), c),
+    ),
+    "minimal_nonfaces max_size": (
+        "max_size", lambda a2, c: minimal_nonfaces(subword_complex(a2, (1, 2, 1, 2, 1)), c),
+    ),
+    "repetition_window copies": ("copies", lambda a2, c: repetition_window(a2, (1, 2), c)),
+    "repetition_window origin": ("origin", lambda a2, o: repetition_window(a2, (1, 2), 2, o)),
+    "knitting_quiver origin": ("origin", lambda a2, o: knitting_quiver(a2, (1, 2, 1), o)),
+    "iter_all_words length": ("length", lambda a2, n: iter_all_words(a2, n)),
+    "Element.apply root": ("root index", lambda a2, r: a2.identity.apply(r)),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, "1"])
+@pytest.mark.parametrize("row", list(_COUNT_CALLS))
+def test_counts_that_are_no_integers_are_refused_by_name(row, value):
+    arg, call = _COUNT_CALLS[row]
+    with pytest.raises(CoxeterError) as caught:
+        call(system("A2"), value)
+    assert str(caught.value) == f"{arg} {value!r} is not an integer"
+
+
+@pytest.mark.parametrize("row", [row for row, (arg, _) in _COUNT_CALLS.items() if arg == "k"])
+def test_k_reads_as_a_nonnegative_int(row):
+    # True is 1, like every other integer type, and every call that takes
+    # a k refuses a negative one
+    _, call = _COUNT_CALLS[row]
+    a2 = system("A2")
+    assert call(a2, True) == call(a2, 1)
+    with pytest.raises(CoxeterError) as caught:
+        call(a2, -1)
+    assert str(caught.value) == "the number of copies must be nonnegative"
 
 
 def _results_on(kind):

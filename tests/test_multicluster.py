@@ -850,7 +850,8 @@ def test_multi_cluster_budget_trusts_only_formulas_that_are_theorems(monkeypatch
 
 
 @pytest.mark.parametrize(
-    "name, k, count", [("D4", 30, 8011702528984), ("D6", 3, 8789152), ("E6", 3, 20048353)]
+    "name, k, count",
+    [("D4", 30, 8011702528984), ("D6", 3, 8789152), ("E6", 3, 20048353), ("D7", 2, 1434576)],
 )
 def test_exact_count_refuses_before_the_search(monkeypatch, name, k, count):
     # the count formula is no theorem here, but |W| fits the budget, so

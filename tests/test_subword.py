@@ -311,7 +311,9 @@ def test_facet_counts_checks_the_group_order_when_called(monkeypatch):
 def test_numbering_stores_each_move_with_its_inverse(name, data):
     # half sweeps as facet_counts runs them, forwards from the identity and
     # backwards from a drawn element, on bytes and str systems; then every
-    # stored move against the Element product and the code-by-code length
+    # stored move against the Element product and the code-by-code length.
+    # Each element is kept by its first 2N + 1 codes, which the fixed codes
+    # past 2N (the tail) complete to its whole image
     s = system(name)
     elements = subword._Numbering(s)
     letters = st.integers(1, s.rank)
@@ -322,10 +324,13 @@ def test_numbering_stores_each_move_with_its_inverse(name, data):
     for letter in data.draw(st.lists(letters, max_size=8)):
         elements.step(down, letter, False)
     images, numbers = elements.images, elements.numbers
-    assert images[0] == s.identity.image
+    whole = [image + s.tail for image in images]
+    assert all(len(image) == 2 * s.number_of_positive_roots + 1 for image in images)
+    assert whole[0] == s.identity.image
+    assert target.image in whole
     assert len(numbers) == len(images)
     assert all(numbers[image] == v for v, image in enumerate(images))
-    lengths = [brute_length(s, Element(s, image)) for image in images]
+    lengths = [brute_length(s, Element(s, image)) for image in whole]
     for t, row in enumerate(elements.moves, start=1):
         assert len(row) == len(images)
         for u, entry in enumerate(row):
@@ -333,7 +338,7 @@ def test_numbering_stores_each_move_with_its_inverse(name, data):
                 continue
             ascent = entry >= 0
             v = entry if ascent else ~entry
-            assert images[v] == brute_right_multiply(s, images[u], t)
+            assert whole[v] == brute_right_multiply(s, whole[u], t)
             assert lengths[v] == lengths[u] + (1 if ascent else -1)
             assert row[v] == (~u if ascent else u)
 
@@ -345,6 +350,7 @@ def test_numbering_steps_any_payload_with_plus():
     word = multi_cluster_word(d4, (1, 2, 3, 4), 1)
     elements = subword._Numbering(d4)
     goal = elements.number(longest_element(d4).image)
+    assert elements.images[goal] + d4.tail == longest_element(d4).image  # kept cut
     for start, letters, forwards, end in ((0, word, True, goal), (goal, word[::-1], False, 0)):
         counts, thirds = {start: 1}, {start: Fraction(1, 3)}
         for letter in letters:
