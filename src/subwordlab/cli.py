@@ -42,6 +42,7 @@ from .multicluster import (
 from .quivers import ar_quiver, export_dot, repetition_window
 from .sorting import sorting_word_w0
 from .subword import (
+    _braced,
     f_vector,
     flip_graph,
     flip_graph_dot,
@@ -87,10 +88,6 @@ def _complex_from(args):
         return multi_cluster_complex(system, _coxeter_word_from(args, system), args.k)
     target = longest_element(system) if args.pi == "w0" else None  # None: Demazure
     return subword_complex(system, parse_word(args.word), target)
-
-
-def _braced(positions) -> str:
-    return "{" + ",".join(map(str, positions)) + "}"
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,10 @@ Conventions:
 * words are tuples of generator indices, positions inside words are 1-based;
 * positive roots are addressed by 0-based index, the first ``rank`` of them
   being the simple roots alpha_1..alpha_n;
-* in the B family the edge of order four joins s1 and s2.
+* in the B family the edge of order four joins s1 and s2;
+* elements have one normal form as words, the c-sorting word, read by one
+  greedy scan of c,c,c,... (``_sorting_blocks``): ``reduced_word`` is the
+  s1 s2 ... sn-sorting word, and ``sorting`` takes any Coxeter word c.
 """
 
 from __future__ import annotations
@@ -343,10 +346,10 @@ class Element:
 
     def apply(self, root: int, sign: int = 1) -> SignedRoot:
         """w applied to sign * beta_root; raises ``CoxeterError`` unless root
-        is an integer that indexes a positive root and sign is 1 or -1."""
+        is an integer that indexes a positive root and sign an integer, 1 or -1."""
         system = self.system
         N = system.number_of_positive_roots
-        root = _read_int(root, "root index")
+        root, sign = _read_int(root, "root index"), _read_int(sign, "root sign")
         if not 0 <= root < N:
             raise CoxeterError(
                 f"root index {root} out of range for {system.descriptor.name()},"
@@ -573,22 +576,34 @@ def is_reduced(system: CoxeterSystem, word: Word) -> bool:
     return element_from_word(system, word).length() == len(word)
 
 
-def reduced_word(w: Element) -> Word:
-    """The canonical reduced word: repeatedly strip the smallest left descent."""
-    system = w.system
+def _sorting_blocks(system: CoxeterSystem, cox: Word, w: Element) -> tuple[Word, ...]:
+    """Greedy scan of c,c,c,...: take a letter whenever it shortens the rest.
+
+    Returns the letters taken in each pass over c, which joined make the
+    c-sorting word of w.  The scan ends: c contains every generator, so each
+    pass meets a left descent of the rest and takes at least one letter.
+    """
+    cox = check_coxeter_word(system, cox)
+    check_element(system, w)
     identity = system.identity.image
     top = system.codes[system.number_of_positive_roots]
-    out = []
-    rest = w.inverse().image  # rest = v^{-1} for the still-unwritten suffix v
+    blocks = []
+    rest = w.inverse().image  # inverse of the still-unwritten right factor
     while rest != identity:
-        for s in range(1, system.rank + 1):
-            if rest[s:s + 1] > top:  # s is a left descent of v
-                out.append(s)
+        block = []
+        for s in cox:
+            if rest[s:s + 1] > top:  # s starts a reduced word of the rest
+                block.append(s)
                 rest = system.right_multiply(rest, s)
-                break
-        else:
-            raise CoxeterError("non-identity element without left descent")
-    return tuple(out)
+        blocks.append(tuple(block))
+    return tuple(blocks)
+
+
+def reduced_word(w: Element) -> Word:
+    """The normal form of w: the lexicographically first subword of
+    (s1 s2 ... sn)^inf that is a reduced word for w, its s1...sn-sorting word."""
+    blocks = _sorting_blocks(w.system, tuple(range(1, w.system.rank + 1)), w)
+    return tuple(s for block in blocks for s in block)
 
 
 def demazure_product(system: CoxeterSystem, word: Word) -> Element:

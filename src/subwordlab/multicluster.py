@@ -2,14 +2,14 @@
 
 Every multi-cluster word c^k w0(c) is built by ``multi_cluster_word`` and
 every multi-cluster complex by ``multi_cluster_complex``.  Every call that
-takes a k reads it once, at entry, through ``_read_k``, and m and the
-crossing count through ``coxeter._read_int``.  Covers the recognition of
-multi-cluster words up to commutations, the almost-positive-root labeling
-of the letters of c * w0(c), the induced compatibility relation, the
-next-occurrence cyclic action, the polygon bijections in types A and B (one
-rotated-seed construction), Gale-evenness facets in rank two, and the
-q-analogue of the facet-count product formula with its exact values at
-roots of unity.
+takes a k reads it once, at entry, through ``_read_k``, the diagonal calls
+read m through ``_read_m``, and the other calls m and the crossing count
+through ``coxeter._read_int``.  Covers the recognition of multi-cluster
+words up to commutations, the almost-positive-root labeling of the letters
+of c * w0(c), the induced compatibility relation, the next-occurrence
+cyclic action, the polygon bijections in types A and B (one rotated-seed
+construction), Gale-evenness facets in rank two, and the q-analogue of the
+facet-count product formula with its exact values at roots of unity.
 """
 
 from __future__ import annotations
@@ -48,6 +48,13 @@ def _read_k(k) -> int:
     if k < 0:
         raise CoxeterError("the number of copies must be nonnegative")
     return k
+
+
+def _read_m(m) -> int:
+    """The polygon size m as an int (``coxeter._read_int``), refused below 1."""
+    if (m := _read_int(m, "m")) < 1:
+        raise CoxeterError(f"the polygon size must be positive, got m={m}")
+    return m
 
 
 def multi_cluster_word(system: CoxeterSystem, cox: Word, k: int) -> Word:
@@ -192,6 +199,7 @@ def theta_permutation(system: CoxeterSystem, cox: Word, k: int) -> tuple[int, ..
 
 def permutation_order(perm: tuple[int, ...]) -> int:
     """The order of a permutation of 1..n: the lcm of its cycle lengths."""
+    perm = tuple(_read_int(p, "permutation entry") for p in perm)
     if sorted(perm) != list(range(1, len(perm) + 1)):
         raise CoxeterError("not a permutation of 1..n")
     order = 1
@@ -293,7 +301,7 @@ def _normalize_diagonal(a: int, b: int) -> Diagonal:
 
 def diagonal_is_relevant(m: int, k: int, diagonal: Diagonal) -> bool:
     """At least k polygon vertices strictly on each side."""
-    m, k = _read_int(m, "m"), _read_k(k)
+    m, k = _read_m(m), _read_k(k)
     a, b = diagonal
     gap = (b - a) % m
     return gap - 1 >= k and m - gap - 1 >= k
@@ -306,7 +314,7 @@ def diagonals_cross(m: int, d1: Diagonal, d2: Diagonal) -> bool:
     when one endpoint of the second lies strictly inside the first's interval
     and the other strictly outside.
     """
-    m = _read_int(m, "m")
+    m = _read_m(m)
     a, b = d1[0] % m, d1[1] % m
     if a > b:
         a, b = b, a
@@ -318,7 +326,9 @@ def diagonals_cross(m: int, d1: Diagonal, d2: Diagonal) -> bool:
 
 def contains_pairwise_crossing(m: int, count: int, diagonals) -> bool:
     """Is there a subset of ``count`` pairwise-crossing diagonals?"""
-    m, count = _read_int(m, "m"), _read_int(count, "count")
+    m, count = _read_m(m), _read_int(count, "count")
+    if count < 0:
+        raise CoxeterError(f"the crossing count must be nonnegative, got count={count}")
     items = list(diagonals)
     later: list[set[int]] = [set() for _ in items]  # crossing partners j > i
     for (i, d), (j, e) in combinations(enumerate(items), 2):

@@ -69,7 +69,6 @@ def knitting_quiver(system: CoxeterSystem, word: Word, origin: int = 1) -> Quive
 
 def ar_quiver(system: CoxeterSystem, cox: Word) -> Quiver:
     """Knitting of the sorting word of the longest element."""
-    check_coxeter_word(system, cox)
     return knitting_quiver(system, sorting_word_w0(system, cox).word)
 
 
@@ -78,14 +77,11 @@ class RepetitionWindow:
 
     Blocks alternate between the sorting word of the longest element and its
     psi image; the translate decrements the occurrence index, while the shift
-    moves a letter to the same in-block position one block later.
+    moves a letter to the same in-block position one block later.  Both
+    refuse a vertex outside the window.
     """
 
-    def __init__(
-        self,
-        quiver: Quiver,
-        blocks: tuple[tuple[Vertex, ...], ...],
-    ):
+    def __init__(self, quiver: Quiver, blocks: tuple[tuple[Vertex, ...], ...]):
         self.quiver = quiver
         self.blocks = blocks
         self._block_position = {
@@ -94,15 +90,22 @@ class RepetitionWindow:
             for j, vertex in enumerate(block)
         }
 
+    def _place(self, vertex: Vertex) -> tuple[int, int]:
+        """The block of a vertex of the window and its position in the block."""
+        try:
+            return self._block_position[vertex]
+        except (KeyError, TypeError):
+            raise CoxeterError(f"vertex {vertex!r} is not in the window") from None
+
     def tau(self, vertex: Vertex) -> Vertex | None:
         """Translate: (i, s) -> (i - 1, s) when still inside the window."""
-        i, s = vertex
-        image = (i - 1, s)
+        self._place(vertex)
+        image = (vertex[0] - 1, vertex[1])
         return image if image in self._block_position else None
 
     def shift(self, vertex: Vertex) -> Vertex | None:
         """The same block position one block to the right, if present."""
-        b, j = self._block_position[vertex]
+        b, j = self._place(vertex)
         if b + 1 >= len(self.blocks):
             return None
         return self.blocks[b + 1][j]
@@ -202,15 +205,6 @@ def _vector_close(system: CoxeterSystem, a, b) -> bool:
 
 def export_dot(quiver: Quiver, name: str = "quiver") -> str:
     """Deterministic DOT rendering with vertices named "(i,s)"."""
-
-    def label(vertex: Vertex) -> str:
-        i, s = vertex
-        return f"({i},s{s})"
-
-    lines = [f"digraph {name} {{"]
-    for vertex in sorted(quiver.vertices):
-        lines.append(f'  "{label(vertex)}";')
-    for src, dst in sorted(quiver.arrows):
-        lines.append(f'  "{label(src)}" -> "{label(dst)}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    label = "({0[0]},s{0[1]})".format  # the vertex (i, s) as "(i,si)"
+    arrows = [(label(src), label(dst)) for src, dst in sorted(quiver.arrows)]
+    return subword._dot(f"digraph {name}", map(label, sorted(quiver.vertices)), arrows, "->")

@@ -3,9 +3,11 @@
 A sorting word of an element w relative to a Coxeter word c is the
 lexicographically first subword of c,c,c,... that is a reduced word for w
 (Reading, *Clusters, Coxeter-sortable elements and noncrossing partitions*).
-One greedy scan of c,c,c,... finds it pass by pass; for the longest element
-the passes are the nested supports K_1 >= K_2 >= ... and the letter counts
-phi(s) follow from them.
+The one greedy scan of c,c,c,... (``coxeter._sorting_blocks``) finds it
+pass by pass; for the longest element the passes are the nested supports
+K_1 >= K_2 >= ... and the letter counts phi(s) follow from them.  The same
+scan for c = s1 s2 ... sn gives ``coxeter.reduced_word``, so every word the
+library reads off an element is a sorting word.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ from .coxeter import (
     CoxeterSystem,
     Element,
     Word,
-    check_coxeter_word,
-    check_element,
+    _sorting_blocks,
     check_word,
     demazure_product,
     longest_element,
@@ -37,29 +38,6 @@ class SortingWordReport:
     word: Word
     phi: dict[int, int]
     factorization: tuple[Word, ...]
-
-
-def _sorting_blocks(system: CoxeterSystem, cox: Word, w: Element) -> tuple[Word, ...]:
-    """Greedy scan of c,c,c,...: take a letter whenever it shortens the rest.
-
-    Returns the letters taken in each pass over c.  The scan ends: c contains
-    every generator, so a pass that took no letter would have met a left
-    descent of the unchanged rest, and each pass takes at least one letter.
-    """
-    cox = check_coxeter_word(system, cox)
-    check_element(system, w)
-    identity = system.identity.image
-    top = system.codes[system.number_of_positive_roots]
-    blocks = []
-    rest = w.inverse().image  # inverse of the still-unwritten right factor
-    while rest != identity:
-        block = []
-        for s in cox:
-            if rest[s:s + 1] > top:  # s starts a reduced word of the rest
-                block.append(s)
-                rest = system.right_multiply(rest, s)
-        blocks.append(tuple(block))
-    return tuple(blocks)
 
 
 def sorting_word(system: CoxeterSystem, cox: Word, w: Element) -> Word:

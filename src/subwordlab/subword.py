@@ -601,17 +601,21 @@ def flip_graph(complex_: SubwordComplex) -> FlipGraph:
     return FlipGraph(complex_.facets, tuple(neighbors))
 
 
-def flip_graph_dot(graph: FlipGraph) -> str:
-    def label(facet: Facet) -> str:
-        return "{" + ",".join(map(str, facet)) + "}"
+def _braced(positions) -> str:  # the label of a face, "{1,2,5}"
+    return "{" + ",".join(map(str, positions)) + "}"
 
-    lines = ["graph flips {"]
-    for facet in graph.nodes:
-        lines.append(f'  "{label(facet)}";')
-    for i, j in graph.edges():
-        lines.append(f'  "{label(graph.nodes[i])}" -- "{label(graph.nodes[j])}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+
+def _dot(header: str, nodes, edges, arrow: str) -> str:
+    """DOT text: a header, a line per node label and per edge, a closing brace."""
+    lines = [f"{header} {{"]
+    lines += [f'  "{node}";' for node in nodes]
+    lines += [f'  "{a}" {arrow} "{b}";' for a, b in edges]
+    return "\n".join(lines) + "\n}\n"
+
+
+def flip_graph_dot(graph: FlipGraph) -> str:
+    labels = [_braced(facet) for facet in graph.nodes]
+    return _dot("graph flips", labels, [(labels[i], labels[j]) for i, j in graph.edges()], "--")
 
 
 def link(system: CoxeterSystem, word: Word, target: Element, face) -> SubwordComplex:
@@ -626,7 +630,8 @@ def link(system: CoxeterSystem, word: Word, target: Element, face) -> SubwordCom
 
 
 def reduce_to_w0(system: CoxeterSystem, word: Word, target: Element) -> Word:
-    """Append a reduced word R for target^{-1} w0, moving the target to w0.
+    """Append R = ``reduced_word`` of target^{-1} w0, its s1...sn-sorting
+    word (any reduced word would do), moving the target to w0.
 
     The facets of the complex on the word with this target are exactly the
     facets of the complex on the extended word with target w0 that avoid

@@ -3,7 +3,9 @@
 The oracles deliberately avoid the code paths they check: word checks one
 letter at a time instead of one ``bytes`` translate, word-length by
 breadth-first search over the group and by comparing codes one at a time
-instead of the sign table, face tests by brute-force subword search,
+instead of the sign table, sorting words by their lexicographic
+definition over whole ``Element`` products instead of the greedy scan on
+code sequences, face tests by brute-force subword search,
 commutation classes by breadth-first search over adjacent swaps,
 facets, root tables and flips by ``Element`` products instead of the code
 sequences of the kernel, facets also as the closure of a seed facet under
@@ -92,6 +94,24 @@ def brute_length(sys: CoxeterSystem, w: Element) -> int:
     N = sys.number_of_positive_roots
     top = sys.codes[N]  # codes above it are negative
     return sum(w.image[c:c + 1] > top for c in range(1, N + 1))
+
+
+def brute_is_sorting_word(sys: CoxeterSystem, cox, w: Element, word) -> bool:
+    """Is ``word`` the c-sorting word of w, by its definition and whole
+    ``Element`` products: a reduced word for w whose letters, each placed at
+    the first free position of c,c,c,..., skip no position whose letter
+    starts a reduced word of the still-unwritten rest?"""
+    if element_from_word(sys, word) != w or len(word) != brute_length(sys, w):
+        return False
+    rest, p = w, 0  # rest = (letters so far)^{-1} w; p the next position of c,c,c,...
+    for s in word:
+        while cox[p % len(cox)] != s:
+            skipped = sys.generators[cox[p % len(cox)] - 1] * rest
+            if brute_length(sys, skipped) < brute_length(sys, rest):
+                return False
+            p += 1
+        rest, p = sys.generators[s - 1] * rest, p + 1
+    return True
 
 
 def brute_contains_reduced_word(sys: CoxeterSystem, word, target: Element) -> bool:

@@ -53,6 +53,7 @@ from subwordlab.multicluster import (
     gale_facets_rank2,
     lr_position,
     multi_cluster_word,
+    permutation_order,
     theta_orbits_on_facets,
     theta_order_formula,
     type_b_bijection,
@@ -449,6 +450,15 @@ def test_reduced_word_examples():
     assert reduced_word(longest_element(system("A2"))) == (1, 2, 1)
 
 
+def test_reduced_word_is_the_sorting_word_of_s1_to_sn():
+    # rank 2 cannot tell the normal forms apart; the smallest-left-descent
+    # scan wrote A3's w0 as (1, 2, 1, 3, 2, 1)
+    a3 = system("A3")
+    assert reduced_word(longest_element(a3)) == (1, 2, 3, 1, 2, 1)
+    assert repr(longest_element(a3)) == "<A3 element s1,s2,s3,s1,s2,s1>"
+    assert reduced_word(element_from_word(a3, (3, 2, 1))) == (3, 2, 1)
+
+
 @pytest.mark.parametrize("name", SMALL_TYPES)
 def test_reduced_word_roundtrip(name):
     s = system(name)
@@ -564,6 +574,7 @@ def test_apply_rejects_out_of_range_roots_and_signs():
     a2 = system("A2")  # three positive roots, indices 0, 1, 2
     assert a2.identity.apply(2) == SignedRoot(2, 1)
     assert a2.identity.apply(2, -1) == SignedRoot(2, -1)
+    assert a2.identity.apply(2, True) == SignedRoot(2, 1)  # True is 1
     for root, sign in ((3, 1), (-1, 1), (5, -1), (3, -1)):
         with pytest.raises(
             CoxeterError, match=rf"^root index {root} out of range for A2, which has 3"
@@ -840,6 +851,41 @@ def test_elements_of_two_builds_of_one_type_mix():
         (lambda a2: a2.commute(3, 1), "generator s3 out of range for A2"),
         (lambda a2: a2.commute(1, 1.5), "generator s1.5 out of range for A2"),
         (lambda a2: iter_all_words(a2, -1), "the word length must be nonnegative"),
+        # no polygon has fewer than one vertex, and no subset -1 elements
+        (
+            lambda a2: diagonal_is_relevant(0, 0, (0, 2)),
+            "the polygon size must be positive, got m=0",
+        ),
+        (
+            lambda a2: diagonal_is_relevant(-4, 0, (0, 2)),
+            "the polygon size must be positive, got m=-4",
+        ),
+        (
+            lambda a2: diagonals_cross(0, (0, 2), (1, 3)),
+            "the polygon size must be positive, got m=0",
+        ),
+        (
+            lambda a2: diagonals_cross(-8, (0, 2), (1, 3)),
+            "the polygon size must be positive, got m=-8",
+        ),
+        (
+            lambda a2: contains_pairwise_crossing(0, 1, [(0, 2)]),
+            "the polygon size must be positive, got m=0",
+        ),
+        (
+            lambda a2: contains_pairwise_crossing(8, -1, [(0, 2), (1, 3)]),
+            "the crossing count must be nonnegative, got count=-1",
+        ),
+        (lambda a2: permutation_order((1.0, 2.0)), "permutation entry 1.0 is not an integer"),
+        # a window answers only for its own vertices
+        (
+            lambda a2: repetition_window(a2, (1, 2), 2).tau((4, 1)),
+            "vertex (4, 1) is not in the window",
+        ),
+        (
+            lambda a2: repetition_window(a2, (1, 2), 2).shift((99, 1)),
+            "vertex (99, 1) is not in the window",
+        ),
     ],
     ids=[
         "duplicate", "position 0", "flip", "flip duplicate", "flip position 6",
@@ -848,6 +894,8 @@ def test_elements_of_two_builds_of_one_type_mix():
         "link position 2.0",
         "lr_position", "rotate", "mesh", "window", "copies", "descriptor",
         "descent 99", "descent 0", "commute 0", "commute 3", "commute 1.5", "length -1",
+        "relevant m 0", "relevant m -4", "cross m 0", "cross m -8", "crossing m 0",
+        "crossing count -1", "permutation entry 1.0", "window tau", "window shift",
     ],
 )
 def test_refusals_name_the_fault(call, message):
@@ -894,6 +942,7 @@ _COUNT_CALLS = {
     "knitting_quiver origin": ("origin", lambda a2, o: knitting_quiver(a2, (1, 2, 1), o)),
     "iter_all_words length": ("length", lambda a2, n: iter_all_words(a2, n)),
     "Element.apply root": ("root index", lambda a2, r: a2.identity.apply(r)),
+    "Element.apply sign": ("root sign", lambda a2, s: a2.identity.apply(0, s)),
 }
 
 

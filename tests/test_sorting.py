@@ -10,6 +10,7 @@ from subwordlab.coxeter import (
     longest_element,
     psi,
     psi_word,
+    reduced_word,
 )
 from subwordlab.multicluster import multi_cluster_word, recognize_multi_cluster_word
 from subwordlab.sorting import (
@@ -20,11 +21,46 @@ from subwordlab.sorting import (
 )
 from helpers import (
     SCAN_TYPES,
+    SMALL_TYPES,
+    brute_is_sorting_word,
     brute_sin_property,
     group_by_bfs,
     system,
     word_has_suffix_up_to_commutations,
 )
+
+
+@pytest.mark.parametrize("name", SMALL_TYPES)
+def test_reduced_word_is_the_s1_to_sn_sorting_word_on_every_element(name):
+    s = system(name)
+    cox = tuple(range(1, s.rank + 1))
+    for element in group_by_bfs(s):
+        word = reduced_word(element)
+        assert word == sorting_word(s, cox, element)
+        assert brute_is_sorting_word(s, cox, element, word)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["E8", "H4", "A16"]), st.data())
+def test_reduced_word_is_the_s1_to_sn_sorting_word_on_drawn_elements(name, data):
+    # A16 is str-coded, E8 and H4 the largest byte-coded types
+    s = system(name)
+    cox = tuple(range(1, s.rank + 1))
+    element = element_from_word(
+        s, data.draw(st.lists(st.integers(1, s.rank), max_size=40), label="word")
+    )
+    word = reduced_word(element)
+    assert word == sorting_word(s, cox, element)
+    assert brute_is_sorting_word(s, cox, element, word)
+
+
+def test_the_sorting_word_oracle_refuses_every_other_word():
+    a3, cox = system("A3"), (1, 2, 3)
+    w0 = longest_element(a3)
+    assert brute_is_sorting_word(a3, cox, w0, (1, 2, 3, 1, 2, 1))
+    assert not brute_is_sorting_word(a3, cox, w0, (1, 2, 1, 3, 2, 1))  # skips s3
+    assert not brute_is_sorting_word(a3, cox, w0, (1, 2, 3, 1, 2))  # not w0
+    assert not brute_is_sorting_word(a3, cox, w0, (1, 2, 3, 1, 2, 1, 1))  # not reduced
 
 
 def test_sorting_word_of_identity_is_empty():

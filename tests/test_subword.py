@@ -24,6 +24,7 @@ from subwordlab.coxeter import (
 )
 from subwordlab import subword
 from subwordlab.multicluster import multi_cluster_word
+from subwordlab.sorting import sorting_word
 from subwordlab.subword import (
     SubwordComplex,
     all_faces,
@@ -50,6 +51,7 @@ from helpers import (
     brute_f_vector,
     brute_facets,
     brute_flip,
+    brute_is_sorting_word,
     brute_length,
     brute_minimal_nonfaces,
     brute_right_multiply,
@@ -942,6 +944,8 @@ def test_reduce_to_w0():
     before = subword_complex(a2, word, target).facets
     after = subword_complex(a2, extended, longest_element(a2)).facets
     assert before == after == ((),)
+    a3 = system("A3")  # the completion is the s1 s2 s3-sorting word of w0
+    assert reduce_to_w0(a3, (2,), a3.identity) == (2, 1, 2, 3, 1, 2, 1)
 
 
 def test_reduce_to_w0_keeps_the_facets_that_avoid_the_completion():
@@ -974,6 +978,17 @@ def test_reduce_to_w0_preserves_facets():
     assert subword_complex(a3, word, target).facets == subword_complex(
         a3, extended, longest_element(a3)
     ).facets
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_reduce_to_w0_appends_the_s1_to_sn_sorting_word(data):
+    s, word, target, _ = draw_complex(data, SMALL_TYPES + ["E6", "H4"])
+    cox = tuple(range(1, s.rank + 1))
+    rest = target.inverse() * longest_element(s)
+    completion = reduce_to_w0(s, word, target)[len(word):]
+    assert completion == sorting_word(s, cox, rest)
+    assert brute_is_sorting_word(s, cox, rest, completion)
 
 
 def test_rotation_isomorphism_on_facets():
