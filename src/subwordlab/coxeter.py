@@ -689,8 +689,9 @@ def enumerate_coxeter_words(system: CoxeterSystem) -> tuple[Word, ...]:
 
 
 def check_coxeter_word(system: CoxeterSystem, word: Word) -> Word:
-    """The word as a tuple, once it uses each generator exactly once."""
-    word = check_word(system, word)
+    """The word as a tuple of ints (``True`` is 1), once it uses each
+    generator exactly once."""
+    word = tuple(map(index, check_word(system, word)))
     if sorted(word) != list(range(1, system.rank + 1)):
         raise CoxeterError(
             f"{format_word(word) or 'the empty word'} is not a word for a Coxeter element"

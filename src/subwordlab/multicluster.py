@@ -3,8 +3,9 @@
 Every multi-cluster word c^k w0(c) is built by ``multi_cluster_word`` and
 every multi-cluster complex by ``multi_cluster_complex``.  Every call that
 takes a k reads it once, at entry, through ``_read_k``, the diagonal calls
-read m through ``_read_m``, and the other calls m and the crossing count
-through ``coxeter._read_int``.  Covers the recognition of multi-cluster
+read m through ``_read_m`` and each diagonal once through
+``_read_diagonal``, and the other calls m and the crossing count through
+``coxeter._read_int``.  Covers the recognition of multi-cluster
 words up to commutations, the almost-positive-root labeling of the letters
 of c * w0(c), the induced compatibility relation, the next-occurrence
 cyclic action, the polygon bijections in types A and B (one rotated-seed
@@ -299,11 +300,23 @@ def _normalize_diagonal(a: int, b: int) -> Diagonal:
     return (a, b) if a < b else (b, a)
 
 
+def _read_diagonal(m: int, diagonal: Diagonal) -> Diagonal:
+    """The endpoints as ints (``coxeter._read_int``), reduced mod m and sorted."""
+    a, b = (_read_int(v, "diagonal endpoint") % m for v in diagonal)
+    return _normalize_diagonal(a, b)
+
+
+def _cross(d1: Diagonal, d2: Diagonal) -> bool:
+    """Do two diagonals read by ``_read_diagonal`` cross?"""
+    (a, b), (x, y) = d1, d2
+    return a < x < b < y or x < a < y < b
+
+
 def diagonal_is_relevant(m: int, k: int, diagonal: Diagonal) -> bool:
     """At least k polygon vertices strictly on each side."""
     m, k = _read_m(m), _read_k(k)
-    a, b = diagonal
-    gap = (b - a) % m
+    a, b = _read_diagonal(m, diagonal)
+    gap = b - a  # the other side has m - gap, so the order does not matter
     return gap - 1 >= k and m - gap - 1 >= k
 
 
@@ -315,13 +328,7 @@ def diagonals_cross(m: int, d1: Diagonal, d2: Diagonal) -> bool:
     and the other strictly outside.
     """
     m = _read_m(m)
-    a, b = d1[0] % m, d1[1] % m
-    if a > b:
-        a, b = b, a
-    x, y = d2[0] % m, d2[1] % m
-    if x > y:
-        x, y = y, x
-    return a < x < b < y or x < a < y < b
+    return _cross(_read_diagonal(m, d1), _read_diagonal(m, d2))
 
 
 def contains_pairwise_crossing(m: int, count: int, diagonals) -> bool:
@@ -329,10 +336,10 @@ def contains_pairwise_crossing(m: int, count: int, diagonals) -> bool:
     m, count = _read_m(m), _read_int(count, "count")
     if count < 0:
         raise CoxeterError(f"the crossing count must be nonnegative, got count={count}")
-    items = list(diagonals)
+    items = [_read_diagonal(m, d) for d in diagonals]
     later: list[set[int]] = [set() for _ in items]  # crossing partners j > i
     for (i, d), (j, e) in combinations(enumerate(items), 2):
-        if diagonals_cross(m, d, e):
+        if _cross(d, e):
             later[i].add(j)
 
     def extend(size: int, candidates: set[int]) -> bool:

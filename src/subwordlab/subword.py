@@ -3,7 +3,9 @@
 The complex on a word Q with target element pi has as faces the position
 sets whose complement in Q still contains a reduced word for pi.  Positions
 are 1-based throughout, facets are sorted position tuples, and the facet
-list is sorted lexicographically so all outputs are deterministic.
+list is sorted lexicographically so all outputs are deterministic.  One
+greedy scan, ``_rightmost_reduced_word``, decides that question: ``is_face``
+runs it on the complement of a face, the facet kernel on the whole word.
 
 Facets come from one kernel under the ``MAX_FACES`` budget, behind
 ``subword_complex``, which is also where the budget is decided.  Every
@@ -107,17 +109,41 @@ def _complement(word: Word, drop: set) -> Word:
     return tuple(s for p, s in enumerate(word, start=1) if p not in drop)
 
 
+def _rightmost_reduced_word(system: CoxeterSystem, word: Word, goal) -> int | None:
+    """The positions of the rightmost reduced word in ``word`` for the element
+    with image ``goal``, as a bitmask (bit p for position p), or None when
+    the word holds none.
+
+    By the lifting property, if s is a right descent of u, then Q*s holds a
+    reduced word for u exactly when Q holds one for u*s; otherwise, exactly
+    when Q holds one for u.  So, right to left from u = goal, each letter
+    that is a right descent of u is taken and u becomes u*s, and the word
+    holds a reduced word for goal exactly when u ends at the identity.
+    """
+    right_multiply = system.right_multiply
+    top = system.codes[system.number_of_positive_roots]  # codes above it are negative
+    u = goal
+    taken = 0
+    for p in range(len(word), 0, -1):
+        s = word[p - 1]
+        if u[s:s + 1] > top:
+            u = right_multiply(u, s)
+            taken |= 1 << p
+    return taken if u == system.identity.image else None
+
+
 def is_face(system: CoxeterSystem, word: Word, target: Element, positions) -> bool:
     """Does the complement of ``positions`` still contain a reduced word for target?
 
-    With R a reduced word for target^{-1} w0 (see ``reduce_to_w0``), the
-    complement contains one exactly when its Demazure product is above target
-    in Bruhat order, that is, when the complement followed by R has Demazure
-    product w0.  This one check covers every target.
+    Refusals come in the order of the checks: a letter out of range, an
+    element of another type, then a position that is no integer, duplicate
+    positions or a position out of range.  The complement is then read by
+    the kernel's greedy scan (``_rightmost_reduced_word``).
     """
+    word = check_word(system, word)
+    check_element(system, target)
     rest = _complement(word, _position_set(word, positions))
-    completed = reduce_to_w0(system, rest, target)
-    return demazure_product(system, completed) == longest_element(system)
+    return _rightmost_reduced_word(system, rest, target.image) is not None
 
 
 def _facet_search(
@@ -127,10 +153,9 @@ def _facet_search(
     increasing flips from the greedy facet.
 
     The greedy facet (Pilaud-Pocchiola) leaves out the rightmost reduced
-    word for target: scanning right to left from u = target, a position
-    joins the complement when its letter is a right descent of u, and then
-    u becomes u*s.  The complex is empty when u does not end at the
-    identity; then both the facets and the h-vector are ().
+    word for target, read by the scan that ``is_face`` reads too
+    (``_rightmost_reduced_word``).  The complex is empty when the word holds
+    no reduced word for target; then both the facets and the h-vector are ().
 
     The search runs over ``reduce_to_w0(word, target)``, whose facets that
     avoid the appended completion are the facets of the complex.  There the
@@ -178,18 +203,9 @@ def _facet_search(
     of ``roots`` to signs and one ``count`` for each facet found.
     """
     r = len(word)
-    right_multiply = system.right_multiply
     codes, reflections = system.codes, system.reflections
-    N = system.number_of_positive_roots
-    top = codes[N]  # codes above it are negative
-    u = target.image
-    outside = 0  # complement positions, as a bitmask
-    for p in range(r, 0, -1):
-        s = word[p - 1]
-        if u[s:s + 1] > top:
-            u = right_multiply(u, s)
-            outside |= 1 << p
-    if u != system.identity.image:
+    outside = _rightmost_reduced_word(system, word, target.image)  # the seed's complement
+    if outside is None:
         return (), ()
     seed = tuple(p for p in range(1, r + 1) if not outside >> p & 1)
     inside = set(seed)
@@ -622,11 +638,13 @@ def link(system: CoxeterSystem, word: Word, target: Element, face) -> SubwordCom
     """The link of a face: same target over the word with the face deleted.
 
     New positions renumber the surviving positions in increasing order.
+    ``is_face`` checks the arguments, so the refusals come in its order: a
+    letter out of range, an element of another type, then a bad position.
     """
-    face = _position_set(word, face)
+    face = tuple(face)
     if not is_face(system, word, target, face):
         raise CoxeterError("not a face of the complex")
-    return subword_complex(system, _complement(word, face), target)
+    return subword_complex(system, _complement(word, _position_set(word, face)), target)
 
 
 def reduce_to_w0(system: CoxeterSystem, word: Word, target: Element) -> Word:

@@ -5,8 +5,9 @@ letter at a time instead of one ``bytes`` translate, word-length by
 breadth-first search over the group and by comparing codes one at a time
 instead of the sign table, sorting words by their lexicographic
 definition over whole ``Element`` products instead of the greedy scan on
-code sequences, face tests by brute-force subword search,
-commutation classes by breadth-first search over adjacent swaps,
+code sequences, face tests by brute-force subword search and by the
+Demazure product of the complement completed to w0 instead of the greedy
+scan, commutation classes by breadth-first search over adjacent swaps,
 facets, root tables and flips by ``Element`` products instead of the code
 sequences of the kernel, facets also as the closure of a seed facet under
 the public ``flip``, facets of multi-cluster complexes by reflection
@@ -135,6 +136,13 @@ def brute_contains_reduced_word(sys: CoxeterSystem, word, target: Element) -> bo
 
     rec(0, sys.identity, 0)
     return found[0]
+
+
+def completed_is_face(sys: CoxeterSystem, word, target: Element, positions) -> bool:
+    """The face test as a Demazure product: the complement of the positions,
+    followed by the ``reduce_to_w0`` completion of target, has product w0."""
+    rest = tuple(s for p, s in enumerate(word, start=1) if p not in positions)
+    return demazure_product(sys, reduce_to_w0(sys, rest, target)) == longest_element(sys)
 
 
 def brute_facets(sys: CoxeterSystem, word, target: Element) -> tuple:

@@ -720,6 +720,21 @@ def test_first_coxeter_word_is_s1_to_sn(name):
     assert enumerate_coxeter_words(s)[0] == tuple(range(1, s.rank + 1))
 
 
+def test_coxeter_words_read_as_ints():
+    # a bool letter is the int it stands for, and the words built from a
+    # Coxeter word carry the int, not the caller's object
+    a2 = system("A2")
+    built = {
+        "multi_cluster_word": multi_cluster_word(a2, (True, 2), 1),
+        "sorting_word_w0": sorting_word_w0(a2, (True, 2)).word,
+        "coxeter_quiver": coxeter_quiver(a2, (True, 2)).vertices,
+    }
+    assert built["multi_cluster_word"] == (1, 2, 1, 2, 1)
+    assert built["sorting_word_w0"] == (1, 2, 1)
+    for name, items in built.items():
+        assert "True" not in repr(items), name
+
+
 def test_equal_up_to_commutations_examples():
     a3, a2 = system("A3"), system("A2")
     assert equal_up_to_commutations(a3, (1, 3, 2), (3, 1, 2))
@@ -877,6 +892,37 @@ def test_elements_of_two_builds_of_one_type_mix():
             "the crossing count must be nonnegative, got count=-1",
         ),
         (lambda a2: permutation_order((1.0, 2.0)), "permutation entry 1.0 is not an integer"),
+        # the face test checks the letter, then the target, then the positions,
+        # so a letter at a face position is refused, not dropped unread
+        (
+            lambda a2: is_face(a2, (1, 2, 1, 2, 99), longest_element(a2), (5,)),
+            "generator s99 out of range for A2",
+        ),
+        (
+            lambda a2: link(a2, (1, 2, 1, 2, 99), longest_element(a2), (5,)),
+            "generator s99 out of range for A2",
+        ),
+        (
+            lambda a2: is_face(a2, (1, 2, 1), longest_element(system("A3")), (9,)),
+            "an element of A3 is not an element of A2",
+        ),
+        (
+            lambda a2: link(a2, (1, 2, 99), longest_element(system("A3")), (9,)),
+            "generator s99 out of range for A2",
+        ),
+        # a vertex label is an integer
+        (
+            lambda a2: diagonal_is_relevant(7, 1, (0, 2.5)),
+            "diagonal endpoint 2.5 is not an integer",
+        ),
+        (
+            lambda a2: diagonals_cross(8, (0, 2.5), (1, 3)),
+            "diagonal endpoint 2.5 is not an integer",
+        ),
+        (
+            lambda a2: contains_pairwise_crossing(8, 2, [(0, 2), (1, "3")]),
+            "diagonal endpoint '3' is not an integer",
+        ),
         # a window answers only for its own vertices
         (
             lambda a2: repetition_window(a2, (1, 2), 2).tau((4, 1)),
@@ -895,7 +941,10 @@ def test_elements_of_two_builds_of_one_type_mix():
         "lr_position", "rotate", "mesh", "window", "copies", "descriptor",
         "descent 99", "descent 0", "commute 0", "commute 3", "commute 1.5", "length -1",
         "relevant m 0", "relevant m -4", "cross m 0", "cross m -8", "crossing m 0",
-        "crossing count -1", "permutation entry 1.0", "window tau", "window shift",
+        "crossing count -1", "permutation entry 1.0",
+        "is_face letter 99", "link letter 99", "is_face target before position",
+        "link letter before target", "relevant endpoint 2.5", "cross endpoint 2.5",
+        "crossing endpoint '3'", "window tau", "window shift",
     ],
 )
 def test_refusals_name_the_fault(call, message):
@@ -904,8 +953,8 @@ def test_refusals_name_the_fault(call, message):
     assert str(caught.value) == message
 
 
-# Every public call that takes a count, cap or index, as (the argument's
-# name in the refusal, the call with that argument left free)
+# Every public call that takes a count, cap, index or vertex label, as (the
+# argument's name in the refusal, the call with that argument left free)
 _COUNT_CALLS = {
     "multi_cluster_word k": ("k", lambda a2, k: multi_cluster_word(a2, (1, 2), k)),
     "multi_cluster_complex k": ("k", lambda a2, k: multi_cluster_complex(a2, (1, 2), k)),
@@ -930,6 +979,15 @@ _COUNT_CALLS = {
     ),
     "contains_pairwise_crossing count": (
         "count", lambda a2, c: contains_pairwise_crossing(8, c, [(0, 2), (1, 3)]),
+    ),
+    "diagonal_is_relevant endpoint": (
+        "diagonal endpoint", lambda a2, v: diagonal_is_relevant(7, 1, (0, v)),
+    ),
+    "diagonals_cross endpoint": (
+        "diagonal endpoint", lambda a2, v: diagonals_cross(8, (v, 2), (1, 3)),
+    ),
+    "contains_pairwise_crossing endpoint": (
+        "diagonal endpoint", lambda a2, v: contains_pairwise_crossing(8, 2, [(0, 2), (v, 3)]),
     ),
     "all_faces max_size": (
         "max_size", lambda a2, c: all_faces(subword_complex(a2, (1, 2, 1, 2, 1)), c),

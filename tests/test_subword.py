@@ -57,6 +57,7 @@ from helpers import (
     brute_right_multiply,
     brute_root_table,
     catalan,
+    completed_is_face,
     flip_closure,
     group_by_bfs,
     system,
@@ -134,6 +135,29 @@ def test_face_test_matches_bruteforce(name, data):
     assert is_face(s, word, target, positions) == brute_contains_reduced_word(
         s, rest, target
     )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ALL_TYPES + list(CODE_EDGE_TYPES)), st.data())
+def test_face_test_matches_the_completed_demazure_product(name, data):
+    # words up to 2N letters on every type, where the brute search cannot go;
+    # the target is the product of a subword of the complement, which always
+    # holds a reduced word for it, or of a random word
+    s = system(name)
+    n = 2 * s.number_of_positive_roots
+    word = tuple(data.draw(st.lists(st.integers(1, s.rank), max_size=n)))
+    positions = data.draw(st.sets(st.integers(1, len(word)))) if word else set()
+    rest = [x for p, x in enumerate(word, 1) if p not in positions]
+    inside = bool(rest) and data.draw(st.booleans())
+    if inside:
+        kept = data.draw(st.sets(st.integers(0, len(rest) - 1)))
+        letters = tuple(rest[i] for i in sorted(kept))
+    else:
+        letters = tuple(data.draw(st.lists(st.integers(1, s.rank), max_size=n)))
+    target = element_from_word(s, letters)
+    answer = is_face(s, word, target, positions)
+    assert answer == completed_is_face(s, word, target, positions)
+    assert answer or not inside
 
 
 @settings(max_examples=40, deadline=None)
