@@ -41,10 +41,12 @@ I2(m) for m >= 128); ``bytes.translate`` is about ten times faster than
 (``encode_codes``).  Code that reads the sequences works on both: it takes
 one-code slices, not single items, and uses only ``ord``, ``find``,
 ``translate``, ``maketrans`` and comparisons.  A one-code slice above
-``codes[N]`` is a negative root.  The one exception is the root walk of
-``subword``, which reads single items of an image and of a generator's
-table, in one loop per encoding chosen once per walk: ints on ``bytes``
-systems, one-character strs that ``ord`` reads on ``str`` ones.
+``last_positive``, which is ``codes[N]``, is a negative root, so s is a
+right descent of w exactly when ``image[s:s + 1] > last_positive``.  The
+one exception is the root walk of ``subword``, which reads single items
+of an image and of a generator's table, in one loop per encoding chosen
+once per walk: ints on ``bytes`` systems, one-character strs that ``ord``
+reads on ``str`` ones.
 There a one-code slice costs about a quarter more walk time.
 
 Conventions:
@@ -89,9 +91,11 @@ class ResourceLimitError(RuntimeError):
 
 
 def check_budget(count: int, limit: int, subject: str, things: str, shown=None) -> None:
-    """Refuse ``count`` things over ``limit`` before any work starts: raise
-    ``ResourceLimitError`` naming the subject, the count (or ``shown``, how to
-    write it) and the limit.  Every up-front budget goes through here."""
+    """Refuse ``count`` things over ``limit``: raise ``ResourceLimitError``
+    naming the subject, the count (or ``shown``, how to write it) and the
+    limit.  Every budget goes through here: the up-front ones before any
+    work starts, and ``subword_complex`` on the facets it took from the
+    search."""
     if count > limit:
         raise ResourceLimitError(
             f"{subject} has {shown or count} {things}, more than the limit of {limit}"
@@ -366,7 +370,7 @@ class Element:
         """True iff multiplying by s on the right shortens the element."""
         system = self.system
         check_word(system, (s,))
-        return self.image[s:s + 1] > system.codes[system.number_of_positive_roots]
+        return self.image[s:s + 1] > system.last_positive
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +464,7 @@ class CoxeterSystem:
         self.codes = tuple(map(encode, zip(range(2 * N + 1))))
         self.identity = Element(self, encode(range(max(2 * N + 1, 256))))
         self.signs = self.codes[0] * (N + 1) + self.codes[1] * (len(self.identity.image) - N - 1)
+        self.last_positive = self.codes[N]  # one-code slices above it are negative roots
         self.reflections = _root_reflections(simple_images, encode, self.identity.image)
         self.generators = tuple(Element(self, table) for table in self.reflections[:n])
         self.cuts = (None,) + tuple(table[:2 * N + 1] for table in self.reflections[:n])
@@ -586,7 +591,7 @@ def _sorting_blocks(system: CoxeterSystem, cox: Word, w: Element) -> tuple[Word,
     cox = check_coxeter_word(system, cox)
     check_element(system, w)
     identity = system.identity.image
-    top = system.codes[system.number_of_positive_roots]
+    top = system.last_positive
     blocks = []
     rest = w.inverse().image  # inverse of the still-unwritten right factor
     while rest != identity:
@@ -609,7 +614,7 @@ def reduced_word(w: Element) -> Word:
 def demazure_product(system: CoxeterSystem, word: Word) -> Element:
     """Greedy ascent-only product: letters are kept only when they lengthen."""
     word = check_word(system, word)
-    top = system.codes[system.number_of_positive_roots]
+    top = system.last_positive
     out = system.identity.image
     for s in word:
         if out[s:s + 1] <= top:
@@ -635,8 +640,7 @@ def psi_word(system: CoxeterSystem, word: Word) -> Word:
 
 def inversion_set(w: Element) -> frozenset[int]:
     """Indices of the positive roots sent negative by w^{-1}."""
-    N = w.system.number_of_positive_roots
-    top = w.system.codes[N]
+    N, top = w.system.number_of_positive_roots, w.system.last_positive
     inverse = w.inverse().image
     return frozenset(i for i in range(N) if inverse[i + 1:i + 2] > top)
 

@@ -224,10 +224,10 @@ def run_maximality_experiment(
     ``MAXIMALITY_SAMPLES`` words from the one ``Random(seed)`` of the run,
     each word by one ``choices`` call.
 
-    No facet is listed: every count, the multi-cluster reference included,
-    comes from ``facet_counts``, which refuses a group of more than
-    ``MAX_FACES`` elements before anything is multiplied.  A row's words,
-    every word of ``iter_all_words`` or the draws in draw order, go through
+    No facet is listed: every count comes from ``facet_counts``, which
+    refuses a group of more than ``MAX_FACES`` elements before it counts.
+    A row's words, every word of ``iter_all_words`` or the draws in draw
+    order, and last the multi-cluster reference word c^k w0(c), go through
     one ``facet_counts`` call, so the group elements it numbers and the
     moves it stores serve them all.  The maximum, the first counterexample
     and the SIN verdict are read off that list of counts, so SIN is tested
@@ -246,11 +246,8 @@ def run_maximality_experiment(
             words = [
                 tuple(rng.choices(letters, k=size)) for _ in range(MAXIMALITY_SAMPLES)
             ]
-        # multi_cluster_word multiplies: it comes after facet_counts checked |W|
-        counts = list(facet_counts(system, words, target))
-        reference = facet_count(
-            system, multi_cluster_word(system, _lex_coxeter_word(system), k), target
-        )
+        words.append(multi_cluster_word(system, _lex_coxeter_word(system), k))
+        *counts, reference = facet_counts(system, words, target)  # the reference word last
         best = max(counts)
         row = {
             "mode": mode,

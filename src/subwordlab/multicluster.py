@@ -301,8 +301,13 @@ def _normalize_diagonal(a: int, b: int) -> Diagonal:
 
 
 def _read_diagonal(m: int, diagonal: Diagonal) -> Diagonal:
-    """The endpoints as ints (``coxeter._read_int``), reduced mod m and sorted."""
-    a, b = (_read_int(v, "diagonal endpoint") % m for v in diagonal)
+    """The two endpoints as ints (``coxeter._read_int``), reduced mod m and
+    sorted; a diagonal that is not a pair is refused by name."""
+    try:
+        a, b = diagonal
+    except (TypeError, ValueError):
+        raise CoxeterError(f"diagonal {diagonal!r} is not a pair of endpoints") from None
+    a, b = (_read_int(v, "diagonal endpoint") % m for v in (a, b))
     return _normalize_diagonal(a, b)
 
 

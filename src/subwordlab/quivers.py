@@ -147,8 +147,10 @@ def beta_labels(system: CoxeterSystem, word: Word) -> tuple[SignedRoot, ...]:
     """Signed roots along the doubled word w + psi(w).
 
     The label at a position applies the product of all earlier letters to the
-    simple root of its own letter, which is the root table on no facet;
-    beyond the doubled word the labels repeat periodically.
+    simple root of its own letter, which is the root table on no facet.
+    Beyond the doubled word d the labels do not repeat: label p + |d| is
+    label p moved by the product of d, which is why ``check_mesh_relation``
+    walks the twice-doubled word.
     """
     word = check_word(system, word)
     if not has_sin_property(system, word):

@@ -7,33 +7,36 @@ list is sorted lexicographically so all outputs are deterministic.  One
 greedy scan, ``_rightmost_reduced_word``, decides that question: ``is_face``
 runs it on the complement of a face, the facet kernel on the whole word.
 
-Facets come from one kernel under the ``MAX_FACES`` budget, behind
-``subword_complex``, which is also where the budget is decided.  Every
-nonempty subword complex is a ball or a sphere (Knutson-Miller), so the
-Upper Bound Theorem bounds its facet count by the word length and the facet
-size alone (``_upper_bound``).  Where that bound passes the budget and
-|W| = prod(degrees) fits it, ``facet_count`` counts the facets exactly, and
-too many are refused before the search; where |W| does not fit, the kernel
-refuses once it has found too many.  The kernel is a reverse search over
-increasing flips from the greedy facet, whose parent rule is the canonical
-spanning tree of the increasing flip graph (Pilaud-Stump, arXiv:1210.1435),
-so no facet is found twice and no dead end is explored.  It carries each
-facet's root table as a sequence of signed-root codes with the facet
-positions blanked, and the roots at the facet positions as a second one;
-one root reflection per flip updates both.  A facet's children are found
-by a fixed number of C-level calls (``translate``, ``find``), not by a
-Python loop over its positions, and a child with no children of its own
-is counted without being pushed.  ``flip`` and ``root_table`` stay the
-public single-facet calls.  The ``root_table`` walk carries the image of
-the prefix and at most one complement letter not yet multiplied in, reads
-each root from them by index, and does one ``translate`` per two
-complement letters, in one loop per encoding (``bytes`` or ``str``), so
-no position tests the encoding; it checks the word by one C-level pass
-over its letters (``check_word``) and reads the positions as one set of
-ints (``operator.index``).  One flip is one walk, one sorted list of the
-facet's positions as ints, one ``index`` of q in it, one C-level scan
-(``count``, ``index``) of the table's root indices, facet entries set to
--1, for the partner, and one re-sort with the partner in q's slot.
+Facets come from one kernel, ``_facet_search``, a generator that only
+searches: it yields each facet with its number of negative roots.
+``subword_complex`` alone collects, tallies and budgets them, under
+``MAX_FACES``.  Every nonempty subword complex is a ball or a sphere
+(Knutson-Miller), so the Upper Bound Theorem bounds its facet count by the
+word length and the facet size alone (``_upper_bound``).  Where that bound
+passes the budget and |W| = prod(degrees) fits it, ``facet_count`` counts
+the facets exactly, and too many are refused before the search; otherwise
+``subword_complex`` takes at most ``MAX_FACES + 1`` facets from the stream
+and refuses a complex that yields them all.  The kernel is a reverse
+search over increasing flips from the greedy facet, whose parent rule is
+the canonical spanning tree of the increasing flip graph (Pilaud-Stump,
+arXiv:1210.1435), so no facet is found twice and no dead end is
+explored.  It carries each facet's root table as a sequence of signed-root
+codes with the facet positions blanked, and the roots at the facet
+positions as a second one; one root reflection per flip updates both.  A
+facet's children are found by a fixed number of C-level calls
+(``translate``, ``find``), not by a Python loop over its positions, and a
+child with no children of its own is yielded without being pushed.
+``flip`` and ``root_table`` stay the public single-facet calls.  The
+``root_table`` walk carries the image of the prefix and at most one
+complement letter not yet multiplied in, reads each root from them by
+index, and does one ``translate`` per two complement letters, in one loop
+per encoding (``bytes`` or ``str``), so no position tests the encoding;
+it checks the word by one C-level pass over its letters (``check_word``)
+and reads the positions as one set of ints (``operator.index``).  One
+flip is one walk, one sorted list of the facet's positions as ints, one
+``index`` of q in it, one C-level scan (``count``, ``index``) of the
+table's root indices, facet entries set to -1, for the partner, and one
+re-sort with the partner in q's slot.
 
 ``facet_counts`` counts the facets on words without finding them, under a
 budget of |W| <= ``MAX_FACES`` states checked before it starts: a head
@@ -44,10 +47,9 @@ each move u -> u*s with its inverse, v for an ascent and ~v for a descent;
 its one step applies a letter to a dict of payloads, forwards by ascents or
 backwards by descents.
 
-Face counts never materialise the faces: the kernel counts the h-vector of
-the lexicographic shelling while it enumerates, from the signs of the roots
-at each facet's positions and keeps it as ``SubwordComplex.h``, so
-``f_vector`` walks nothing.
+Face counts never materialise the faces: ``subword_complex`` tallies the
+h-vector of the lexicographic shelling from the negative-root counts of the
+stream and keeps it as ``SubwordComplex.h``, so ``f_vector`` walks nothing.
 Each complex keeps one bitset per vertex of the facets that contain it
 (``SubwordComplex.facet_bitsets``), built on first use.  ``all_faces``
 builds the faces up to a size cap from them, under the ``MAX_FACES``
@@ -64,6 +66,7 @@ from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from math import comb, prod
 from operator import index as as_int, itemgetter
 
@@ -121,7 +124,7 @@ def _rightmost_reduced_word(system: CoxeterSystem, word: Word, goal) -> int | No
     holds a reduced word for goal exactly when u ends at the identity.
     """
     right_multiply = system.right_multiply
-    top = system.codes[system.number_of_positive_roots]  # codes above it are negative
+    top = system.last_positive
     u = goal
     taken = 0
     for p in range(len(word), 0, -1):
@@ -148,14 +151,14 @@ def is_face(system: CoxeterSystem, word: Word, target: Element, positions) -> bo
 
 def _facet_search(
     system: CoxeterSystem, word: Word, target: Element
-) -> tuple[tuple[Facet, ...], tuple[int, ...]]:
-    """The sorted facets and the h-vector, by a reverse search over
-    increasing flips from the greedy facet.
+) -> Iterator[tuple[Facet, int]]:
+    """Each facet with its number of negative roots, in search order, by a
+    reverse search over increasing flips from the greedy facet.
 
     The greedy facet (Pilaud-Pocchiola) leaves out the rightmost reduced
     word for target, read by the scan that ``is_face`` reads too
-    (``_rightmost_reduced_word``).  The complex is empty when the word holds
-    no reduced word for target; then both the facets and the h-vector are ().
+    (``_rightmost_reduced_word``).  Nothing is yielded when the word holds
+    no reduced word for target.
 
     The search runs over ``reduce_to_w0(word, target)``, whose facets that
     avoid the appended completion are the facets of the complex.  There the
@@ -187,26 +190,15 @@ def _facet_search(
     no Python loop over the positions of the facet.  A flip leaves the
     table right of q' alone, so a child none of whose roots occur there in
     its parent's table, one deleting ``translate``, is a leaf: it is
-    counted but never pushed, and its ``outer`` is never built.  Raises
-    ``ResourceLimitError`` through ``check_budget``, naming the word length,
-    the type and the facets found so far, once more than ``MAX_FACES``
-    facets are found, checked after each facet's children are found.  Only
-    a complex that ``subword_complex`` could not count first gets this far
-    over the budget.
-
-    The h-vector (h_0, ..., h_d), d the facet size, comes from the same
-    signs.  Facets in lexicographic order form a shelling (Knutson-Miller),
-    and a position q of a facet I has its flip partner left of q exactly
-    when r(I, q) is negative; partners in the completion lie right of every
-    position and belong to the boundary of a ball.  So h_i counts the
-    facets with i negative roots at their own positions: one ``translate``
-    of ``roots`` to signs and one ``count`` for each facet found.
+    yielded but never pushed, and its ``outer`` is never built.  The
+    negative roots of a facet are one ``translate`` of ``roots`` to signs
+    and one ``count``.
     """
     r = len(word)
     codes, reflections = system.codes, system.reflections
     outside = _rightmost_reduced_word(system, word, target.image)  # the seed's complement
     if outside is None:
-        return (), ()
+        return
     seed = tuple(p for p in range(1, r + 1) if not outside >> p & 1)
     inside = set(seed)
     walk = _root_walk(
@@ -218,9 +210,7 @@ def _facet_search(
     as_bytes = isinstance(blank, bytes)
     signs = system.signs  # positive codes to blank, negative ones to minus
     roots = encode([walk[p - 1] for p in seed])
-    facets = [seed]
-    h = [0] * (len(seed) + 1)
-    h[roots.translate(signs).count(minus)] += 1
+    yield seed, roots.translate(signs).count(minus)
     # (facet, outer, roots, L) of the facets that may have children
     stack = [(
         seed,
@@ -241,8 +231,7 @@ def _facet_search(
             child = facet[:i] + facet[i + 1:j] + (p,) + facet[j:]
             flipped = (roots[i + 1:j] + root).translate(reflect)  # -root lands at p
             child_roots = join((roots[:i], flipped, roots[j:]))
-            facets.append(child)
-            h[child_roots.translate(signs).count(minus)] += 1
+            yield child, child_roots.translate(signs).count(minus)
             beyond = outer[p + 1:r + 1]
             kept = (
                 child_roots.translate(None, beyond) if as_bytes
@@ -254,11 +243,6 @@ def _facet_search(
                 child_outer = join((outer[:q], root, moved, blank, outer[p + 1:]))
                 stack.append((child, child_outer, child_roots, p))
             i = marked.find(blank, i + 1)
-        if len(facets) > MAX_FACES:
-            found = len(facets)
-            check_budget(found, MAX_FACES, _subject(system, r), "facets", f"at least {found}")
-    facets.sort()
-    return tuple(facets), tuple(h)
 
 
 def _subject(system: CoxeterSystem, letters: int) -> str:
@@ -450,7 +434,7 @@ class _Numbering:
         self.right_multiply = system.right_multiply
         self.tail = system.tail
         self.cut = 2 * system.number_of_positive_roots + 1
-        self.top = system.codes[system.number_of_positive_roots]  # codes above it are negative
+        self.top = system.last_positive
         self.images = []
         self.numbers = {}
         self.moves = [[] for _ in range(system.rank)]
@@ -524,9 +508,9 @@ def _sweep(system: CoxeterSystem, words: Iterable[Word], goal) -> Iterator[int]:
 @dataclass(frozen=True)
 class SubwordComplex:
     """A word, a target element, and the (eagerly enumerated) facet list
-    with the h-vector counted by the same search: ``h`` is (h_0, ..., h_d)
-    of the lexicographic shelling of the facets (see ``_facet_search``), ()
-    when there are none."""
+    with the h-vector tallied from the same search: ``h`` is (h_0, ..., h_d)
+    of the lexicographic shelling of the facets (see ``subword_complex``),
+    () when there are none."""
 
     system: CoxeterSystem
     word: Word
@@ -562,22 +546,39 @@ def subword_complex(
 ) -> SubwordComplex:
     """Build the complex; with no target, the Demazure product is used (sphere).
 
-    More than ``MAX_FACES`` facets raise ``ResourceLimitError``, from the
-    exact count before the search where it can run (see the module notes).
+    More than ``MAX_FACES`` facets raise ``ResourceLimitError`` through
+    ``check_budget``, naming the word length and the type.  Where the exact
+    count can run and the Upper Bound Theorem does not rule out too many
+    facets, ``facet_count`` decides before the search (see the module
+    notes).  Otherwise at most ``MAX_FACES + 1`` facets are taken from the
+    kernel's stream (``_facet_search``), and a complex that yields them all
+    is refused as having at least ``MAX_FACES + 1`` facets.
+
+    The h-vector (h_0, ..., h_d), d the facet size, is tallied from the
+    same stream.  Facets in lexicographic order form a shelling
+    (Knutson-Miller), and a position q of a facet I has its flip partner
+    left of q exactly when r(I, q) is negative; partners in the completion
+    lie right of every position and belong to the boundary of a ball.  So
+    h_i counts the facets with i negative roots at their own positions.
+    The facets are sorted last.
     """
     word = check_word(system, word)
     if target is None:
         target = demazure_product(system, word)
     check_element(system, target)
     r = len(word)
-    if (
-        prod(system.degrees) <= MAX_FACES
-        and _upper_bound(r + 1, r - target.length()) > MAX_FACES
-    ):
-        check_budget(facet_count(system, word, target), MAX_FACES, _subject(system, r), "facets")
-    facets, h = _facet_search(system, word, target)
+    d = r - target.length()  # the facet size
+    subject = _subject(system, r)
+    if prod(system.degrees) <= MAX_FACES and _upper_bound(r + 1, d) > MAX_FACES:
+        check_budget(facet_count(system, word, target), MAX_FACES, subject, "facets")
+    facets, h = [], [0] * (d + 1)
+    for facet, negatives in islice(_facet_search(system, word, target), MAX_FACES + 1):
+        facets.append(facet)
+        h[negatives] += 1
+    check_budget(len(facets), MAX_FACES, subject, "facets", f"at least {len(facets)}")
+    facets.sort()
     vertices = tuple(sorted(set().union(*facets)))
-    return SubwordComplex(system, word, target, facets, vertices, h)
+    return SubwordComplex(system, word, target, tuple(facets), vertices, tuple(h) if facets else ())
 
 
 @dataclass(frozen=True)

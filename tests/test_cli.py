@@ -26,7 +26,8 @@ from subwordlab.experiments import (
     run_nonface_experiment,
     run_sin_experiment,
 )
-from subwordlab.coxeter import CoxeterSystem, ResourceLimitError, longest_element
+from subwordlab.coxeter import ResourceLimitError, longest_element
+from subwordlab.multicluster import multi_cluster_word
 from subwordlab.subword import flip_graph, subword_complex
 from helpers import naive_complex_max_face_sizes, system
 
@@ -106,7 +107,9 @@ def test_maximality_draws_repeat_under_a_seed(monkeypatch):
     assert [words for _, words in draws(3)] == [words for _, words in first]
     assert [words for _, words in draws(4)] != [words for _, words in first]
     for s, words in first:
-        assert len(words) == experiments.MAXIMALITY_SAMPLES
+        # the one facet_counts call of a row takes the reference word last
+        assert len(words) == experiments.MAXIMALITY_SAMPLES + 1
+        assert words[-1] == multi_cluster_word(s, tuple(range(1, s.rank + 1)), 1)
         size = s.rank + s.number_of_positive_roots  # k = 1
         for word in words:
             assert type(word) is tuple and len(word) == size
@@ -130,13 +133,12 @@ def test_maximality_lists_no_facets(monkeypatch):
     [("A3", 1, "exhaustive", 23, 24), ("E7", 1, "sample[200]", 10**6, 2903040)],
 )
 def test_maximality_checks_the_group_order_up_front(monkeypatch, name, k, mode, limit, order):
-    s = CoxeterSystem(name)
-
-    def no_sweep(image, t):
+    # the reference word c^k w0(c) is built first, at most N products, but
+    # the group order is checked before the sweep numbers any element
+    def no_sweep(*args):
         raise AssertionError("the sweep started")
 
-    monkeypatch.setattr(s, "right_multiply", no_sweep)
-    monkeypatch.setattr(experiments, "CoxeterSystem", lambda type_: s)
+    monkeypatch.setattr(subword, "_sweep", no_sweep)
     monkeypatch.setattr(subword, "MAX_FACES", limit)
     with pytest.raises(
         ResourceLimitError,

@@ -923,6 +923,16 @@ def test_elements_of_two_builds_of_one_type_mix():
             lambda a2: contains_pairwise_crossing(8, 2, [(0, 2), (1, "3")]),
             "diagonal endpoint '3' is not an integer",
         ),
+        # a diagonal is a pair of endpoints
+        (
+            lambda a2: diagonals_cross(8, (0, 2, 4), (1, 3)),
+            "diagonal (0, 2, 4) is not a pair of endpoints",
+        ),
+        (
+            lambda a2: contains_pairwise_crossing(8, 1, [(0,)]),
+            "diagonal (0,) is not a pair of endpoints",
+        ),
+        (lambda a2: diagonals_cross(8, 5, (1, 3)), "diagonal 5 is not a pair of endpoints"),
         # a window answers only for its own vertices
         (
             lambda a2: repetition_window(a2, (1, 2), 2).tau((4, 1)),
@@ -944,7 +954,8 @@ def test_elements_of_two_builds_of_one_type_mix():
         "crossing count -1", "permutation entry 1.0",
         "is_face letter 99", "link letter 99", "is_face target before position",
         "link letter before target", "relevant endpoint 2.5", "cross endpoint 2.5",
-        "crossing endpoint '3'", "window tau", "window shift",
+        "crossing endpoint '3'", "cross three endpoints", "crossing one endpoint",
+        "cross no pair", "window tau", "window shift",
     ],
 )
 def test_refusals_name_the_fault(call, message):

@@ -8,6 +8,7 @@ from subwordlab.coxeter import (
     CoxeterError,
     ResourceLimitError,
     SignedRoot,
+    element_from_word,
     enumerate_coxeter_words,
     psi_word,
 )
@@ -254,6 +255,36 @@ def test_beta_labels_match_the_root_table_oracle(name, k):
         assert beta_labels(s, word) == brute_root_table(
             s, word + psi_word(s, word), ()
         )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([("A3", 1), ("A3", 2), ("B3", 1), ("B3", 2), ("I2(7)", 1), ("D4", 1),
+                     ("H3", 1), ("F4", 1), ("E6", 1)]),
+    st.data(),
+)
+def test_labels_past_the_doubled_word_move_by_its_product(instance, data):
+    # over the twice-doubled word d d, label p + |d| is label p moved by the
+    # product of d, against the Element-product oracle
+    name, k = instance
+    s = system(name)
+    word = multi_cluster_word(s, data.draw(st.sampled_from(enumerate_coxeter_words(s))), k)
+    labels = beta_labels(s, word)
+    doubled = word + psi_word(s, word)
+    moved = element_from_word(s, doubled)
+    assert brute_root_table(s, doubled + doubled, ()) == labels + tuple(
+        moved.apply(*label) for label in labels
+    )
+
+
+def test_beta_labels_do_not_repeat_past_the_doubled_word():
+    # on A3 k=1 with c = s1s2s3 the product of d is no identity, so the
+    # labels of d d are no two copies of the labels of d
+    a3 = system("A3")
+    word = multi_cluster_word(a3, (1, 2, 3), 1)
+    doubled = word + psi_word(a3, word)
+    labels = quivers.root_table(a3, doubled + doubled, ())
+    assert labels[len(doubled):] != labels[:len(doubled)]
 
 
 def test_beta_labels_stay_in_the_root_system():
