@@ -302,12 +302,15 @@ def _normalize_diagonal(a: int, b: int) -> Diagonal:
 
 def _read_diagonal(m: int, diagonal: Diagonal) -> Diagonal:
     """The two endpoints as ints (``coxeter._read_int``), reduced mod m and
-    sorted; a diagonal that is not a pair is refused by name."""
+    sorted; a diagonal that is not a pair, or whose endpoints coincide mod
+    m, is refused by name."""
     try:
         a, b = diagonal
     except (TypeError, ValueError):
         raise CoxeterError(f"diagonal {diagonal!r} is not a pair of endpoints") from None
     a, b = (_read_int(v, "diagonal endpoint") % m for v in (a, b))
+    if a == b:
+        raise CoxeterError(f"diagonal {diagonal!r} has endpoints that coincide mod {m}")
     return _normalize_diagonal(a, b)
 
 

@@ -14,13 +14,14 @@ searches: it yields each facet with its number of negative roots.
 (Knutson-Miller), so the Upper Bound Theorem bounds its facet count by the
 word length and the facet size alone (``_upper_bound``).  Where that bound
 passes the budget and |W| = prod(degrees) fits it, ``facet_count`` counts
-the facets exactly, and too many are refused before the search; otherwise
-``subword_complex`` takes at most ``MAX_FACES + 1`` facets from the stream
-and refuses a complex that yields them all.  The kernel is a reverse
-search over increasing flips from the greedy facet, whose parent rule is
-the canonical spanning tree of the increasing flip graph (Pilaud-Stump,
-arXiv:1210.1435), so no facet is found twice and no dead end is
-explored.  It carries each facet's root table as a sequence of signed-root
+the facets exactly, and too many are refused before the search; where |W|
+does not fit, ``subword_complex`` first takes at most ``MAX_FACES + 1``
+facets from the stream without keeping them and refuses a complex that
+yields them all, so a refused complex never holds a facet list.  The kernel
+is a reverse search over increasing flips from the greedy facet, whose
+parent rule is the canonical spanning tree of the increasing flip graph
+(Pilaud-Stump, arXiv:1210.1435), so no facet is found twice and no dead end
+is explored.  It carries each facet's root table as a sequence of signed-root
 codes with the facet positions blanked, and the roots at the facet
 positions as a second one; one root reflection per flip updates both.  A
 facet's children are found by a fixed number of C-level calls
@@ -37,6 +38,15 @@ flip is one walk, one sorted list of the facet's positions as ints, one
 ``index`` of q in it, one C-level scan (``count``, ``index``) of the
 table's root indices, facet entries set to -1, for the partner, and one
 re-sort with the partner in q's slot.
+
+``flip_graph`` calls ``flip`` once per (facet, q).  Facets are independent
+units of that work, so once it passes ``_FORK_UNITS`` (facets x facet size
+x letters of the completed word) and ``os.fork`` exists, the facets are cut
+into contiguous chunks, one per usable CPU (``os.sched_getaffinity`` where
+it exists, else ``os.cpu_count``): this process builds the first chunk's
+rows and a forked child each other chunk's (``_in_workers``).  The rows are
+joined in chunk order, so the graph, and its DOT text, are the same for
+every number of workers, one included.
 
 ``facet_counts`` counts the facets on words without finding them, under a
 budget of |W| <= ``MAX_FACES`` states checked before it starts: a head
@@ -62,6 +72,9 @@ built.
 
 from __future__ import annotations
 
+import os
+import signal
+from array import array
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -547,15 +560,17 @@ def subword_complex(
     """Build the complex; with no target, the Demazure product is used (sphere).
 
     More than ``MAX_FACES`` facets raise ``ResourceLimitError`` through
-    ``check_budget``, naming the word length and the type.  Where the exact
-    count can run and the Upper Bound Theorem does not rule out too many
-    facets, ``facet_count`` decides before the search (see the module
-    notes).  Otherwise at most ``MAX_FACES + 1`` facets are taken from the
-    kernel's stream (``_facet_search``), and a complex that yields them all
-    is refused as having at least ``MAX_FACES + 1`` facets.
+    ``check_budget``, naming the word length and the type.  Where the Upper
+    Bound Theorem does not rule out too many facets, they are counted before
+    they are collected (see the module notes): by ``facet_count`` where
+    |W| fits the budget, and otherwise by a first pass that takes at most
+    ``MAX_FACES + 1`` facets from the kernel's stream (``_facet_search``)
+    without keeping them, refusing a complex that yields them all as having
+    at least ``MAX_FACES + 1`` facets.  Only then are the facets collected,
+    by a search of their own.
 
     The h-vector (h_0, ..., h_d), d the facet size, is tallied from the
-    same stream.  Facets in lexicographic order form a shelling
+    collecting stream.  Facets in lexicographic order form a shelling
     (Knutson-Miller), and a position q of a facet I has its flip partner
     left of q exactly when r(I, q) is negative; partners in the completion
     lie right of every position and belong to the boundary of a ball.  So
@@ -569,13 +584,17 @@ def subword_complex(
     r = len(word)
     d = r - target.length()  # the facet size
     subject = _subject(system, r)
-    if prod(system.degrees) <= MAX_FACES and _upper_bound(r + 1, d) > MAX_FACES:
-        check_budget(facet_count(system, word, target), MAX_FACES, subject, "facets")
+    if _upper_bound(r + 1, d) > MAX_FACES:
+        if prod(system.degrees) <= MAX_FACES:
+            check_budget(facet_count(system, word, target), MAX_FACES, subject, "facets")
+        else:
+            stream = islice(_facet_search(system, word, target), MAX_FACES + 1)
+            found = sum(1 for _ in stream)
+            check_budget(found, MAX_FACES, subject, "facets", f"at least {found}")
     facets, h = [], [0] * (d + 1)
-    for facet, negatives in islice(_facet_search(system, word, target), MAX_FACES + 1):
+    for facet, negatives in _facet_search(system, word, target):
         facets.append(facet)
         h[negatives] += 1
-    check_budget(len(facets), MAX_FACES, subject, "facets", f"at least {len(facets)}")
     facets.sort()
     vertices = tuple(sorted(set().union(*facets)))
     return SubwordComplex(system, word, target, tuple(facets), vertices, tuple(h) if facets else ())
@@ -602,20 +621,142 @@ def flip_graph(complex_: SubwordComplex) -> FlipGraph:
     balls work too: a flip that lands in the appended completion is a
     boundary wall and gives no edge.  Flips of distinct positions q, q' of
     a facet I give distinct neighbours (I - q + p = I - q' + p' would put
-    q' = p outside I), so each adjacency list needs no deduplication."""
-    system, word = complex_.system, complex_.word
+    q' = p outside I), so each adjacency list needs no deduplication.
+
+    The facets are independent units of this work, so they are split into
+    contiguous chunks, one per usable CPU, and built in forked workers
+    (``_in_workers``), once the work passes ``_FORK_UNITS``; the graph is
+    the same whatever the split."""
+    system, word, facets = complex_.system, complex_.word, complex_.facets
     completed = reduce_to_w0(system, word, complex_.target)
     last = len(word)  # positions past it are the completion
-    index = {facet: i for i, facet in enumerate(complex_.facets)}
-    neighbors = []
-    for facet in complex_.facets:
-        adjacent = []
-        for q in facet:
-            other, landing = flip(system, completed, facet, q)
-            if landing <= last:
-                adjacent.append(index[other])
-        neighbors.append(tuple(sorted(adjacent)))
-    return FlipGraph(complex_.facets, tuple(neighbors))
+    index = {facet: i for i, facet in enumerate(facets)}
+
+    def rows(chunk: slice) -> list:  # of the facets
+        out = []
+        for facet in facets[chunk]:
+            adjacent = []
+            for q in facet:
+                other, landing = flip(system, completed, facet, q)
+                if landing <= last:
+                    adjacent.append(index[other])
+            out.append(tuple(sorted(adjacent)))
+        return out
+
+    workers = _workers(len(facets) * complex_.facet_size() * len(completed))
+    cuts = [len(facets) * c // workers for c in range(workers + 1)]
+    chunks = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+    return FlipGraph(facets, tuple(_in_workers(rows, chunks, list(index.values()))))
+
+
+# A flip graph is split across processes once half its serial time pays for
+# one fork round trip.  A bare round trip (pipe, fork, the child's exit, read
+# to EOF and reap) takes 1.3 ms in a 17-25 MiB process, but a two-way split
+# of the smallest graphs (D4 and A3 k=2) takes 3.1-3.2 ms longer than half
+# their serial time: the child also starts on an idle CPU and both processes
+# take copy-on-write faults (medians of 100-200 runs).  One unit of work,
+# one letter of the completed word walked for one (facet, q), takes 0.38-0.45
+# us on the A, B, D and F graphs (fastest of several serial runs).  Measured
+# on CPython 3.11, 2-core x86_64 VM.  So 2 * 3.1 ms / 0.4 us units.
+_FORK_UNITS = 15_500
+
+
+def _workers(units: int) -> int:
+    """The processes a flip graph of ``units`` units of work is built in:
+    one where there is no ``os.fork`` or the work is below ``_FORK_UNITS``,
+    else one per usable CPU (the affinity mask where there is one)."""
+    if not hasattr(os, "fork") or units < _FORK_UNITS:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_workers(work, chunks: list, numbers: list) -> list:
+    """``work(chunk)`` of every chunk, joined in chunk order, where ``work``
+    returns a list of tuples of indices into ``numbers``, which holds the
+    ints 0, 1, ... in order.
+
+    This process does chunk 0, the only one when there is one worker; an
+    ``os.fork``ed child does each other one and sends its rows back through
+    a pipe as one ``array('i')``, each row prefixed by its length, read
+    here through ``numbers`` so that the rows hold this process's own int
+    objects.  A child runs its work in a ``try`` whose ``finally`` is
+    ``os._exit``, so it never returns here.  The chunk of a child that
+    fails, or could not be forked, is done again here, so any error is the
+    one the serial path raises.  Every child is waited for before this
+    returns, and killed and waited for on any exception,
+    ``KeyboardInterrupt`` included.
+    """
+    pids, pipes = {}, {}  # by chunk number
+    try:
+        for c in range(1, len(chunks)):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(r)
+                    _send(w, work(chunks[c]))
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            pids[c], pipes[c] = pid, r
+        out = work(chunks[0])
+        for c in range(1, len(chunks)):
+            rows = None
+            if c in pids:
+                data = _read_to_end(pipes[c])
+                os.close(pipes.pop(c))
+                status = os.waitpid(pids[c], 0)[1]
+                del pids[c]
+                if status == 0:
+                    rows = _received_rows(data, numbers)
+            out += work(chunks[c]) if rows is None else rows
+        return out
+    finally:
+        for r in pipes.values():
+            os.close(r)
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _send(fd: int, rows) -> None:
+    """Write rows of ints to ``fd`` as one ``array('i')``, each row prefixed
+    by its length."""
+    flat = array("i")
+    for row in rows:
+        flat.append(len(row))
+        flat.extend(row)
+    view = memoryview(flat).cast("B")
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read_to_end(fd: int) -> bytearray:
+    data = bytearray()
+    while part := os.read(fd, 1 << 16):
+        data += part
+    return data
+
+
+def _received_rows(data: bytearray, numbers: list) -> list:
+    """The rows ``_send`` wrote, each entry i read as ``numbers[i]``, through
+    a view of ``data`` as C ints, so the rows are never copied as a whole."""
+    flat = memoryview(data).cast("i")
+    rows, i = [], 0
+    while i < len(flat):
+        end = i + 1 + flat[i]
+        rows.append(tuple(map(numbers.__getitem__, flat[i + 1:end])))
+        i = end
+    return rows
 
 
 def _braced(positions) -> str:  # the label of a face, "{1,2,5}"

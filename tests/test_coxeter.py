@@ -933,6 +933,19 @@ def test_elements_of_two_builds_of_one_type_mix():
             "diagonal (0,) is not a pair of endpoints",
         ),
         (lambda a2: diagonals_cross(8, 5, (1, 3)), "diagonal 5 is not a pair of endpoints"),
+        # a diagonal joins two distinct vertices of the polygon
+        (
+            lambda a2: diagonal_is_relevant(7, 1, (0, 7)),
+            "diagonal (0, 7) has endpoints that coincide mod 7",
+        ),
+        (
+            lambda a2: diagonals_cross(8, (0, 0), (1, 3)),
+            "diagonal (0, 0) has endpoints that coincide mod 8",
+        ),
+        (
+            lambda a2: contains_pairwise_crossing(8, 1, [(0, 2), (3, -5)]),
+            "diagonal (3, -5) has endpoints that coincide mod 8",
+        ),
         # a window answers only for its own vertices
         (
             lambda a2: repetition_window(a2, (1, 2), 2).tau((4, 1)),
@@ -955,7 +968,8 @@ def test_elements_of_two_builds_of_one_type_mix():
         "is_face letter 99", "link letter 99", "is_face target before position",
         "link letter before target", "relevant endpoint 2.5", "cross endpoint 2.5",
         "crossing endpoint '3'", "cross three endpoints", "crossing one endpoint",
-        "cross no pair", "window tau", "window shift",
+        "cross no pair", "relevant endpoints 0 7", "cross endpoints 0 0",
+        "crossing endpoints 3 -5", "window tau", "window shift",
     ],
 )
 def test_refusals_name_the_fault(call, message):

@@ -521,9 +521,10 @@ def test_diagonals_cross():
 
 
 def test_diagonals_cross_matches_cyclic_interleaving():
-    # every ordered pair of (possibly unsorted or degenerate) vertex pairs
+    # every ordered pair of (possibly unsorted) vertex pairs; a pair whose
+    # endpoints coincide is no diagonal and is refused
     for m in range(1, 11):
-        pairs = [(a, b) for a in range(m) for b in range(m)]
+        pairs = [(a, b) for a in range(m) for b in range(m) if a != b]
         for d1 in pairs:
             for d2 in pairs:
                 assert diagonals_cross(m, d1, d2) == brute_diagonals_cross(m, d1, d2)

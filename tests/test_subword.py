@@ -1,3 +1,4 @@
+import os
 import re
 from dataclasses import replace
 from fractions import Fraction
@@ -546,6 +547,39 @@ def test_kernel_budget_counts_the_leaves(monkeypatch):
     assert 20 < found < 32
 
 
+def test_a_group_too_big_to_count_is_refused_before_collecting(monkeypatch):
+    # |W(H3)| = 120 is over a budget of 20, so a first pass takes at most 21
+    # facets from the search, keeps none, and refuses; no second search
+    # starts to collect them.  A complex within the budget is searched
+    # twice: counted, then collected
+    monkeypatch.setattr(subword, "facet_count", _no_count)
+    h3 = system("H3")
+    word = multi_cluster_word(h3, (1, 2, 3), 1)
+    searches, taken = [], []
+    search = subword._facet_search
+
+    def counted(*args):
+        searches.append(None)
+        for item in search(*args):
+            taken.append(None)
+            yield item
+
+    monkeypatch.setattr(subword, "_facet_search", counted)
+    monkeypatch.setattr(subword, "MAX_FACES", 20)
+    with pytest.raises(ResourceLimitError) as caught:
+        subword_complex(h3, word, longest_element(h3))
+    assert str(caught.value) == (
+        "the complex on a word of 18 letters in H3 has at least 21 facets,"
+        " more than the limit of 20"
+    )
+    assert (len(searches), len(taken)) == (1, 21)
+    monkeypatch.setattr(subword, "MAX_FACES", 32)
+    searches.clear()
+    taken.clear()
+    assert len(subword_complex(h3, word, longest_element(h3)).facets) == 32
+    assert (len(searches), len(taken)) == (2, 64)
+
+
 def test_an_explicit_word_is_counted_before_the_search(monkeypatch):
     # (s1...s6)^8 is c^3 w0(c) in D6, given as a word: |W| = 23040 fits the
     # budget and the Upper Bound Theorem does not rule out more than 10^6
@@ -921,6 +955,139 @@ def test_flip_graph_dot_output():
     dot = flip_graph_dot(flip_graph(complex_))
     assert dot.startswith("graph flips {")
     assert dot.count("--") == 5
+
+
+# Flip graphs split across forked workers
+
+
+def _split_instances():
+    """A sphere and a ball above the work threshold: A3 k=3, and the word of
+    A3 k=4 with target s1 s2 s1, whose flips into the completion are walls."""
+    a3 = system("A3")
+    sphere = subword_complex(a3, multi_cluster_word(a3, (1, 2, 3), 3))
+    ball = subword_complex(
+        a3, multi_cluster_word(a3, (1, 2, 3), 4), element_from_word(a3, (1, 2, 1))
+    )
+    return sphere, ball
+
+
+def _units(complex_):
+    completed = reduce_to_w0(complex_.system, complex_.word, complex_.target)
+    return len(complex_.facets) * complex_.facet_size() * len(completed)
+
+
+def _flip_oracle(complex_):
+    """The adjacency from one public ``flip`` per (facet, q)."""
+    s = complex_.system
+    completed = reduce_to_w0(s, complex_.word, complex_.target)
+    index = {facet: i for i, facet in enumerate(complex_.facets)}
+    rows = []
+    for facet in complex_.facets:
+        flips = [flip(s, completed, facet, q) for q in facet]
+        rows.append(tuple(sorted(
+            index[other] for other, landing in flips if landing <= len(complex_.word)
+        )))
+    return tuple(rows)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The ``os.fork`` calls this process makes, with three usable CPUs."""
+    calls = []
+    real_fork = os.fork
+
+    def counted():
+        calls.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["sphere", "ball"])
+def test_split_flip_graph_matches_the_flip_oracle(forks, kind):
+    complex_ = dict(zip(("sphere", "ball"), _split_instances()))[kind]
+    assert _units(complex_) >= subword._FORK_UNITS
+    graph = flip_graph(complex_)
+    assert len(forks) == 2  # chunk 0 is built here, the other two in children
+    _assert_no_child_left()
+    assert graph.nodes == complex_.facets
+    assert graph.neighbors == _flip_oracle(complex_)
+    if kind == "ball":
+        assert any(len(row) < complex_.facet_size() for row in graph.neighbors)
+
+
+def test_one_usable_cpu_builds_the_same_graph_without_forking(forks, monkeypatch):
+    for complex_ in _split_instances():
+        split = flip_graph(complex_)
+        forked = len(forks)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert flip_graph(complex_) == split
+        assert flip_graph_dot(flip_graph(complex_)) == flip_graph_dot(split)
+        assert len(forks) == forked
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    _assert_no_child_left()
+
+
+def test_small_flip_graphs_are_built_without_forking(forks):
+    # A3 k=2, 84 facets of size 6 on 12 letters, is below the threshold
+    a3 = system("A3")
+    complex_ = subword_complex(a3, multi_cluster_word(a3, (1, 2, 3), 2))
+    assert _units(complex_) == 6048 < subword._FORK_UNITS
+    assert flip_graph(complex_).neighbors == _flip_oracle(complex_)
+    assert forks == []
+
+
+def test_a_failed_fork_leaves_the_chunk_to_this_process(monkeypatch):
+    def failing():
+        raise OSError("no fork")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(os, "fork", failing)
+    sphere, _ = _split_instances()
+    assert flip_graph(sphere).neighbors == _flip_oracle(sphere)
+
+
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_a_bogus_facet_raises_the_serial_error(forks, monkeypatch, where):
+    # a position past the completed word is refused by the flip of that
+    # facet; in the last chunk a child fails and its chunk is redone here,
+    # in the first this process raises while the children still run
+    sphere, _ = _split_instances()
+    bogus = (1, 2, 100)
+    facets = (bogus,) + sphere.facets if where == "first" else sphere.facets + (bogus,)
+    broken = replace(sphere, facets=facets)
+    with pytest.raises(CoxeterError) as split:
+        flip_graph(broken)
+    assert len(forks) == 2
+    _assert_no_child_left()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    with pytest.raises(CoxeterError) as serial:
+        flip_graph(broken)
+    assert str(split.value) == str(serial.value) == "position out of range"
+
+
+def test_an_interrupt_kills_and_reaps_every_child(forks, monkeypatch):
+    parent = os.getpid()
+    real_flip = subword.flip
+
+    def interrupted(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return real_flip(*args)
+
+    monkeypatch.setattr(subword, "flip", interrupted)
+    sphere, _ = _split_instances()
+    with pytest.raises(KeyboardInterrupt):
+        flip_graph(sphere)
+    assert len(forks) == 2
+    _assert_no_child_left()
 
 
 def test_link_of_empty_face():
