@@ -74,6 +74,7 @@ def recognize_multi_cluster_word(
     property.  The Coxeter word is read off from the first occurrences, and
     the reconstruction is verified via the commutation canonical form.
     """
+    word = check_word(system, word)
     if not has_sin_property(system, word):
         return None
     extra = len(word) - system.number_of_positive_roots
@@ -104,7 +105,7 @@ def multi_cluster_complex(system: CoxeterSystem, cox: Word, k: int) -> SubwordCo
     checked against ``MAX_FACES``; that covers groups too big to count,
     such as A16 and E8.  ``subword_complex`` checks every other size.
     """
-    check_coxeter_word(system, cox)
+    cox = check_coxeter_word(system, cox)
     k = _read_k(k)
     n, limit = system.rank, subword.MAX_FACES
     subject = f"{system.descriptor.name()} with k={k}"
@@ -135,7 +136,7 @@ def lr_labels(system: CoxeterSystem, cox: Word) -> tuple[SignedRoot, ...]:
     Prefix letters carry the negated simples; the letter w_i of the sorting
     word carries w_1...w_{i-1}(alpha_{w_i}), its root table on no facet.
     """
-    check_coxeter_word(system, cox)
+    cox = check_coxeter_word(system, cox)
     negatives = tuple(SignedRoot(s - 1, -1) for s in cox)
     return negatives + root_table(system, sorting_word_w0(system, cox).word, ())
 
@@ -156,6 +157,7 @@ def c_compatible(
     their letters of c * w0(c) form a face of the cluster complex."""
     if root1 == root2:
         raise CoxeterError("compatibility is a relation on distinct roots")
+    cox = check_coxeter_word(system, cox)
     positions = (lr_position(system, cox, root1), lr_position(system, cox, root2))
     word = multi_cluster_word(system, cox, 1)
     return is_face(system, word, longest_element(system), positions)

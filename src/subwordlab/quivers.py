@@ -122,7 +122,7 @@ def repetition_window(
     ``MAX_FACES`` vertices in all raise ``ResourceLimitError`` before any
     block is built.
     """
-    check_coxeter_word(system, cox)
+    cox = check_coxeter_word(system, cox)
     copies = _read_int(copies, "copies")
     if copies < 1:
         raise CoxeterError("need at least one block")

@@ -41,12 +41,14 @@ re-sort with the partner in q's slot.
 
 ``flip_graph`` calls ``flip`` once per (facet, q).  Facets are independent
 units of that work, so once it passes ``_FORK_UNITS`` (facets x facet size
-x letters of the completed word) and ``os.fork`` exists, the facets are cut
-into contiguous chunks, one per usable CPU (``os.sched_getaffinity`` where
-it exists, else ``os.cpu_count``): this process builds the first chunk's
-rows and a forked child each other chunk's (``_in_workers``).  The rows are
-joined in chunk order, so the graph, and its DOT text, are the same for
-every number of workers, one included.
+x letters of the completed word; 50,000, where a split was measured to beat
+the serial path) and ``os.fork`` exists, the facets are cut into contiguous
+chunks, one per usable CPU (``os.sched_getaffinity`` where it exists, else
+``os.cpu_count``): this process builds the first chunk's rows and a forked
+child each other chunk's (``_in_workers``).  A child writes its rows to a
+pipe with one ``marshal.dump``, loaded here once the child has exited 0.
+The rows are joined in chunk order, so the graph, and its DOT text, are the
+same for every number of workers, one included.
 
 ``facet_counts`` counts the facets on words without finding them, under a
 budget of |W| <= ``MAX_FACES`` states checked before it starts: a head
@@ -72,9 +74,9 @@ built.
 
 from __future__ import annotations
 
+import marshal
 import os
 import signal
-from array import array
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -623,10 +625,10 @@ def flip_graph(complex_: SubwordComplex) -> FlipGraph:
     a facet I give distinct neighbours (I - q + p = I - q' + p' would put
     q' = p outside I), so each adjacency list needs no deduplication.
 
-    The facets are independent units of this work, so they are split into
-    contiguous chunks, one per usable CPU, and built in forked workers
-    (``_in_workers``), once the work passes ``_FORK_UNITS``; the graph is
-    the same whatever the split."""
+    The facets are independent units of this work, so once it passes
+    ``_FORK_UNITS`` they are split into contiguous chunks, one per usable
+    CPU, and built in forked workers that hand their rows back with
+    ``marshal`` (``_in_workers``); the graph is the same whatever the split."""
     system, word, facets = complex_.system, complex_.word, complex_.facets
     completed = reduce_to_w0(system, word, complex_.target)
     last = len(word)  # positions past it are the completion
@@ -646,19 +648,20 @@ def flip_graph(complex_: SubwordComplex) -> FlipGraph:
     workers = _workers(len(facets) * complex_.facet_size() * len(completed))
     cuts = [len(facets) * c // workers for c in range(workers + 1)]
     chunks = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
-    return FlipGraph(facets, tuple(_in_workers(rows, chunks, list(index.values()))))
+    return FlipGraph(facets, tuple(_in_workers(rows, chunks)))
 
 
-# A flip graph is split across processes once half its serial time pays for
-# one fork round trip.  A bare round trip (pipe, fork, the child's exit, read
-# to EOF and reap) takes 1.3 ms in a 17-25 MiB process, but a two-way split
-# of the smallest graphs (D4 and A3 k=2) takes 3.1-3.2 ms longer than half
-# their serial time: the child also starts on an idle CPU and both processes
-# take copy-on-write faults (medians of 100-200 runs).  One unit of work,
-# one letter of the completed word walked for one (facet, q), takes 0.38-0.45
-# us on the A, B, D and F graphs (fastest of several serial runs).  Measured
-# on CPython 3.11, 2-core x86_64 VM.  So 2 * 3.1 ms / 0.4 us units.
-_FORK_UNITS = 15_500
+# A flip graph is split across processes only where that was measured to be
+# faster.  A unit of work is one letter of the completed word walked for one
+# (facet, q).  Medians of 60-100 alternating serial/split pairs, threshold
+# patched, CPython 3.11, 2-vCPU x86_64 VM: split lost on B3 k=2 (15,750
+# units, 6.4 -> 8.4 ms), A3 k=3 (44,550, 17.3 -> 19.8 ms) and A2 k=7
+# (48,552, 18.2 -> 20.5 ms), and won from I2(7) k=4 (54,000, 20.2 -> 15.2
+# ms) up, H4 k=1 (71,680) 20.1 -> 13.5 ms.  A split costs far more than a
+# bare fork round trip (1.3 ms) because short jobs on two vCPUs at once run
+# slow: a 3.4 ms loop took 7.5 ms while a forked child ran the same loop,
+# and an 82 ms loop took 82 ms.
+_FORK_UNITS = 50_000
 
 
 def _workers(units: int) -> int:
@@ -672,21 +675,20 @@ def _workers(units: int) -> int:
     return os.cpu_count() or 1
 
 
-def _in_workers(work, chunks: list, numbers: list) -> list:
+def _in_workers(work, chunks: list) -> list:
     """``work(chunk)`` of every chunk, joined in chunk order, where ``work``
-    returns a list of tuples of indices into ``numbers``, which holds the
-    ints 0, 1, ... in order.
+    returns a list that ``marshal`` can write.
 
     This process does chunk 0, the only one when there is one worker; an
-    ``os.fork``ed child does each other one and sends its rows back through
-    a pipe as one ``array('i')``, each row prefixed by its length, read
-    here through ``numbers`` so that the rows hold this process's own int
-    objects.  A child runs its work in a ``try`` whose ``finally`` is
-    ``os._exit``, so it never returns here.  The chunk of a child that
-    fails, or could not be forked, is done again here, so any error is the
-    one the serial path raises.  Every child is waited for before this
-    returns, and killed and waited for on any exception,
-    ``KeyboardInterrupt`` included.
+    ``os.fork``ed child does each other one and writes its rows to a pipe
+    with ``marshal.dump``, which this process reads to the end and loads
+    only when the child exited 0, so ``marshal`` reads only bytes that a
+    child of this process wrote in full.  A child runs its work in a
+    ``try`` whose ``finally`` is ``os._exit``, so it never returns here.
+    The chunk of a child that fails, or could not be forked, is done again
+    here, so any error is the one the serial path raises.  Every child is
+    waited for before this returns, and killed and waited for on any
+    exception, ``KeyboardInterrupt`` included.
     """
     pids, pipes = {}, {}  # by chunk number
     try:
@@ -702,7 +704,8 @@ def _in_workers(work, chunks: list, numbers: list) -> list:
                 code = 1
                 try:
                     os.close(r)
-                    _send(w, work(chunks[c]))
+                    with open(w, "wb") as pipe:
+                        marshal.dump(work(chunks[c]), pipe)
                     code = 0
                 finally:
                     os._exit(code)
@@ -712,12 +715,12 @@ def _in_workers(work, chunks: list, numbers: list) -> list:
         for c in range(1, len(chunks)):
             rows = None
             if c in pids:
-                data = _read_to_end(pipes[c])
-                os.close(pipes.pop(c))
+                with open(pipes.pop(c), "rb") as pipe:
+                    data = pipe.read()
                 status = os.waitpid(pids[c], 0)[1]
                 del pids[c]
                 if status == 0:
-                    rows = _received_rows(data, numbers)
+                    rows = marshal.loads(data)
             out += work(chunks[c]) if rows is None else rows
         return out
     finally:
@@ -726,37 +729,6 @@ def _in_workers(work, chunks: list, numbers: list) -> list:
         for pid in pids.values():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-
-
-def _send(fd: int, rows) -> None:
-    """Write rows of ints to ``fd`` as one ``array('i')``, each row prefixed
-    by its length."""
-    flat = array("i")
-    for row in rows:
-        flat.append(len(row))
-        flat.extend(row)
-    view = memoryview(flat).cast("B")
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _read_to_end(fd: int) -> bytearray:
-    data = bytearray()
-    while part := os.read(fd, 1 << 16):
-        data += part
-    return data
-
-
-def _received_rows(data: bytearray, numbers: list) -> list:
-    """The rows ``_send`` wrote, each entry i read as ``numbers[i]``, through
-    a view of ``data`` as C ints, so the rows are never copied as a whole."""
-    flat = memoryview(data).cast("i")
-    rows, i = [], 0
-    while i < len(flat):
-        end = i + 1 + flat[i]
-        rows.append(tuple(map(numbers.__getitem__, flat[i + 1:end])))
-        i = end
-    return rows
 
 
 def _braced(positions) -> str:  # the label of a face, "{1,2,5}"
@@ -783,7 +755,7 @@ def link(system: CoxeterSystem, word: Word, target: Element, face) -> SubwordCom
     ``is_face`` checks the arguments, so the refusals come in its order: a
     letter out of range, an element of another type, then a bad position.
     """
-    face = tuple(face)
+    face, word = tuple(face), check_word(system, word)
     if not is_face(system, word, target, face):
         raise CoxeterError("not a face of the complex")
     return subword_complex(system, _complement(word, _position_set(word, face)), target)

@@ -43,6 +43,7 @@ from subwordlab.coxeter import (
     reduced_word,
 )
 from subwordlab.multicluster import (
+    c_compatible,
     contains_pairwise_crossing,
     count_formula_is_theorem,
     csp_fixed_point_table,
@@ -976,6 +977,31 @@ def test_refusals_name_the_fault(call, message):
     with pytest.raises(CoxeterError) as caught:
         call(system("A2"))
     assert str(caught.value) == message
+
+
+# Every call that reads its word or Coxeter word more than once, with the
+# letters given as a one-shot iterable (``iter``) or as a ``tuple``
+_ONE_SHOT_CALLS = {
+    "multi_cluster_complex": lambda a3, w: multi_cluster_complex(a3, w((2, 1, 3)), 1),
+    "lr_labels": lambda a3, w: lr_labels(a3, w((2, 1, 3))),
+    "lr_position": lambda a3, w: lr_position(a3, w((2, 1, 3)), SignedRoot(2, 1)),
+    "c_compatible": lambda a3, w: c_compatible(
+        a3, w((2, 1, 3)), SignedRoot(0, -1), SignedRoot(2, 1)
+    ),
+    "repetition_window": lambda a3, w: repetition_window(a3, w((2, 1, 3)), 2).blocks,
+    "recognize_multi_cluster_word": lambda a3, w: recognize_multi_cluster_word(
+        a3, w(multi_cluster_word(a3, (2, 1, 3), 2))
+    ),
+    "link": lambda a3, w: link(
+        a3, w(multi_cluster_word(a3, (1, 2, 3), 1)), longest_element(a3), (2,)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _ONE_SHOT_CALLS)
+def test_a_one_shot_iterable_is_read_once(name):
+    a3, call = system("A3"), _ONE_SHOT_CALLS[name]
+    assert call(a3, iter) == call(a3, tuple)
 
 
 # Every public call that takes a count, cap, index or vertex label, as (the

@@ -1,9 +1,11 @@
+import marshal
 import os
 import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -961,12 +963,13 @@ def test_flip_graph_dot_output():
 
 
 def _split_instances():
-    """A sphere and a ball above the work threshold: A3 k=3, and the word of
-    A3 k=4 with target s1 s2 s1, whose flips into the completion are walls."""
-    a3 = system("A3")
-    sphere = subword_complex(a3, multi_cluster_word(a3, (1, 2, 3), 3))
+    """A sphere and a ball above the work threshold: H3 k=2 (58,212 units),
+    and the word of A3 k=5 with target s1 s2 s1 (60,480 units), whose flips
+    into the completion are walls."""
+    h3, a3 = system("H3"), system("A3")
+    sphere = subword_complex(h3, multi_cluster_word(h3, (1, 2, 3), 2))
     ball = subword_complex(
-        a3, multi_cluster_word(a3, (1, 2, 3), 4), element_from_word(a3, (1, 2, 1))
+        a3, multi_cluster_word(a3, (1, 2, 3), 5), element_from_word(a3, (1, 2, 1))
     )
     return sphere, ball
 
@@ -995,8 +998,7 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.fixture
-def forks(monkeypatch):
+def _count_forks(patch):
     """The ``os.fork`` calls this process makes, with three usable CPUs."""
     calls = []
     real_fork = os.fork
@@ -1005,9 +1007,14 @@ def forks(monkeypatch):
         calls.append(None)
         return real_fork()
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    monkeypatch.setattr(os, "fork", counted)
+    patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    patch.setattr(os, "fork", counted)
     return calls
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    return _count_forks(monkeypatch)
 
 
 @pytest.mark.parametrize("kind", ["sphere", "ball"])
@@ -1036,12 +1043,48 @@ def test_one_usable_cpu_builds_the_same_graph_without_forking(forks, monkeypatch
 
 
 def test_small_flip_graphs_are_built_without_forking(forks):
-    # A3 k=2, 84 facets of size 6 on 12 letters, is below the threshold
+    # A3 k=2, 84 facets of size 6 on 12 letters, and A3 k=3, which was
+    # measured slower split, are below the threshold
     a3 = system("A3")
-    complex_ = subword_complex(a3, multi_cluster_word(a3, (1, 2, 3), 2))
-    assert _units(complex_) == 6048 < subword._FORK_UNITS
-    assert flip_graph(complex_).neighbors == _flip_oracle(complex_)
+    for k, units in [(2, 6048), (3, 44550)]:
+        complex_ = subword_complex(a3, multi_cluster_word(a3, (1, 2, 3), k))
+        assert _units(complex_) == units < subword._FORK_UNITS
+        assert flip_graph(complex_).neighbors == _flip_oracle(complex_)
     assert forks == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_split_carries_empty_chunks_and_empty_rows(data):
+    # with no threshold and three usable CPUs every complex is split, so a
+    # complex with fewer facets than workers, no facets, or facets of size 0
+    # sends empty chunks and empty rows through marshal
+    s, word, target, _ = draw_complex(data, SMALL_TYPES, max_letters=8)
+    complex_ = subword_complex(s, word, target)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(subword, "_FORK_UNITS", 0)
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = flip_graph(complex_)
+        forks = _count_forks(patch)
+        assert flip_graph(complex_) == serial
+    assert len(forks) == 2
+    _assert_no_child_left()
+
+
+def test_a_child_that_fails_mid_write_has_its_chunk_redone(forks, monkeypatch):
+    # the child writes the first half of its rows, well formed, then fails:
+    # this process loads nothing it wrote and builds that chunk itself
+    def half_written(rows, pipe):
+        pipe.write(marshal.dumps(rows[: len(rows) // 2]))
+        pipe.flush()
+        raise OSError("the pipe broke")
+
+    torn = SimpleNamespace(dump=half_written, loads=marshal.loads)
+    monkeypatch.setattr(subword, "marshal", torn)
+    sphere, _ = _split_instances()
+    assert flip_graph(sphere).neighbors == _flip_oracle(sphere)
+    assert len(forks) == 2
+    _assert_no_child_left()
 
 
 def test_a_failed_fork_leaves_the_chunk_to_this_process(monkeypatch):
