@@ -164,10 +164,9 @@ def _cmd_flipgraph(args) -> int:
 def _cmd_theta(args) -> _Output:
     system = _system_from(args)
     cox = _coxeter_word_from(args, system)
-    perm = theta_permutation(system, cox, args.k)
     if args.order:
         results = {
-            "order": permutation_order(perm),
+            "order": permutation_order(theta_permutation(system, cox, args.k)),
             "formula": theta_order_formula(system, args.k),
         }
         lines = [f"order: {results['order']} (formula: {results['formula']})"]
@@ -179,6 +178,7 @@ def _cmd_theta(args) -> _Output:
         }
         lines = [" -> ".join(_braced(facet) for facet in orbit) for orbit in orbits]
     else:
+        perm = theta_permutation(system, cox, args.k)
         results = {"permutation": list(perm)}
         lines = [
             f"positions: {list(range(1, len(perm) + 1))}",

@@ -130,36 +130,36 @@ def almost_positive_roots(system: CoxeterSystem) -> tuple[SignedRoot, ...]:
     return tuple(negatives + positives)
 
 
-def lr_labels(system: CoxeterSystem, cox: Word) -> tuple[SignedRoot, ...]:
-    """Almost positive roots labeling the letters of c * w0(c), in word order.
-
-    Prefix letters carry the negated simples; the letter w_i of the sorting
-    word carries w_1...w_{i-1}(alpha_{w_i}), its root table on no facet.
-    """
-    cox = check_coxeter_word(system, cox)
+def _labels(system: CoxeterSystem, cox: Word) -> tuple[tuple[SignedRoot, ...], Word]:
+    """The labels of the letters of c * w0(c) (``lr_labels``) and that word,
+    for a checked Coxeter word: one sorting-word scan and one root walk."""
+    sorting = sorting_word_w0(system, cox).word
     negatives = tuple(SignedRoot(s - 1, -1) for s in cox)
-    return negatives + root_table(system, sorting_word_w0(system, cox).word, ())
+    return negatives + root_table(system, sorting, ()), cox + sorting
 
 
-def lr_position(system: CoxeterSystem, cox: Word, root: SignedRoot) -> int:
-    """1-based position of an almost positive root among the letters of c*w0(c)."""
-    labels = lr_labels(system, cox)
-    try:
-        return labels.index(root) + 1
-    except ValueError:
-        raise CoxeterError(f"{root} is not an almost positive root label") from None
+def lr_labels(system: CoxeterSystem, cox: Word) -> tuple[SignedRoot, ...]:
+    """Almost positive roots labeling the letters of c * w0(c), in word order,
+    read by ``_labels`` as ``c_compatible`` reads them: prefix letters carry
+    the negated simples, and the letter w_i of the sorting word carries
+    w_1...w_{i-1}(alpha_{w_i}), its root table on no facet.
+    """
+    return _labels(system, check_coxeter_word(system, cox))[0]
 
 
 def c_compatible(
     system: CoxeterSystem, cox: Word, root1: SignedRoot, root2: SignedRoot
 ) -> bool:
     """Compatibility of two almost positive roots relative to a Coxeter word:
-    their letters of c * w0(c) form a face of the cluster complex."""
+    their letters of c * w0(c), found by one label walk, form a face of the
+    cluster complex.  A root that labels no letter is refused by name."""
     if root1 == root2:
         raise CoxeterError("compatibility is a relation on distinct roots")
-    cox = check_coxeter_word(system, cox)
-    positions = (lr_position(system, cox, root1), lr_position(system, cox, root2))
-    word = multi_cluster_word(system, cox, 1)
+    labels, word = _labels(system, check_coxeter_word(system, cox))
+    for root in (root1, root2):
+        if root not in labels:
+            raise CoxeterError(f"{root} is not an almost positive root label")
+    positions = (labels.index(root1) + 1, labels.index(root2) + 1)
     return is_face(system, word, longest_element(system), positions)
 
 
@@ -184,13 +184,9 @@ def sigma_involution(
 # ---------------------------------------------------------------------------
 # The next-occurrence cyclic action
 
-def theta_permutation(system: CoxeterSystem, cox: Word, k: int) -> tuple[int, ...]:
-    """Position permutation: each letter moves to the next occurrence of the
-    same generator, wrapping to the first occurrence of psi(s).
-
-    Entry p-1 holds the image of position p (1-based).
-    """
-    word = multi_cluster_word(system, cox, k)
+def _next_occurrence(system: CoxeterSystem, word: Word) -> tuple[int, ...]:
+    """Each position of a word to the next occurrence of its letter s, or from
+    the last one to the first occurrence of psi(s); entry p-1 is the image of p."""
     where: dict[int, list[int]] = {}  # the positions of each letter, in order
     for p, s in enumerate(word, start=1):
         where.setdefault(s, []).append(p)
@@ -198,6 +194,11 @@ def theta_permutation(system: CoxeterSystem, cox: Word, k: int) -> tuple[int, ..
         where[s][j] if j < len(where[s]) else where[system.psi_table[s - 1]][0]
         for s, j in zip(word, occurrence_indices(word))
     )
+
+
+def theta_permutation(system: CoxeterSystem, cox: Word, k: int) -> tuple[int, ...]:
+    """The next-occurrence action on the positions of c^k w0(c)."""
+    return _next_occurrence(system, multi_cluster_word(system, cox, k))
 
 
 def permutation_order(perm: tuple[int, ...]) -> int:
@@ -229,24 +230,21 @@ def theta_order_formula(system: CoxeterSystem, k: int) -> int:
 def theta_orbits_on_facets(
     system: CoxeterSystem, cox: Word, k: int
 ) -> tuple[tuple[Facet, ...], ...]:
-    """Partition of the facets into orbits of the next-occurrence action."""
+    """Partition of the facets into orbits of the next-occurrence action,
+    read off the complex's own word c^k w0(c) (``_next_occurrence``)."""
     complex_ = multi_cluster_complex(system, cox, k)
-    perm = theta_permutation(system, cox, k)
-    facet_set = set(complex_.facets)
-    seen: set[Facet] = set()
+    perm = _next_occurrence(system, complex_.word)
+    unseen: set[Facet] = set(complex_.facets)
     orbits = []
     for facet in complex_.facets:
-        if facet in seen:
+        if facet not in unseen:
             continue
         orbit = [facet]
-        while True:
-            current = tuple(sorted(perm[p - 1] for p in orbit[-1]))
-            if current == facet:
-                break
-            if current not in facet_set:
+        while (current := tuple(sorted(perm[p - 1] for p in orbit[-1]))) != facet:
+            if current not in unseen:  # the action is injective on position sets
                 raise CoxeterError("the action failed to map a facet to a facet")
             orbit.append(current)
-        seen.update(orbit)
+        unseen.difference_update(orbit)
         orbits.append(tuple(orbit))
     return tuple(orbits)
 

@@ -13,6 +13,7 @@ library reads off an element is a sorting word.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 from .coxeter import (
     CoxeterError,
@@ -55,7 +56,7 @@ def sorting_word_w0(system: CoxeterSystem, cox: Word) -> SortingWordReport:
 
 def rotate_word(system: CoxeterSystem, word: Word) -> Word:
     """Drop the first letter s and append psi(s)."""
-    word = check_word(system, word)
+    word = tuple(map(index, check_word(system, word)))
     if not word:
         raise CoxeterError("cannot rotate the empty word")
     return word[1:] + (system.psi_table[word[0] - 1],)

@@ -579,7 +579,7 @@ def subword_complex(
     h_i counts the facets with i negative roots at their own positions.
     The facets are sorted last.
     """
-    word = check_word(system, word)
+    word = tuple(map(as_int, check_word(system, word)))  # the complex keeps it, as ints
     if target is None:
         target = demazure_product(system, word)
     check_element(system, target)
@@ -773,7 +773,7 @@ def reduce_to_w0(system: CoxeterSystem, word: Word, target: Element) -> Word:
     """
     check_element(system, target)
     completion = reduced_word(target.inverse() * longest_element(system))
-    return check_word(system, word) + completion
+    return tuple(map(as_int, check_word(system, word))) + completion
 
 
 def f_vector(complex_: SubwordComplex) -> tuple[int, ...]:

@@ -52,7 +52,6 @@ from subwordlab.multicluster import (
     diagonals_cross,
     facet_count_formula,
     gale_facets_rank2,
-    lr_position,
     multi_cluster_word,
     permutation_order,
     theta_orbits_on_facets,
@@ -736,6 +735,25 @@ def test_coxeter_words_read_as_ints():
         assert "True" not in repr(items), name
 
 
+# The calls that keep or hand back a word they are given, each on A2 with
+# the bool True for a letter 1; each must give s1 s2 s1 s2 s1 as ints
+_KEPT_WORDS = {
+    "subword_complex": lambda a2, w0: subword_complex(a2, (True, 2, 1, 2, 1), w0).word,
+    "link": lambda a2, w0: link(a2, (True, 2, 1, 2, 1, 2), w0, (6,)).word,
+    "reduce_to_w0": lambda a2, w0: reduce_to_w0(a2, (True, 2, 1, 2, 1), w0),
+    "rotate_word": lambda a2, w0: rotate_word(a2, (2, True, 2, 1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", _KEPT_WORDS)
+def test_kept_words_read_as_ints(name):
+    a2 = system("A2")
+    word = _KEPT_WORDS[name](a2, longest_element(a2))
+    assert word == (1, 2, 1, 2, 1)
+    assert all(type(s) is int for s in word)
+    assert format_word(word) == "s1,s2,s1,s2,s1"
+
+
 def test_equal_up_to_commutations_examples():
     a3, a2 = system("A3"), system("A2")
     assert equal_up_to_commutations(a3, (1, 3, 2), (3, 1, 2))
@@ -845,7 +863,7 @@ def test_elements_of_two_builds_of_one_type_mix():
             "position 2.0 is not an integer",
         ),
         (
-            lambda a2: lr_position(a2, (1, 2), SignedRoot(5, 1)),
+            lambda a2: c_compatible(a2, (1, 2), SignedRoot(0, -1), SignedRoot(5, 1)),
             "SignedRoot(root=5, sign=1) is not an almost positive root label",
         ),
         (lambda a2: rotate_word(a2, ()), "cannot rotate the empty word"),
@@ -962,7 +980,7 @@ def test_elements_of_two_builds_of_one_type_mix():
         "flip letter before q", "letter 1.5", "letter '1'", "root_table position 1.5",
         "flip position '1'", "flip q 2.0", "flip q '2'", "is_face position 1.5",
         "link position 2.0",
-        "lr_position", "rotate", "mesh", "window", "copies", "descriptor",
+        "c_compatible no label", "rotate", "mesh", "window", "copies", "descriptor",
         "descent 99", "descent 0", "commute 0", "commute 3", "commute 1.5", "length -1",
         "relevant m 0", "relevant m -4", "cross m 0", "cross m -8", "crossing m 0",
         "crossing count -1", "permutation entry 1.0",
@@ -984,7 +1002,6 @@ def test_refusals_name_the_fault(call, message):
 _ONE_SHOT_CALLS = {
     "multi_cluster_complex": lambda a3, w: multi_cluster_complex(a3, w((2, 1, 3)), 1),
     "lr_labels": lambda a3, w: lr_labels(a3, w((2, 1, 3))),
-    "lr_position": lambda a3, w: lr_position(a3, w((2, 1, 3)), SignedRoot(2, 1)),
     "c_compatible": lambda a3, w: c_compatible(
         a3, w((2, 1, 3)), SignedRoot(0, -1), SignedRoot(2, 1)
     ),

@@ -8,7 +8,7 @@ from itertools import combinations, permutations
 
 from hypothesis import example, given, settings, strategies as st
 
-from subwordlab import multicluster, subword
+from subwordlab import cli, multicluster, subword
 from subwordlab.coxeter import (
     CoxeterError,
     CoxeterSystem,
@@ -33,7 +33,6 @@ from subwordlab.multicluster import (
     facet_count_formula,
     gale_facets_rank2,
     lr_labels,
-    lr_position,
     multi_cluster_complex,
     multi_cluster_word,
     negative_simple,
@@ -152,8 +151,8 @@ def test_lr_labels_are_bijective():
             labels = lr_labels(s, cox)
             assert len(set(labels)) == s.rank + s.number_of_positive_roots
             assert set(labels) == set(almost_positive_roots(s))
-            for label in labels:
-                assert labels[lr_position(s, cox, label) - 1] == label
+            # each label is found at its own position, so letter p carries label p
+            assert [labels.index(label) for label in labels] == list(range(len(labels)))
 
 
 @pytest.mark.parametrize("name", ("A3", "B3", "H3", "D4", "I2(7)") + CODE_EDGE_TYPES)
@@ -215,6 +214,49 @@ def test_compatibility_keeps_no_reference_to_the_system():
     del s
     gc.collect()
     assert ref() is None
+
+
+# Calls that read the word c^k w0(c), with how often each may scan for the
+# sorting word of w0 (``sorting_word_w0``) and walk the labels of c w0(c)
+# (``root_table``) through ``multicluster``: once, whatever it reads off it
+_ONE_WORD_CALLS = {
+    "c_compatible E6": (
+        lambda: c_compatible(
+            system("E6"), (1, 2, 3, 4, 5, 6), SignedRoot(0, -1), SignedRoot(5, 1)
+        ),
+        {"sorting_word_w0": 1, "root_table": 1},
+    ),
+    "c_compatible B3": (
+        lambda: c_compatible(system("B3"), (2, 1, 3), SignedRoot(1, -1), SignedRoot(2, 1)),
+        {"sorting_word_w0": 1, "root_table": 1},
+    ),
+    "theta_orbits_on_facets E6": (
+        lambda: theta_orbits_on_facets(system("E6"), (1, 2, 3, 4, 5, 6), 1),
+        {"sorting_word_w0": 1},
+    ),
+    "csp_fixed_point_table A3 k=2": (
+        lambda: csp_fixed_point_table(system("A3"), (1, 2, 3), 2),
+        {"sorting_word_w0": 1},
+    ),
+    "theta --orbits E6": (
+        lambda: cli.main(["theta", "--type", "E6", "--orbits", "--json"]),
+        {"sorting_word_w0": 1},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _ONE_WORD_CALLS)
+def test_one_multi_cluster_word_per_call(name, monkeypatch, capsys):
+    call, expected = _ONE_WORD_CALLS[name]
+    counts = dict.fromkeys(expected, 0)
+    for reader in expected:
+        def counted(*args, reader=reader, real=getattr(multicluster, reader)):
+            counts[reader] += 1
+            return real(*args)
+
+        monkeypatch.setattr(multicluster, reader, counted)
+    call()
+    assert counts == expected
 
 
 def test_negative_simple_compatibility_is_parabolic_membership():
@@ -453,6 +495,14 @@ def test_theta_orbits_on_facets():
         order = permutation_order(theta_permutation(s, cox, k))
         for orbit in theta_orbits_on_facets(s, cox, k):
             assert order % len(orbit) == 0
+
+
+def test_theta_orbits_refuse_a_map_off_the_facets(monkeypatch):
+    # swapping positions 1 and 2 of s1 s2 s1 s2 s1 fixes the facet {1,2} but
+    # sends {1,5} to {2,5}, which is no facet
+    monkeypatch.setattr(multicluster, "_next_occurrence", lambda system, word: (2, 1, 3, 4, 5))
+    with pytest.raises(CoxeterError, match="^the action failed to map a facet to a facet$"):
+        theta_orbits_on_facets(system("A2"), (1, 2), 1)
 
 
 # ---------------------------------------------------------------------------
